@@ -10,6 +10,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -291,6 +292,24 @@ def _cmd_experiment(args) -> int:
     return runner.emit({"kind": "endow2", **rep.to_json()}, args.report, status, seed=seed)
 
 
+# theorem-suite flags that feed a suite parameter, per suite: flag -> parameter
+SUITE_PARAMS = {
+    "main1": {"seeds": "count"},
+    "matroid": {"seeds": "count"},
+    "ejr": {"seeds": "count"},
+    "tight-upper": {"seeds": "count"},
+    "tight-lower": {},
+    "lb1-points": {"seeds": "per_case", "r": "r"},
+    "lb1-lemma-deviations": {"seeds": "trials", "r": "r"},
+    "lb00": {"beta": "beta"},
+    "lemmas": {"seeds": "count"},
+    "sampling-bound": {"seeds": "per_kind"},
+    "tail": {},
+    "endow2-bound": {},
+}
+_SUITE_FLAGS = ("seeds", "r", "beta", "class_cap")  # flags whose default is None
+
+
 def _cmd_theorem_suite(args) -> int:
     runner = _Runner("theorem-suite", args)
     if args.name == "endow2-value":
@@ -308,6 +327,10 @@ def _cmd_theorem_suite(args) -> int:
             args.r or 5, time_cap_s=args.time_cap, class_cap=args.class_cap
         )
         payload = rep.to_json()
+        payload["stopped_by"] = None
+        if rep.result == "cap-exceeded":
+            by_class = args.class_cap is not None and rep.classes_checked >= args.class_cap
+            payload["stopped_by"] = "class-cap" if by_class else "time-cap"
         if rep.result == "counterexample-candidate":
             from .lb_search import verify_passing_class
 
@@ -326,19 +349,17 @@ def _cmd_theorem_suite(args) -> int:
         return runner.emit(payload, args.out, status, seed=args.seeds)
     if args.name not in THEOREM_SUITES:
         raise FormatError(f"unknown suite {args.name!r}; options: {sorted(THEOREM_SUITES)}")
-    runner_fn = THEOREM_SUITES[args.name]
+    params = SUITE_PARAMS[args.name]
     kwargs = {}
-    if args.seeds is not None and args.name not in (
-        "tight-lower",
-        "endow2-bound",
-        "tail",
-        "lb00",
-    ):
-        kwargs["count"] = args.seeds
-    try:
-        suite = runner_fn(**kwargs)
-    except TypeError:
-        suite = runner_fn()
+    for flag in _SUITE_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in params:
+            option = "--" + flag.replace("_", "-")
+            raise FormatError(f"suite {args.name!r} does not take {option}")
+        kwargs[params[flag]] = value
+    suite = THEOREM_SUITES[args.name](**kwargs)
     status = EXIT_PASS if suite.passed else EXIT_FAIL
     return runner.emit(suite.to_json(), args.out, status, seed=args.seeds)
 
@@ -426,11 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` reuses; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
     """Parse argv and execute; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -1,15 +1,21 @@
 """Election instances and utility-function oracles.
 
 All utility values are exact (Fraction, or Quad for the parametric
-lower-bound family with odd exponent).  Every oracle satisfies
-u(empty) = 0, and the two axioms every voter utility must obey --
-monotonicity and the unit-Lipschitz bound -- can be checked exhaustively
-at desk scale with ``check_axioms``.
+lower-bound family with odd exponent).  The rational-weight oracles
+(additive, xos, coverage) scale their weights to integers once, over one
+common denominator D per oracle, when they are constructed; ``value``
+sums integers and returns the exact ``Fraction(total, D)``.  Their public
+Fraction fields stay the source of truth for ``key`` and ``to_json``.
+
+Every oracle satisfies u(empty) = 0, and the two axioms every voter
+utility must obey -- monotonicity and the unit-Lipschitz bound -- can be
+checked exhaustively at desk scale with ``check_axioms``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -26,6 +32,15 @@ EXHAUSTIVE_LIMIT = 20  # 2**20 subsets is the hard cap for exhaustive checks
 
 def _as_frozen(T: Iterable[int]) -> frozenset:
     return T if isinstance(T, frozenset) else frozenset(T)
+
+
+def _common_denominator(weights: Iterable[Fraction]) -> int:
+    return math.lcm(*(w.denominator for w in weights))
+
+
+def _scaled(weights: dict, D: int) -> dict:
+    """The same weights as integers over the common denominator D."""
+    return {key: w.numerator * (D // w.denominator) for key, w in weights.items()}
 
 
 class UtilityFunction:
@@ -84,12 +99,12 @@ class AdditiveUtility(UtilityFunction):
                 )
             if w != 0:
                 self.weights[int(cand)] = w
+        self._scale = _common_denominator(self.weights.values())
+        self._int_weights = _scaled(self.weights, self._scale)
 
     def value(self, T):
-        return sum(
-            (self.weights[c] for c in _as_frozen(T) if c in self.weights),
-            Fraction(0),
-        )
+        weights = self._int_weights
+        return Fraction(sum(weights[c] for c in _as_frozen(T) if c in weights), self._scale)
 
     def key(self):
         return ("additive", tuple(sorted(self.weights.items())))
@@ -128,12 +143,15 @@ class CoverageUtility(UtilityFunction):
                     f"candidate {cand} covers weight {total} > 1 (breaks Lipschitz)"
                 )
             self.covers[int(cand)] = elems
+        self._scale = _common_denominator(self.element_weights.values())
+        self._int_weights = _scaled(self.element_weights, self._scale)
 
     def value(self, T):
         covered = set()
         for c in _as_frozen(T):
             covered |= self.covers.get(c, frozenset())
-        return sum((self.element_weights.get(e, Fraction(0)) for e in covered), Fraction(0))
+        weights = self._int_weights
+        return Fraction(sum(weights[e] for e in covered if e in weights), self._scale)
 
     def key(self):
         return (
@@ -172,15 +190,18 @@ class XOSUtility(UtilityFunction):
                 if w != 0:
                     cleaned[int(cand)] = w
             self.clauses.append(cleaned)
+        # one denominator across all clauses, so the max is taken over integers
+        self._scale = _common_denominator(w for cl in self.clauses for w in cl.values())
+        self._int_clauses = [_scaled(cl, self._scale) for cl in self.clauses]
 
     def value(self, T):
         T = _as_frozen(T)
-        best = Fraction(0)
-        for clause in self.clauses:
-            s = sum((clause[c] for c in T if c in clause), Fraction(0))
+        best = 0
+        for clause in self._int_clauses:
+            s = sum(clause[c] for c in T if c in clause)
             if s > best:
                 best = s
-        return best
+        return Fraction(best, self._scale)
 
     def key(self):
         return ("xos", tuple(tuple(sorted(cl.items())) for cl in self.clauses))

@@ -77,7 +77,10 @@ class Score:
         import math
 
         if self.rule == "snw":
-            return math.log(float(self.value))
+            try:
+                return math.log(float(self.value))
+            except OverflowError:  # the product is beyond float range; logs of ints are not
+                return math.log(self.value.numerator) - math.log(self.value.denominator)
         return float(self.value)
 
 

@@ -1,7 +1,11 @@
+import inspect
 import json
 from fractions import Fraction
 
-from corelect.cli import parse_gamma, run
+import pytest
+
+from corelect.cli import SUITE_PARAMS, parse_gamma, run
+from corelect.theorems import THEOREM_SUITES
 from corelect.serialize import load_instance
 
 
@@ -262,3 +266,42 @@ def test_lb1_emptiness_suite_reports_honestly(tmp_path):
     report = _read(out)
     assert report["result"] == "cap-exceeded"
     assert report["classes_checked"] == 200
+    assert report["stopped_by"] == "class-cap"
+
+
+@pytest.mark.parametrize(
+    "name, seeds, cases",
+    [("lb1-points", 3, 4 * 3), ("tight-upper", 2, 3 * 2), ("sampling-bound", 2, 4 * 2 + 1)],
+)
+def test_theorem_suite_seeds_feed_the_case_count(tmp_path, name, seeds, cases):
+    out = tmp_path / "suite.json"
+    assert run(["theorem-suite", "--name", name, "--seeds", str(seeds), "--out", str(out)]) == 0
+    suite = _read(out)
+    assert suite["cases"] == cases and suite["manifest"]["flags"]["seeds"] == seeds
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["--name", "tail", "--seeds", "3"], "--seeds"), (["--name", "main1", "--beta", "2"], "--beta")],
+)
+def test_theorem_suite_rejects_a_flag_the_suite_does_not_take(capsys, argv, option):
+    assert run(["theorem-suite", *argv]) == 2
+    assert option in capsys.readouterr().err
+
+
+def test_suite_params_name_real_suite_parameters():
+    assert set(SUITE_PARAMS) == set(THEOREM_SUITES)
+    for name, params in SUITE_PARAMS.items():
+        accepted = inspect.signature(THEOREM_SUITES[name]).parameters
+        assert set(params.values()) <= set(accepted), name
+
+
+def test_shared_parser_does_not_leak_flags_between_runs(tmp_path):
+    inst_path = tmp_path / "xos.json"
+    run(["gen", "--name", "xos", "--params", "k=3", "--out", str(inst_path)])
+    r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "--notion", "core", "--committee", "0,1,2", "--in", str(inst_path)]
+    run(argv + ["--min-coalition", "2", "--report", str(r1)])
+    run(argv + ["--report", str(r2)])
+    assert _read(r1)["manifest"]["flags"]["min_coalition"] == "2"
+    assert "min_coalition" not in _read(r2)["manifest"]["flags"]

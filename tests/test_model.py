@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corelect.errors import EnumerationLimitError, MalformedUtilityError
 from corelect.instances import gen_lb00, gen_xos_example, random_utility, rng_from_seed
@@ -193,3 +195,63 @@ def test_coverage_rejects_per_candidate_weight_above_one():
 def test_xos_rejects_weight_outside_unit_interval():
     with pytest.raises(MalformedUtilityError):
         XOSUtility([{0: Fraction(5, 4)}])
+
+
+# -- integer-scaled oracles: value(T) is the exact Fraction the weights give --
+
+UNIVERSE = range(6)
+ALL_SUBSETS = [frozenset(c for c in UNIVERSE if mask >> c & 1) for mask in range(1 << 6)]
+
+
+def _weights(max_weight=Fraction(1)):
+    """Rationals in [0, max_weight] over denominators up to 97, with 0 and 1 common."""
+    drawn = st.integers(1, 97).flatmap(
+        lambda d: st.integers(0, int(max_weight * d)).map(lambda n: Fraction(n, d))
+    )
+    return st.one_of(st.just(Fraction(0)), st.just(min(Fraction(1), max_weight)), drawn)
+
+
+def _candidate_weights():
+    return st.dictionaries(st.sampled_from(UNIVERSE), _weights(), max_size=6)
+
+
+def _assert_matches_naive(u):
+    for T in ALL_SUBSETS:
+        v = u.value(T)
+        assert type(v) is Fraction and v == naive_value(u, T), (u, sorted(T))
+
+
+_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_settings
+@given(_candidate_weights())
+def test_scaled_additive_matches_naive(weights):
+    _assert_matches_naive(AdditiveUtility(weights))
+
+
+@_settings
+@given(st.lists(_candidate_weights(), min_size=1, max_size=4))
+def test_scaled_xos_matches_naive(clauses):
+    _assert_matches_naive(XOSUtility(clauses))
+
+
+@_settings
+@given(
+    st.dictionaries(
+        st.sampled_from(UNIVERSE), st.frozensets(st.integers(0, 7), max_size=3), max_size=6
+    ),
+    st.dictionaries(st.integers(0, 5), _weights(Fraction(1, 3)), max_size=6),
+)
+@example({0: frozenset({0}), 1: frozenset({0, 6}), 2: frozenset()}, {0: Fraction(1), 1: 0})
+def test_scaled_coverage_matches_naive(covers, element_weights):
+    # elements 6 and 7 can be covered but never carry a weight
+    _assert_matches_naive(CoverageUtility(covers, element_weights))
+
+
+def test_scaled_oracles_keep_their_fraction_fields():
+    u = XOSUtility([{0: Fraction(1, 2), 1: 0}, {1: Fraction(2, 3), 2: 1}])
+    assert u.clauses == [{0: Fraction(1, 2)}, {1: Fraction(2, 3), 2: Fraction(1)}]
+    assert u.value({0, 1}) == Fraction(2, 3) and u.value({1, 2}) == Fraction(5, 3)
+    assert XOSUtility([dict(cl) for cl in u.to_json()["clauses"]]) == u
+    assert AdditiveUtility({}).value({0, 1}) == 0

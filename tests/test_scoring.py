@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,14 @@ def test_snw_comparable_is_product():
         validate="trust",
     )
     assert score("snw", inst, {0, 1}).value == 6  # (1+1)(1+2)
+
+
+def test_snw_ln_float_beyond_float_range():
+    big = Score("snw", Fraction(3) ** 700 / 2**5)
+    assert big.ln_float() == pytest.approx(700 * math.log(3) - 5 * math.log(2))
+    assert round(big.ln_float(), 4) == 765.5629
+    small = Score("snw", Fraction(7, 3))
+    assert small.ln_float() == math.log(float(Fraction(7, 3)))
 
 
 def test_gpav_score_half_integer():
