@@ -307,11 +307,41 @@ SUITE_PARAMS = {
     "tail": {},
     "endow2-bound": {},
 }
-_SUITE_FLAGS = ("seeds", "r", "beta", "class_cap")  # flags whose default is None
+# the suites the CLI runs itself: flag -> parameter of endow2_bound / lb1_emptiness_search
+CLI_SUITE_PARAMS = {
+    "endow2-value": {"beta": "beta", "kappa": "kappa", "eta": "eta"},
+    "lb1-emptiness": {"r": "r", "time_cap": "time_cap_s", "class_cap": "class_cap"},
+}
+_SUITE_FLAGS = ("seeds", "r", "beta", "kappa", "eta", "time_cap", "class_cap")  # default None
+# set once the flags are checked; every theorem-suite manifest records them
+_RESOLVED_DEFAULTS = {"kappa": "1.454", "eta": "11.63", "time_cap": 60.0}
+
+
+def _suite_kwargs(args) -> dict:
+    """Map the suite flags given to suite parameters, refusing a flag the
+    suite does not take, then resolve the defaults of the rest."""
+    params = {**SUITE_PARAMS, **CLI_SUITE_PARAMS}.get(args.name)
+    if params is None:
+        options = sorted(SUITE_PARAMS) + sorted(CLI_SUITE_PARAMS)
+        raise FormatError(f"unknown suite {args.name!r}; options: {options}")
+    kwargs = {}
+    for flag in _SUITE_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in params:
+            option = "--" + flag.replace("_", "-")
+            raise FormatError(f"suite {args.name!r} does not take {option}")
+        kwargs[params[flag]] = value
+    for flag, default in _RESOLVED_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    return kwargs
 
 
 def _cmd_theorem_suite(args) -> int:
     runner = _Runner("theorem-suite", args)
+    kwargs = _suite_kwargs(args)
     if args.name == "endow2-value":
         interval = endow2_bound(args.beta or 1, parse_rational(args.kappa), parse_rational(args.eta))
         payload = {
@@ -321,7 +351,7 @@ def _cmd_theorem_suite(args) -> int:
             "hi_float": float(interval.hi),
             "feasible_q": interval.feasible_q,
         }
-        return runner.emit(payload, args.out, EXIT_PASS, seed=args.seeds)
+        return runner.emit(payload, args.out, EXIT_PASS)
     if args.name == "lb1-emptiness":
         rep = lb1_emptiness_search(
             args.r or 5, time_cap_s=args.time_cap, class_cap=args.class_cap
@@ -346,19 +376,7 @@ def _cmd_theorem_suite(args) -> int:
                 for c in cert.get("certificates", [])
             ]
         status = EXIT_PASS if rep.result != "counterexample-candidate" else EXIT_FAIL
-        return runner.emit(payload, args.out, status, seed=args.seeds)
-    if args.name not in THEOREM_SUITES:
-        raise FormatError(f"unknown suite {args.name!r}; options: {sorted(THEOREM_SUITES)}")
-    params = SUITE_PARAMS[args.name]
-    kwargs = {}
-    for flag in _SUITE_FLAGS:
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in params:
-            option = "--" + flag.replace("_", "-")
-            raise FormatError(f"suite {args.name!r} does not take {option}")
-        kwargs[params[flag]] = value
+        return runner.emit(payload, args.out, status)
     suite = THEOREM_SUITES[args.name](**kwargs)
     status = EXIT_PASS if suite.passed else EXIT_FAIL
     return runner.emit(suite.to_json(), args.out, status, seed=args.seeds)
@@ -437,10 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=None, help="number of random cases")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--kappa", default="1.454")
-    p.add_argument("--eta", default="11.63")
-    p.add_argument("--time-cap", type=float, default=60.0, dest="time_cap")
-    p.add_argument("--class-cap", type=int, default=None, dest="class_cap")
+    p.add_argument(
+        "--kappa", default=None,
+        help=f"endow2-value only (default {_RESOLVED_DEFAULTS['kappa']})",
+    )
+    p.add_argument(
+        "--eta", default=None, help=f"endow2-value only (default {_RESOLVED_DEFAULTS['eta']})"
+    )
+    p.add_argument(
+        "--time-cap", type=float, default=None, dest="time_cap",
+        help=f"lb1-emptiness only, seconds (default {_RESOLVED_DEFAULTS['time_cap']:g})",
+    )
+    p.add_argument(
+        "--class-cap", type=int, default=None, dest="class_cap", help="lb1-emptiness only"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorem_suite)
 

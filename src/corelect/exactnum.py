@@ -219,8 +219,6 @@ class Quad:
 
 
 def exact_floor(x: ExactValue) -> int:
-    if isinstance(x, Quad):
-        return math.floor(x)
     return math.floor(x)
 
 

@@ -11,9 +11,22 @@ search sound:
 * the planner's sub-committee hatW matters only through its non-dummy
   party counts (dummies consume neither the packing cap nor utility).
 
-Deciding "can the coalition reach its utility targets given hatW" is an
-exact covering problem on the edges of K4 (each party is approved by
-exactly two voters), solved by a complete depth-first allocation.
+Deciding "can the coalition reach its utility targets given hatW" is a
+capacitated b-edge-cover question on K4 (each party is approved by
+exactly two voters): can edge units x_e <= c_e with sum x <= budget give
+every voter v at least n_v?  It is answered in closed form.  By Gallai's
+identity rho = n(V) - nu and the Tutte-Berge formula for capacitated
+b-matching (Schrijver, *Combinatorial Optimization*, the b-matching and
+b-edge-cover chapters), the least cover of a coverable demand (each n_v
+at most the caps on v's three edges) is
+
+    rho = max over W of  n(W) - c(E[W]) + ceil(sum_{v not in W} (n_v - c(E(v, W)))^+ / 2),
+
+W ranging over the 16 subsets of the voters: on K4 the voters outside W
+form a single component and each adds its own uncovered remainder.  When
+no cap is below the largest need, rho = max(max n, ceil(n(V) / 2)).  The
+search keeps no memo; a query costs at most the 16 terms, over index
+tuples built at import.
 
 The search honors a wall-clock cap and reports honestly: confirmed
 emptiness, cap exceeded (no claim), or a candidate committee that
@@ -30,72 +43,88 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .exactnum import exact_ceil, parse_rational
+from .instances import LB1_PARTIES, LB1_VOTERS
 
-PARTIES = ("ab", "bc", "ca", "ad", "bd", "cd")
-VOTERS = ("a", "b", "c", "d")
 EDGE_ENDPOINTS = tuple(
-    tuple(VOTERS.index(ch) for ch in party) for party in PARTIES
+    tuple(LB1_VOTERS.index(ch) for ch in party) for party in LB1_PARTIES
 )
 EDGES_OF_VOTER = tuple(
     tuple(e for e, ends in enumerate(EDGE_ENDPOINTS) if v in ends) for v in range(4)
 )
+# every coalition, largest first
+COALITIONS = tuple(
+    S for size in (4, 3, 2, 1) for S in itertools.combinations(range(4), size)
+)
 
 
-def _cover_feasible(needs, caps, budget, memo):
+def _cover_terms():
+    """For each voter subset W: (W, edges inside W, ((v, edges from v into W)
+    for each voter v outside W))."""
+    terms = []
+    for W in itertools.chain.from_iterable(
+        itertools.combinations(range(4), size) for size in range(5)
+    ):
+        inner = tuple(
+            e for e, ends in enumerate(EDGE_ENDPOINTS) if all(u in W for u in ends)
+        )
+        outside = tuple(
+            (v, tuple(e for e in EDGES_OF_VOTER[v] if any(u in W for u in EDGE_ENDPOINTS[e])))
+            for v in range(4)
+            if v not in W
+        )
+        terms.append((W, inner, outside))
+    return tuple(terms)
+
+
+COVER_TERMS = _cover_terms()
+
+
+def _min_cover(needs, caps):
+    """Least total of edge units covering nonnegative ``needs`` within
+    ``caps``: the max of the 16 terms in the module docstring.  Exact
+    whenever every voter's need is at most the caps on its three edges."""
+    top = max(needs)
+    if min(caps) >= top:
+        # no cap binds: a term with W nonempty is at most its largest need
+        return max(top, (sum(needs) + 1) // 2)
+    rho = 0
+    for W, inner, outside in COVER_TERMS:
+        spill = 1  # rounds the halved remainder up
+        for v, edges in outside:
+            d = needs[v]
+            for e in edges:
+                d -= caps[e]
+            if d > 0:
+                spill += d
+        term = spill // 2
+        for v in W:
+            term += needs[v]
+        for e in inner:
+            term -= caps[e]
+        if term > rho:
+            rho = term
+    return rho
+
+
+def _cover_feasible(needs, caps, budget):
     """Can per-voter demands be met by K4 edge units within the budget?
 
     Each unit on edge e supplies one unit to both its endpoints;
-    per-edge supply is capped.  Complete search: repeatedly pick the
-    voter with the largest outstanding demand and allocate exactly that
-    demand across its three edges (later voters may add more to shared
-    edges, over-covering earlier ones, which is harmless).
+    per-edge supply is capped.  Negative demands count as zero.
     """
-    needs = tuple(max(0, v) for v in needs)
-    total = sum(needs)
-    if total == 0:
+    needs = tuple(x if x > 0 else 0 for x in needs)
+    if not any(needs):
         return True
-    if budget <= 0 or total > 2 * budget or max(needs) > budget:
+    if budget <= 0:
         return False
-    key = (needs, caps, budget)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    v = max(range(4), key=lambda i: needs[i])
-    demand = needs[v]
-    e1, e2, e3 = EDGES_OF_VOTER[v]
-    result = False
-    for x1 in range(min(demand, caps[e1]), -1, -1):
-        rem1 = demand - x1
-        if rem1 > caps[e2] + caps[e3]:
-            continue
-        for x2 in range(min(rem1, caps[e2]), -1, -1):
-            x3 = rem1 - x2
-            if x3 > caps[e3]:
-                continue
-            alloc = {e1: x1, e2: x2, e3: x3}
-            new_needs = list(needs)
-            for e, x in alloc.items():
-                if x:
-                    for end in EDGE_ENDPOINTS[e]:
-                        new_needs[end] -= x
-            new_caps = list(caps)
-            for e, x in alloc.items():
-                new_caps[e] -= x
-            if _cover_feasible(
-                tuple(new_needs), tuple(new_caps), budget - demand, memo
-            ):
-                result = True
-                break
-        if result:
-            break
-    memo[key] = result
-    return result
+    for v, (e1, e2, e3) in enumerate(EDGES_OF_VOTER):
+        if needs[v] > caps[e1] + caps[e2] + caps[e3]:
+            return False
+    return _min_cover(needs, caps) <= budget
 
 
 def _utilities(counts):
-    return tuple(
-        sum(counts[e] for e in EDGES_OF_VOTER[v]) for v in range(4)
-    )
+    return tuple(counts[e1] + counts[e2] + counts[e3] for e1, e2, e3 in EDGES_OF_VOTER)
 
 
 @dataclass
@@ -178,30 +207,26 @@ def verify_passing_class(r: int, counts, gamma=Fraction(16, 15), pool_size=None)
     utils = _utilities(counts)
     needs_full = tuple(exact_ceil(gamma * (u + 1)) for u in utils)
     certificates = []
-    for size in (4, 3, 2, 1):
-        for S in itertools.combinations(range(4), size):
-            kprime = (size * k) // 4
-            hat_limit = k - kprime
-            hat_cache: dict = {}
-            refuting = None
-            for hatw in _hat_iter(counts, hat_limit, hat_cache):
-                hat_util = _utilities(hatw)
-                residual = tuple(
-                    needs_full[v] - hat_util[v] if v in S else 0 for v in range(4)
-                )
-                caps = tuple(pool - hatw[e] for e in range(6))
-                budget = min(kprime, cap - sum(hatw))
-                if not _cover_feasible_second_opinion(residual, caps, budget):
-                    refuting = {
-                        "coalition": S,
-                        "reply": hatw,
-                        "residual_targets": [residual[v] for v in S],
-                        "budget": budget,
-                    }
-                    break
-            if refuting is None:
-                return {"passes": False, "blocking_coalition": S, "certificates": certificates}
-            certificates.append(refuting)
+    hat_cache: dict = {}
+    for S in COALITIONS:
+        kprime = (len(S) * k) // 4
+        refuting = None
+        for hatw, caps, hat_used, hat_util in _hat_iter(counts, k - kprime, pool, hat_cache):
+            residual = tuple(
+                needs_full[v] - hat_util[v] if v in S else 0 for v in range(4)
+            )
+            budget = min(kprime, cap - hat_used)
+            if not _cover_feasible_second_opinion(residual, caps, budget):
+                refuting = {
+                    "coalition": S,
+                    "reply": hatw,
+                    "residual_targets": [residual[v] for v in S],
+                    "budget": budget,
+                }
+                break
+        if refuting is None:
+            return {"passes": False, "blocking_coalition": S, "certificates": certificates}
+        certificates.append(refuting)
     return {"passes": True, "utilities": list(utils), "targets": list(needs_full),
             "certificates": certificates}
 
@@ -233,37 +258,29 @@ def _class_iter(pool, cap, k):
     yield from rec(0, limit)
 
 
-def _blocking_coalition_exists(counts, pool, cap, k, needs, memo):
+def _blocking_coalition_exists(counts, pool, cap, k, needs):
     """Is there a coalition that blocks the committee with these counts?"""
     hat_cache: dict = {}
-    coalitions = sorted(
-        (S for size in (4, 3, 2, 1) for S in itertools.combinations(range(4), size)),
-        key=lambda S: -len(S),
-    )
-    for S in coalitions:
+    for S in COALITIONS:
         kprime = (len(S) * k) // 4
-        hat_limit = k - kprime
         if any(needs[v] > 3 * pool for v in S):
             continue  # unreachable target even with every approved candidate
-        blocked = True
         # planner replies: non-dummy count vectors below the committee's
-        for hatw in _hat_iter(counts, hat_limit, hat_cache):
-            hat_used = sum(hatw)
-            hat_util = _utilities(hatw)
+        for _, caps, hat_used, hat_util in _hat_iter(counts, k - kprime, pool, hat_cache):
             residual = tuple(
                 needs[v] - hat_util[v] if v in S else 0 for v in range(4)
             )
-            caps = tuple(pool - hatw[e] for e in range(6))
-            budget = min(kprime, cap - hat_used)
-            if not _cover_feasible(residual, caps, budget, memo):
-                blocked = False
+            if not _cover_feasible(residual, caps, min(kprime, cap - hat_used)):
                 break
-        if blocked:
+        else:
             return True, S
     return False, None
 
 
-def _hat_iter(counts, hat_limit, cache):
+def _hat_iter(counts, hat_limit, pool, cache):
+    """Planner replies under ``counts`` using at most ``hat_limit`` seats,
+    as (reply, per-party caps left in a pool of ``pool``, seats used,
+    voter utilities), largest first."""
     key = (counts, hat_limit)
     if key not in cache:
         options = []
@@ -280,7 +297,9 @@ def _hat_iter(counts, hat_limit, cache):
         rec(0, hat_limit, [])
         # try cap-hungry planner replies first: refutations come fast
         options.sort(key=lambda h: -sum(h))
-        cache[key] = options
+        cache[key] = [
+            (h, tuple(pool - c for c in h), sum(h), _utilities(h)) for h in options
+        ]
     return cache[key]
 
 
@@ -316,7 +335,6 @@ def lb1_emptiness_search(
         result="cap-exceeded", gamma=gamma, r=r, classes_total=classes_total
     )
     start = time.monotonic()
-    memo: dict = {}
     checked = 0
     for counts in _class_iter(pool, cap, k):
         if time.monotonic() - start > time_cap_s or (
@@ -329,7 +347,7 @@ def lb1_emptiness_search(
             break
         utils = _utilities(counts)
         needs = tuple(exact_ceil(gamma * (u + 1)) for u in utils)
-        blocked, S = _blocking_coalition_exists(counts, pool, cap, k, needs, memo)
+        blocked, S = _blocking_coalition_exists(counts, pool, cap, k, needs)
         checked += 1
         if not blocked:
             report.result = "counterexample-candidate"

@@ -242,3 +242,59 @@ def oracle_sample_expectation(u, T, alpha):
         p = alpha ** len(O) * (1 - alpha) ** (len(T) - len(O))
         total += p * naive_value(u, O)
     return total
+
+
+def _k4_edges():
+    """Voter-index pairs of the 16/15 construction's parties: the edges of K4."""
+    from corelect.instances import LB1_PARTIES, LB1_VOTERS
+
+    return tuple(tuple(LB1_VOTERS.index(ch) for ch in party) for party in LB1_PARTIES)
+
+
+K4_EDGES = _k4_edges()
+
+
+def oracle_cover_feasible(needs, caps, budget):
+    """Can K4 edge units (x_e <= caps[e], sum x <= budget) give each voter
+    v at least needs[v]?  Depth-first allocation: serve the voter with the
+    largest outstanding demand with exactly that demand across its three
+    edges, in every split, and recurse."""
+    needs = tuple(max(0, v) for v in needs)
+    total = sum(needs)
+    if total == 0:
+        return True
+    if budget <= 0 or total > 2 * budget or max(needs) > budget:
+        return False
+    v = max(range(4), key=lambda i: needs[i])
+    e1, e2, e3 = (e for e, ends in enumerate(K4_EDGES) if v in ends)
+    demand = needs[v]
+    for x1 in range(min(demand, caps[e1]), -1, -1):
+        for x2 in range(min(demand - x1, caps[e2]), -1, -1):
+            x3 = demand - x1 - x2
+            if x3 > caps[e3]:
+                continue
+            new_needs = list(needs)
+            new_caps = list(caps)
+            for e, x in ((e1, x1), (e2, x2), (e3, x3)):
+                for end in K4_EDGES[e]:
+                    new_needs[end] -= x
+                new_caps[e] -= x
+            if oracle_cover_feasible(new_needs, tuple(new_caps), budget - demand):
+                return True
+    return False
+
+
+def oracle_min_cover(needs, caps):
+    """Least sum x over every K4 edge allocation x <= caps that gives each
+    voter its need; None when no allocation does."""
+    needs = [max(0, v) for v in needs]
+    ranges = [range(min(c, max(needs[a], needs[b])) + 1) for c, (a, b) in zip(caps, K4_EDGES)]
+    best = None
+    for x in itertools.product(*ranges):
+        got = [0] * 4
+        for xe, (a, b) in zip(x, K4_EDGES):
+            got[a] += xe
+            got[b] += xe
+        if all(g >= n for g, n in zip(got, needs)) and (best is None or sum(x) < best):
+            best = sum(x)
+    return best

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from corelect.cli import SUITE_PARAMS, parse_gamma, run
+from corelect.cli import CLI_SUITE_PARAMS, SUITE_PARAMS, parse_gamma, run
+from corelect.instances import endow2_bound
+from corelect.lb_search import lb1_emptiness_search
 from corelect.theorems import THEOREM_SUITES
 from corelect.serialize import load_instance
 
@@ -282,7 +284,20 @@ def test_theorem_suite_seeds_feed_the_case_count(tmp_path, name, seeds, cases):
 
 @pytest.mark.parametrize(
     "argv, option",
-    [(["--name", "tail", "--seeds", "3"], "--seeds"), (["--name", "main1", "--beta", "2"], "--beta")],
+    [
+        (["--name", "tail", "--seeds", "3"], "--seeds"),
+        (["--name", "main1", "--beta", "2"], "--beta"),
+        (["--name", "tight-lower", "--kappa", "3", "--time-cap", "1"], "--kappa"),
+        (["--name", "tight-lower", "--time-cap", "1"], "--time-cap"),
+        (["--name", "main1", "--eta", "2"], "--eta"),
+        (["--name", "lb1-emptiness", "--seeds", "3"], "--seeds"),
+        (["--name", "lb1-emptiness", "--beta", "2"], "--beta"),
+        (["--name", "lb1-emptiness", "--kappa", "2"], "--kappa"),
+        (["--name", "endow2-value", "--seeds", "3"], "--seeds"),
+        (["--name", "endow2-value", "--class-cap", "5"], "--class-cap"),
+        (["--name", "endow2-value", "--time-cap", "5"], "--time-cap"),
+        (["--name", "endow2-value", "--r", "5"], "--r"),
+    ],
 )
 def test_theorem_suite_rejects_a_flag_the_suite_does_not_take(capsys, argv, option):
     assert run(["theorem-suite", *argv]) == 2
@@ -294,6 +309,47 @@ def test_suite_params_name_real_suite_parameters():
     for name, params in SUITE_PARAMS.items():
         accepted = inspect.signature(THEOREM_SUITES[name]).parameters
         assert set(params.values()) <= set(accepted), name
+
+
+def test_cli_suite_params_name_real_parameters():
+    runners = {"endow2-value": endow2_bound, "lb1-emptiness": lb1_emptiness_search}
+    assert set(CLI_SUITE_PARAMS) == set(runners)
+    for name, params in CLI_SUITE_PARAMS.items():
+        accepted = inspect.signature(runners[name]).parameters
+        assert set(params.values()) <= set(accepted), name
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--name", "main1", "--seeds", "2"], {"seeds": 2}),
+        (["--name", "tight-lower"], {}),
+        (["--name", "endow2-value"], {}),
+        (["--name", "endow2-value", "--kappa", "3/2"], {"kappa": "3/2"}),
+        (["--name", "lb1-emptiness", "--class-cap", "20"], {"class_cap": 20}),
+        (
+            ["--name", "lb1-emptiness", "--class-cap", "20", "--time-cap", "90"],
+            {"class_cap": 20, "time_cap": 90.0},
+        ),
+    ],
+)
+def test_theorem_suite_manifest_records_resolved_defaults(tmp_path, argv, flags):
+    # the flags every theorem-suite manifest recorded before the defaults moved
+    out = tmp_path / "suite.json"
+    assert run(["theorem-suite", *argv, "--out", str(out)]) == 0
+    expected = {
+        "command": "theorem-suite",
+        "eta": "11.63",
+        "jobs": 1,
+        "kappa": "1.454",
+        "name": argv[1],
+        "out": str(out),
+        "time_cap": 60.0,
+        **flags,
+    }
+    manifest = _read(out)["manifest"]
+    assert manifest["flags"] == expected
+    assert list(manifest["flags"]) == sorted(expected)
 
 
 def test_shared_parser_does_not_leak_flags_between_runs(tmp_path):

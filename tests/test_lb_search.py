@@ -1,59 +1,132 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelect.errors import ParameterError
 from corelect.instances import rng_from_seed
 from corelect.lb_search import (
     _cover_feasible,
     _cover_feasible_second_opinion,
+    _min_cover,
     lb1_emptiness_search,
     verify_passing_class,
 )
+from oracles import K4_EDGES, oracle_cover_feasible, oracle_min_cover
 
 
 def test_cover_allocator_basics():
-    memo = {}
     big = (9,) * 6
-    assert _cover_feasible((1, 1, 0, 0), big, 1, memo)  # one unit on the shared edge
-    assert _cover_feasible((2, 2, 2, 0), big, 3, memo)
-    assert not _cover_feasible((2, 2, 2, 0), big, 2, memo)  # triangle needs ceil(6/2)=3
-    assert _cover_feasible((3, 1, 1, 1), big, 3, memo)
-    assert not _cover_feasible((3, 1, 1, 1), big, 2, memo)  # max need exceeds budget
+    assert _cover_feasible((1, 1, 0, 0), big, 1)  # one unit on the shared edge
+    assert _cover_feasible((2, 2, 2, 0), big, 3)
+    assert not _cover_feasible((2, 2, 2, 0), big, 2)  # triangle needs ceil(6/2)=3
+    assert _cover_feasible((3, 1, 1, 1), big, 3)
+    assert not _cover_feasible((3, 1, 1, 1), big, 2)  # max need exceeds budget
 
 
 def test_cover_allocator_respects_caps():
-    memo = {}
     # only the a-b edge can serve b, capacity 2
     caps = (2, 0, 9, 9, 0, 9)
-    assert _cover_feasible((1, 2, 0, 0), caps, 2, memo)
-    assert not _cover_feasible((1, 3, 0, 0), caps, 3, memo)
+    assert _cover_feasible((1, 2, 0, 0), caps, 2)
+    assert not _cover_feasible((1, 3, 0, 0), caps, 3)
 
 
 def test_two_allocators_agree_on_random_queries():
     rng = rng_from_seed(424242)
-    memo = {}
     for _ in range(4000):
         needs = tuple(int(x) for x in rng.integers(0, 9, size=4))
         caps = tuple(int(x) for x in rng.integers(0, 9, size=6))
         budget = int(rng.integers(0, 15))
-        a = _cover_feasible(needs, caps, budget, memo)
-        b = _cover_feasible_second_opinion(needs, caps, budget)
-        assert a == b, (needs, caps, budget)
+        a = _cover_feasible(needs, caps, budget)
+        assert a == oracle_cover_feasible(needs, caps, budget), (needs, caps, budget)
+        assert a == _cover_feasible_second_opinion(needs, caps, budget), (needs, caps, budget)
 
 
 def test_two_allocators_agree_on_tight_queries():
     # adversarial small-slack region: budgets near the ceil(sum/2) floor
     rng = rng_from_seed(777)
-    memo = {}
     for _ in range(2000):
         needs = tuple(int(x) for x in rng.integers(0, 13, size=4))
         lo = max(max(needs), (sum(needs) + 1) // 2) if any(needs) else 0
         budget = lo + int(rng.integers(0, 2)) - int(rng.integers(0, 2))
         caps = tuple(int(x) for x in rng.integers(0, 13, size=6))
-        a = _cover_feasible(needs, caps, max(0, budget), memo)
+        a = _cover_feasible(needs, caps, max(0, budget))
+        assert a == oracle_cover_feasible(needs, caps, max(0, budget)), (needs, caps, budget)
         b = _cover_feasible_second_opinion(needs, caps, max(0, budget))
         assert a == b, (needs, caps, budget)
+
+
+NO_COVER = 10**6
+
+
+def _brute_min_cover_tables(max_need):
+    """For each needs vector in {0..max_need}^4, the brute-force least cover
+    under every caps vector in {0..max_need}^6 (a larger cap never helps: no
+    edge needs more units than the larger need at its ends), or NO_COVER.
+    Every allocation x in {0..max_need}^6 is enumerated; a running minimum
+    along each edge axis takes min over x <= caps."""
+    side = max_need + 1
+    allocations = np.array(list(itertools.product(range(side), repeat=6)))
+    got = np.zeros((len(allocations), 4), dtype=np.int64)
+    for e, (a, b) in enumerate(K4_EDGES):
+        got[:, a] += allocations[:, e]
+        got[:, b] += allocations[:, e]
+    totals = allocations.sum(axis=1)
+    tables = {}
+    for needs in itertools.product(range(side), repeat=4):
+        covers = (got >= np.array(needs)).all(axis=1)
+        table = np.where(covers, totals, NO_COVER).reshape((side,) * 6)
+        for axis in range(6):
+            table = np.minimum.accumulate(table, axis=axis)
+        tables[needs] = table
+    return tables
+
+
+@pytest.fixture(scope="module")
+def brute_tables():
+    return _brute_min_cover_tables(3)
+
+
+def test_min_cover_equals_brute_force_on_a_box(brute_tables):
+    # needs 0..3 for every voter; caps 0 (edge unusable), 1 and 3 (never binding)
+    for caps in itertools.product((0, 1, 3), repeat=6):
+        for needs, table in brute_tables.items():
+            brute = int(table[caps])
+            if brute < NO_COVER:
+                assert _min_cover(needs, caps) == brute, (needs, caps)
+
+
+def test_three_cover_checks_agree_on_a_box(brute_tables):
+    # a budget check can flip only between rho - 1 and rho; zero needs pass at any budget
+    for caps in itertools.product((0, 2), repeat=6):
+        for needs, table in brute_tables.items():
+            rho = int(table[caps])
+            budgets = (max(rho - 1, 0), rho) if rho < NO_COVER else (8,)
+            for budget in budgets:
+                expected = rho <= budget
+                query = (needs, caps, budget)
+                assert _cover_feasible(*query) == expected, query
+                assert oracle_cover_feasible(*query) == expected, query
+                assert _cover_feasible_second_opinion(*query) == expected, query
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(*[st.integers(-1, 6)] * 4),
+    st.tuples(*[st.integers(0, 4)] * 6),
+    st.integers(-1, 12),
+)
+def test_cover_check_matches_oracles_fuzz(needs, caps, budget):
+    feasible = _cover_feasible(needs, caps, budget)
+    assert feasible == oracle_cover_feasible(needs, caps, budget)
+    assert feasible == _cover_feasible_second_opinion(needs, caps, budget)
+    brute = oracle_min_cover(needs, caps)
+    if brute is not None:
+        assert _min_cover(tuple(max(0, n) for n in needs), caps) == brute
+    assert feasible == (brute is not None and (brute == 0 or brute <= budget))
 
 
 def test_search_parameter_validation():
