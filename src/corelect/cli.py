@@ -162,8 +162,6 @@ def _cmd_solve(args) -> int:
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
     config = SolverConfig(
-        rule=args.rule,
-        method=args.method,
         epsilon=parse_rational(args.epsilon) if args.epsilon else Fraction(0),
         start=_ids(args.start) if args.start else None,
         seed=args.seed,
@@ -343,7 +341,8 @@ def _cmd_theorem_suite(args) -> int:
     runner = _Runner("theorem-suite", args)
     kwargs = _suite_kwargs(args)
     if args.name == "endow2-value":
-        interval = endow2_bound(args.beta or 1, parse_rational(args.kappa), parse_rational(args.eta))
+        beta = 1 if args.beta is None else args.beta
+        interval = endow2_bound(beta, parse_rational(args.kappa), parse_rational(args.eta))
         payload = {
             "lo": str(interval.lo),
             "hi": str(interval.hi),
@@ -353,9 +352,8 @@ def _cmd_theorem_suite(args) -> int:
         }
         return runner.emit(payload, args.out, EXIT_PASS)
     if args.name == "lb1-emptiness":
-        rep = lb1_emptiness_search(
-            args.r or 5, time_cap_s=args.time_cap, class_cap=args.class_cap
-        )
+        r = 5 if args.r is None else args.r
+        rep = lb1_emptiness_search(r, time_cap_s=args.time_cap, class_cap=args.class_cap)
         payload = rep.to_json()
         payload["stopped_by"] = None
         if rep.result == "cap-exceeded":
@@ -364,7 +362,7 @@ def _cmd_theorem_suite(args) -> int:
         if rep.result == "counterexample-candidate":
             from .lb_search import verify_passing_class
 
-            cert = verify_passing_class(args.r or 5, rep.passing_class)
+            cert = verify_passing_class(r, rep.passing_class)
             payload["counterexample_verified"] = cert["passes"]
             payload["certificates"] = [
                 {

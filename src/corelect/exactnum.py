@@ -128,8 +128,6 @@ class Quad:
             return o
         norm = o.a * o.a - o.b * o.b * o.d
         if norm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero")
             # a^2 = b^2 d with d non-square forces a = b = 0
             raise ZeroDivisionError("division by zero")
         inv = Quad(o.a / norm, -o.b / norm, self.d)

@@ -283,6 +283,36 @@ def lb1_undersupplied_voter_deviation(instance: Instance, W) -> dict:
     }
 
 
+def lb1_pair_deviation(instance: Instance, W) -> dict:
+    """Explicit two-voter deviation when the second-lowest utility is
+    below 21r/8: the complement burns 3.2r cap on the one party neither
+    deviator approves, leaving 2.8r >= (16/15)(21r/8) for their shared
+    party."""
+    meta = instance.meta
+    r = meta["r"]
+    W = frozenset(W)
+    values = [instance.utility(i, W) for i in range(4)]
+    order = sorted(range(4), key=lambda i: (values[i], i))
+    lo, hi = order[0], order[1]
+    pair = {LB1_VOTERS[lo], LB1_VOTERS[hi]}
+    shared = next(p for p in LB1_PARTIES if set(p) == pair)
+    others = next(p for p in LB1_PARTIES if not (set(p) & pair))
+    kprime = (2 * instance.k) // 4  # 3.2r
+    hat_size = instance.k - kprime  # 3.2r
+    hatW = frozenset(sorted(meta["parties"][others])[:hat_size])
+    room = meta["cap"] - hat_size  # 2.8r
+    wprime = frozenset(sorted(meta["parties"][shared])[:room])
+    T = hatW | wprime
+    return {
+        "voters": (lo, hi),
+        "hatW": hatW,
+        "Wprime": wprime,
+        "T": T,
+        "old": (values[lo], values[hi]),
+        "new": (instance.utility(lo, T), instance.utility(hi, T)),
+    }
+
+
 LB00_PARTIES = ("a", "b", "c", "d", "e", "f")
 LB00_ROLES = (("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d"))
 

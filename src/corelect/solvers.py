@@ -33,8 +33,6 @@ GLOBAL_ENUM_LIMIT = 24  # candidate cap for subset enumeration in Global
 
 @dataclass
 class SolverConfig:
-    rule: str = "snw"
-    method: str = "global"
     epsilon: Fraction = field(default_factory=lambda: Fraction(0))
     start: Optional[Iterable[int]] = None
     seed: Optional[int] = None
@@ -129,7 +127,7 @@ def solve_local(
     swap that improves the score by more than epsilon/(n*k).
     """
     instance.require_k_mode("solve_local")
-    config = config or SolverConfig(rule=rule, method="local")
+    config = config or SolverConfig()
     M = instance.feasibility
     if not M.is_matroid:
         raise UnsupportedConstraintError(

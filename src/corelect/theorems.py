@@ -13,10 +13,12 @@ from fractions import Fraction
 from .errors import InfeasibleInstanceError
 from .instances import (
     LB00_PARTIES,
+    LB00_ROLES,
     gen_lb00,
     gen_lb_16_15,
     gen_tight_2alpha,
     lb1_deviation,
+    lb1_pair_deviation,
     lb1_undersupplied_voter_deviation,
     endow2_bound,
     random_instance,
@@ -103,7 +105,7 @@ def run_matroid(count: int = 100, seed0: int = 2000, starts: int = 5) -> SuiteRe
             constraint_kinds=("partition",),
         )
         for j in range(starts):
-            solved = solve_local(inst, "snw", SolverConfig(rule="snw", seed=seed0 + case + 17 * j))
+            solved = solve_local(inst, "snw", SolverConfig(seed=seed0 + case + 17 * j))
             report = check_restrained_core(inst, solved.committee.members, Fraction(2))
             result.record(
                 report.verdict,
@@ -183,7 +185,7 @@ def run_tight_lower() -> SuiteResult:
     result = SuiteResult("tight-lower")
     inst, W, V1, T = tight_lower_instance()
     alpha, eps = inst.meta["alpha"], inst.meta["eps"]
-    solved = solve_local(inst, "gpav", SolverConfig(rule="gpav", start=W))
+    solved = solve_local(inst, "gpav", SolverConfig(start=W))
     result.record(
         solved.committee.members == W and solved.iterations == 0,
         "C1+C3 is not a gpav local optimum",
@@ -285,38 +287,6 @@ def run_lb1_points(per_case: int = 250, r: int = 40, seed0: int = 5000) -> Suite
     return result
 
 
-def _lb1_pair_deviation(instance, W):
-    """Explicit two-voter deviation when the second-lowest utility is
-    below 21r/8: the complement burns 3.2r cap on the one party neither
-    deviator approves, leaving 2.8r >= (16/15)(21r/8) for their shared
-    party."""
-    from .instances import LB1_PARTIES, LB1_VOTERS
-
-    meta = instance.meta
-    r = meta["r"]
-    W = frozenset(W)
-    values = [instance.utility(i, W) for i in range(4)]
-    order = sorted(range(4), key=lambda i: (values[i], i))
-    lo, hi = order[0], order[1]
-    pair = {LB1_VOTERS[lo], LB1_VOTERS[hi]}
-    shared = next(p for p in LB1_PARTIES if set(p) == pair)
-    others = next(p for p in LB1_PARTIES if not (set(p) & pair))
-    kprime = (2 * instance.k) // 4  # 3.2r
-    hat_size = instance.k - kprime  # 3.2r
-    hatW = frozenset(sorted(meta["parties"][others])[:hat_size])
-    room = meta["cap"] - hat_size  # 2.8r
-    wprime = frozenset(sorted(meta["parties"][shared])[:room])
-    T = hatW | wprime
-    return {
-        "voters": (lo, hi),
-        "hatW": hatW,
-        "Wprime": wprime,
-        "T": T,
-        "old": (values[lo], values[hi]),
-        "new": (instance.utility(lo, T), instance.utility(hi, T)),
-    }
-
-
 def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -> SuiteResult:
     """Both explicit deviations behind the utility floor: a committee
     undersupplying its weakest voter (below 9r/8) or its second voter
@@ -359,7 +329,7 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
             result.record(ok, f"single-voter deviation fails for counts {counts}")
         elif values[1] < Fraction(21, 8) * r and produced_pair < trials:
             produced_pair += 1
-            dev = _lb1_pair_deviation(inst, W)
+            dev = lb1_pair_deviation(inst, W)
             room = Fraction(14, 5) * r  # 2.8r
             ok = (
                 is_feasible(inst.feasibility, dev["T"])
@@ -390,9 +360,6 @@ def lb00_compositions(r: int, total: int):
 
 
 _LB00_TRIADS = (("a", "b", "c"), ("d", "e", "f"))
-_LB00_ROLE_INDEX = {role: i for i, role in
-                    enumerate((("a", "b"), ("b", "c"), ("c", "a"),
-                               ("d", "e"), ("e", "f"), ("f", "d")))}
 
 
 def lb00_two_voter_deviation(instance, counts):
@@ -406,10 +373,7 @@ def lb00_two_voter_deviation(instance, counts):
             p, q = triad[idx], triad[(idx + 1) % 3]
             if 4 * count_of[p] <= 3 * r and 4 * count_of[q] <= 3 * r:
                 third = triad[(idx + 2) % 3]
-                voters = (
-                    _LB00_ROLE_INDEX[(p, q)],
-                    _LB00_ROLE_INDEX[(q, third)],
-                )
+                voters = (LB00_ROLES.index((p, q)), LB00_ROLES.index((q, third)))
                 Wprime = frozenset(meta["parties"][q])
                 return voters, Wprime
     return None

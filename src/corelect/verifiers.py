@@ -12,18 +12,31 @@ integer |T| this coincides with the floored endowment used by the
 restrained notions; the report notes the convention).  Empty coalitions
 and empty deviations never block; a degenerate empty deviation that would
 tie on utility is flagged instead.
+
+The restrained core and restrained EJR share one engine: coalition S,
+with endowment k' = floor(|S| k / n), blocks W when for EVERY
+k'-completable planner reply hatW SOME W' (|W'| <= k', hatW + W'
+feasible) satisfies S.  A notion supplies only ``requirement(S)`` (the
+bitmask of S's voter classes for the core, (A_S, max u_i(W) + 1) for
+EJR) and ``meets(requirement, T)`` for T = hatW + W'.  The engine builds
+one table of hatW and their feasible W' per k', completes each hatW with
+the first W' that meets, and scans coalitions memoized on (k',
+requirement); the checkers and the ``blocks_restrained_*`` replay
+predicates all run through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import EnumerationLimitError, InfeasibleInstanceError, RuleMismatchError
-from .exactnum import parse_rational
+from .constraints import is_feasible, is_q_completable
+from .errors import EnumerationLimitError, RuleMismatchError
+from .exactnum import parse_rational, rational_to_json
 from .model import ApprovalUtility, Instance
 
 NOTIONS = ("core", "restrained_core", "restrained_ejr", "endowment_core", "pb_core")
@@ -47,8 +60,6 @@ class VerificationReport:
         return self.verdict
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         out = {
             "notion": self.notion,
             "gamma_or_theta": rational_to_json(self.gamma_or_theta),
@@ -137,114 +148,6 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
     return all(instance.utility(i, T) > instance.utility(i, W) for i in S)
 
 
-def completable_hatw_domain(instance, W, kprime, mode) -> list:
-    """All k'-completable hatW of size <= k - k' (subset or any-committee mode)."""
-    from .constraints import is_q_completable
-
-    P = instance.feasibility
-    pool = frozenset(W) if mode == "subset_of_W" else frozenset(instance.candidates)
-    domain = []
-    for hatW in _subsets_by_size(pool, instance.k - kprime):
-        ok, _ = is_q_completable(P, hatW, kprime, instance.candidates)
-        if ok:
-            domain.append(hatW)
-    return domain
-
-
-def blocks_restrained_core(instance, W, gamma, S, mode="subset_of_W", cert=None):
-    """Does coalition S block W in the restrained-core sense?
-
-    Quantifiers verbatim: with endowment k' = floor(|S| k / n), for ALL
-    k'-completable hatW there EXISTS W' (|W'| <= k', hatW + W' feasible)
-    giving every i in S utility >= gamma*(u_i(W)+1).  Returns
-    (blocks, completions map).  If ``cert`` is given, only the certified
-    W' choices are replayed.  An empty hatW domain never blocks.
-    """
-    from .constraints import is_feasible
-
-    W, S = frozenset(W), frozenset(S)
-    gamma = parse_rational(gamma)
-    if not S:
-        return False, None
-    kprime = (len(S) * instance.k) // instance.n
-    thresholds = {i: gamma * (instance.utility(i, W) + 1) for i in S}
-    domain = completable_hatw_domain(instance, W, kprime, mode)
-    if not domain:
-        return False, None
-    completions = {}
-    for hatW in domain:
-        if cert is not None:
-            wprime = cert.get(hatW)
-            if wprime is None or len(wprime) > kprime:
-                return False, None
-            T = hatW | wprime
-            if not is_feasible(instance.feasibility, T):
-                return False, None
-            if not all(instance.utility(i, T) >= thresholds[i] for i in S):
-                return False, None
-            completions[hatW] = wprime
-            continue
-        found = None
-        for wprime in _subsets_by_size(set(instance.candidates) - hatW, kprime):
-            T = hatW | wprime
-            if not is_feasible(instance.feasibility, T):
-                continue
-            if all(instance.utility(i, T) >= thresholds[i] for i in S):
-                found = wprime
-                break
-        if found is None:
-            return False, None
-        completions[hatW] = found
-    return True, completions
-
-
-def blocks_restrained_ejr(instance, W, S, mode="subset_of_W", cert=None):
-    """Restrained-EJR blocking: condition (2) counts commonly approved
-    candidates |A_S(T)| against max_{i in S} u_i(W) + 1."""
-    from .constraints import is_feasible
-
-    W, S = frozenset(W), frozenset(S)
-    if not S:
-        return False, None
-    approvals = []
-    for i in S:
-        u = instance.utilities[i]
-        if not isinstance(u, ApprovalUtility):
-            raise RuleMismatchError("restrained EJR needs approval utilities")
-        approvals.append(u.approved)
-    A_S = frozenset.intersection(*approvals)
-    threshold = max(instance.utility(i, W) for i in S) + 1
-    kprime = (len(S) * instance.k) // instance.n
-    if len(A_S) < threshold:
-        return False, None
-    domain = completable_hatw_domain(instance, W, kprime, mode)
-    if not domain:
-        return False, None
-    completions = {}
-    for hatW in domain:
-        if cert is not None:
-            wprime = cert.get(hatW)
-            if wprime is None or len(wprime) > kprime:
-                return False, None
-            T = hatW | wprime
-            if not is_feasible(instance.feasibility, T) or len(A_S & T) < threshold:
-                return False, None
-            completions[hatW] = wprime
-            continue
-        found = None
-        for wprime in _subsets_by_size(set(instance.candidates) - hatW, kprime):
-            T = hatW | wprime
-            if not is_feasible(instance.feasibility, T):
-                continue
-            if len(A_S & T) >= threshold:
-                found = wprime
-                break
-        if found is None:
-            return False, None
-        completions[hatW] = found
-    return True, completions
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
@@ -329,15 +232,20 @@ def check_core(
     )
 
 
-def _lift_to_budget(instance: Instance) -> Instance:
-    lifted = Instance(
+def _budget_mode(instance: Instance, auto_lift: bool, op: str) -> Instance:
+    """A budget-mode instance as is; a k-mode one, with ``auto_lift``,
+    lifted to unit sizes and budget k."""
+    if not auto_lift:
+        instance.require_budget_mode(op)
+    if not instance.is_k_mode:
+        return instance
+    return Instance(
         candidates=instance.candidates,
         utilities=instance.utilities,
         sizes={c: 1 for c in instance.candidates},
         budget=instance.k,
         validate="trust",
     )
-    return lifted
 
 
 def check_pb_core(
@@ -348,12 +256,8 @@ def check_pb_core(
     subset_cap=DEFAULT_SUBSET_CAP,
 ) -> VerificationReport:
     """Budget-mode core: Cost(T) <= (|S|/n) b instead of the size bound."""
-    lifted = False
-    if instance.is_k_mode:
-        if not auto_lift:
-            raise InfeasibleInstanceError("check_pb_core requires a budget-mode instance")
-        instance = _lift_to_budget(instance)
-        lifted = True
+    lifted = instance.is_k_mode
+    instance = _budget_mode(instance, auto_lift, "check_pb_core")
     gamma = parse_rational(gamma)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -383,14 +287,8 @@ def check_endowment_core(
 ) -> VerificationReport:
     """theta-approximate endowment core: coalition budgets are scaled down
     by theta and members need only match their current utility."""
-    lifted = False
-    if instance.is_k_mode:
-        if not auto_lift:
-            raise InfeasibleInstanceError(
-                "check_endowment_core requires a budget-mode instance"
-            )
-        instance = _lift_to_budget(instance)
-        lifted = True
+    lifted = instance.is_k_mode
+    instance = _budget_mode(instance, auto_lift, "check_endowment_core")
     theta = parse_rational(theta)
     if theta < 1:
         raise ValueError("theta must be at least 1")
@@ -417,26 +315,205 @@ def check_endowment_core(
     return report
 
 
-def _voter_classes(instance, thresholds):
-    """Collapse voters with identical oracles and thresholds (coalition
-    requirement sets are canonical up to this equivalence)."""
-    class_of = {}
-    ids = {}
-    for i in range(instance.n):
+# ---------------------------------------------------------------------------
+# restrained notions: one engine
+# ---------------------------------------------------------------------------
+
+
+def _core_test(instance, W, voters, gamma):
+    """(requirement, meets) of the gamma-restrained core.
+
+    Voters with identical oracles and thresholds form one class, so a
+    coalition requires the bitmask of its classes; T meets it when every
+    one of those classes reaches gamma*(u_i(W)+1) at T.  The satisfied
+    classes of each T are computed once.
+    """
+    thresholds = {i: gamma * (instance.utility(i, W) + 1) for i in voters}
+    class_of, ids, reps = {}, {}, []
+    for i in voters:
         key = (instance.utilities[i].key(), thresholds[i])
         if key not in ids:
-            ids[key] = len(ids)
+            ids[key] = len(reps)
+            reps.append(i)
         class_of[i] = ids[key]
-    return class_of
+    satisfied: dict = {}
+
+    def requirement(S):
+        mask = 0
+        for i in S:
+            mask |= 1 << class_of[i]
+        return mask
+
+    def meets(mask, T):
+        sat = satisfied.get(T)
+        if sat is None:
+            sat = 0
+            for c, i in enumerate(reps):
+                if instance.utility(i, T) >= thresholds[i]:
+                    sat |= 1 << c
+            satisfied[T] = sat
+        return sat & mask == mask
+
+    return requirement, meets
+
+
+def _ejr_test(instance, W, voters):
+    """(requirement, meets) of restrained EJR.
+
+    A coalition requires (A_S, max_{i in S} u_i(W) + 1), its commonly
+    approved candidates and the count it must reach, or None when no T of
+    size <= k can reach it; T meets it when |A_S & T| reaches the count.
+    """
+    for i in voters:
+        if not isinstance(instance.utilities[i], ApprovalUtility):
+            raise RuleMismatchError("restrained EJR needs approval utilities")
+    at_W = {i: instance.utility(i, W) for i in voters}
+
+    def requirement(S):
+        A_S = frozenset.intersection(*(instance.utilities[i].approved for i in S))
+        threshold = max(at_W[i] for i in S) + 1
+        if len(A_S) < threshold or threshold > instance.k:
+            return None
+        return A_S, threshold
+
+    def meets(req, T):
+        A_S, threshold = req
+        return len(A_S & T) >= threshold
+
+    return requirement, meets
+
+
+def _completion_tables(instance, W, kprime, mode) -> list:
+    """[(hatW, [(W', hatW + W'), ...]), ...]: every k'-completable hatW of
+    size <= k - k' (a subset of W, or any committee in ``any_hatW`` mode)
+    with the W' of size <= k' making hatW + W' feasible, both in
+    enumeration order."""
+    P, candidates = instance.feasibility, instance.candidates
+    pool = W if mode == "subset_of_W" else candidates
+    tables = []
+    for hatW in _subsets_by_size(pool, instance.k - kprime):
+        if is_q_completable(P, hatW, kprime, candidates)[0]:
+            rest = set(candidates) - hatW
+            pairs = ((wprime, hatW | wprime) for wprime in _subsets_by_size(rest, kprime))
+            tables.append((hatW, [(wprime, T) for wprime, T in pairs if is_feasible(P, T)]))
+    return tables
+
+
+def _complete(instance, tables, kprime, req, meets, cert=None):
+    """For ALL hatW, the first W' in its table whose T meets ``req``; with
+    ``cert``, the certified W' alone.
+
+    Returns (hatW -> W' map, or None when some hatW has no such W' or
+    there is no hatW at all; table entries visited).
+    """
+    if not tables:
+        return None, 0
+    completions, visited = {}, 0
+    for hatW, entries in tables:
+        if cert is not None:
+            entries = _certified_entry(instance, hatW, cert.get(hatW), kprime)
+        for wprime, T in entries:
+            visited += 1
+            if meets(req, T):
+                completions[hatW] = wprime
+                break
+        else:
+            return None, visited
+    return completions, visited
+
+
+def _certified_entry(instance, hatW, wprime, kprime) -> list:
+    if wprime is None or len(wprime) > kprime:
+        return []
+    T = hatW | wprime
+    return [(wprime, T)] if is_feasible(instance.feasibility, T) else []
+
+
+def _blocks_restrained(instance, W, S, mode, cert, test):
+    W, S = frozenset(W), frozenset(S)
+    if not S:
+        return False, None
+    requirement, meets = test(instance, W, sorted(S))
+    req = requirement(S)
+    if req is None:
+        return False, None
+    kprime = (len(S) * instance.k) // instance.n
+    tables = _completion_tables(instance, W, kprime, mode)
+    completions, _ = _complete(instance, tables, kprime, req, meets, cert)
+    return completions is not None, completions
+
+
+def _check_restrained(instance, W, notion, param, mode, flags, test, count_visited):
+    """The one coalition scan: sizes ascending, then ids; the first
+    coalition whose every hatW completes is the witness.  Coalitions with
+    equal (k', requirement) share a verdict, and each k' table is built
+    once.
+
+    ``stats["wprime_sets"]`` counts every (hatW, W') entry of the tables
+    built or, with ``count_visited``, the entries visited completing them.
+    """
+    if mode not in ("subset_of_W", "any_hatW"):
+        raise ValueError("mode must be subset_of_W or any_hatW")
+    if instance.n > RESTRAINED_N_CAP or instance.m > RESTRAINED_M_CAP:
+        raise EnumerationLimitError(
+            f"restrained check capped at n<={RESTRAINED_N_CAP}, m<={RESTRAINED_M_CAP}"
+        )
+    W = frozenset(W)
+    n, k = instance.n, instance.k
+    requirement, meets = test(instance, W, range(n))
+    if not is_feasible(instance.feasibility, W):
+        raise ValueError("W must itself be feasible")
+    coalitions = hatw_sets = entries = visited = 0
+    tables_of: dict = {}
+    memo: dict = {}
+    witness = None
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(1, n + 1)
+    ):
+        coalitions += 1
+        req = requirement(S)
+        if req is None:
+            continue
+        kprime = (len(S) * k) // n
+        key = (kprime, req)
+        if key not in memo:
+            if kprime not in tables_of:
+                tables = tables_of[kprime] = _completion_tables(instance, W, kprime, mode)
+                hatw_sets += len(tables)
+                entries += sum(len(wprimes) for _, wprimes in tables)
+                if not tables:
+                    flags.append(f"vacuous-k'={kprime}")
+            memo[key], seen = _complete(instance, tables_of[kprime], kprime, req, meets)
+            visited += seen
+        if memo[key] is not None:
+            witness = {"S": frozenset(S), "completions": memo[key]}
+            break
+    wprime_sets = visited if count_visited else entries
+    stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}
+    return VerificationReport(notion, param, witness is None, witness, stats, flags)
+
+
+def blocks_restrained_core(instance, W, gamma, S, mode="subset_of_W", cert=None):
+    """Does coalition S block W in the restrained-core sense?
+
+    Quantifiers verbatim: with endowment k' = floor(|S| k / n), for ALL
+    k'-completable hatW there EXISTS W' (|W'| <= k', hatW + W' feasible)
+    giving every i in S utility >= gamma*(u_i(W)+1).  Returns
+    (blocks, completions map).  If ``cert`` is given, only the certified
+    W' choices are replayed.  An empty hatW domain never blocks.
+    """
+    test = functools.partial(_core_test, gamma=parse_rational(gamma))
+    return _blocks_restrained(instance, W, S, mode, cert, test)
+
+
+def blocks_restrained_ejr(instance, W, S, mode="subset_of_W", cert=None):
+    """Restrained-EJR blocking: condition (2) counts commonly approved
+    candidates |A_S(T)| against max_{i in S} u_i(W) + 1."""
+    return _blocks_restrained(instance, W, S, mode, cert, _ejr_test)
 
 
 def check_restrained_core(
-    instance: Instance,
-    W: Iterable[int],
-    gamma,
-    mode: str = "subset_of_W",
-    n_cap: int = RESTRAINED_N_CAP,
-    m_cap: int = RESTRAINED_M_CAP,
+    instance: Instance, W: Iterable[int], gamma, mode: str = "subset_of_W"
 ) -> VerificationReport:
     """gamma-approximate restrained core, quantifiers verbatim.
 
@@ -446,201 +523,24 @@ def check_restrained_core(
     feasible and gamma-satisfying all of S.  Fails with the full
     hatW -> W' certificate map of the first blocking coalition.
     """
-    from .constraints import is_feasible
-
     instance.require_k_mode("check_restrained_core")
-    if mode not in ("subset_of_W", "any_hatW"):
-        raise ValueError("mode must be subset_of_W or any_hatW")
-    if instance.n > n_cap or instance.m > m_cap:
-        raise EnumerationLimitError(
-            f"restrained check capped at n<={n_cap}, m<={m_cap}"
-        )
     gamma = parse_rational(gamma)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    W = frozenset(W)
-    if not is_feasible(instance.feasibility, W):
-        raise ValueError("W must itself be feasible")
-    n, k = instance.n, instance.k
-    thresholds = [gamma * (instance.utility(i, W) + 1) for i in range(instance.n)]
-
-    # per-k' satisfied-voter masks: ordered list of (mask, W') per hatW,
-    # keeping only entries not dominated by an earlier mask
-    sat_cache: dict = {}
-
-    def sat_mask(T: frozenset) -> int:
-        cached = sat_cache.get(T)
-        if cached is None:
-            cached = 0
-            for i in range(n):
-                if instance.utility(i, T) >= thresholds[i]:
-                    cached |= 1 << i
-            sat_cache[T] = cached
-        return cached
-
-    per_kprime: dict = {}
-    stats = {"coalitions": 0, "hatw_sets": 0, "wprime_sets": 0}
-    flags = []
+    flags = ["floored-endowment"]
     if instance.feasibility.kind == "cardinality":
-        flags.append("unconstrained-reduces-to-core")
-    flags.append("floored-endowment")
-
-    def tables_for(kprime: int):
-        if kprime in per_kprime:
-            return per_kprime[kprime]
-        domain = completable_hatw_domain(instance, W, kprime, mode)
-        stats["hatw_sets"] += len(domain)
-        tables = []
-        for hatW in domain:
-            entries = []  # (mask, W') with no mask contained in an earlier one
-            for wprime in _subsets_by_size(set(instance.candidates) - hatW, kprime):
-                T = hatW | wprime
-                if not is_feasible(instance.feasibility, T):
-                    continue
-                stats["wprime_sets"] += 1
-                mask = sat_mask(T)
-                if any(mask & prev == mask for prev, _ in entries):
-                    continue
-                entries.append((mask, wprime))
-            tables.append((hatW, entries))
-        per_kprime[kprime] = tables
-        return tables
-
-    class_of = _voter_classes(instance, thresholds)
-    memo: dict = {}
-    for size in range(1, n + 1):
-        kprime = (size * k) // n
-        for S_tuple in itertools.combinations(range(n), size):
-            stats["coalitions"] += 1
-            S_mask = 0
-            for i in S_tuple:
-                S_mask |= 1 << i
-            req = (kprime, frozenset(class_of[i] for i in S_tuple))
-            cached = memo.get(req)
-            if cached is not None:
-                blocks, completions = cached
-            else:
-                tables = tables_for(kprime)
-                if not tables:
-                    blocks, completions = False, None
-                    if f"vacuous-k'={kprime}" not in flags:
-                        flags.append(f"vacuous-k'={kprime}")
-                else:
-                    blocks = True
-                    completions = {}
-                    for hatW, entries in tables:
-                        chosen = None
-                        for mask, wprime in entries:
-                            if mask & S_mask == S_mask:
-                                chosen = wprime
-                                break
-                        if chosen is None:
-                            blocks, completions = False, None
-                            break
-                        completions[hatW] = chosen
-                memo[req] = (blocks, completions)
-            if blocks:
-                return VerificationReport(
-                    notion="restrained_core",
-                    gamma_or_theta=gamma,
-                    verdict=False,
-                    witness={"S": frozenset(S_tuple), "completions": completions},
-                    stats=stats,
-                    flags=flags,
-                )
-    return VerificationReport(
-        notion="restrained_core",
-        gamma_or_theta=gamma,
-        verdict=True,
-        stats=stats,
-        flags=flags,
+        flags.insert(0, "unconstrained-reduces-to-core")
+    test = functools.partial(_core_test, gamma=gamma)
+    return _check_restrained(
+        instance, W, "restrained_core", gamma, mode, flags, test, count_visited=False
     )
 
 
 def check_restrained_ejr(
-    instance: Instance,
-    W: Iterable[int],
-    mode: str = "subset_of_W",
-    n_cap: int = RESTRAINED_N_CAP,
-    m_cap: int = RESTRAINED_M_CAP,
+    instance: Instance, W: Iterable[int], mode: str = "subset_of_W"
 ) -> VerificationReport:
     """Restrained EJR for approval utilities (exact integers throughout)."""
-    from .constraints import is_feasible
-
     instance.require_k_mode("check_restrained_ejr")
-    if instance.n > n_cap or instance.m > m_cap:
-        raise EnumerationLimitError(
-            f"restrained check capped at n<={n_cap}, m<={m_cap}"
-        )
-    for u in instance.utilities:
-        if not isinstance(u, ApprovalUtility):
-            raise RuleMismatchError("restrained EJR needs approval utilities")
-    W = frozenset(W)
-    if not is_feasible(instance.feasibility, W):
-        raise ValueError("W must itself be feasible")
-    n, k = instance.n, instance.k
-    utilities_at_W = [instance.utility(i, W) for i in range(n)]
-    domains: dict = {}
-    stats = {"coalitions": 0, "hatw_sets": 0, "wprime_sets": 0}
-    flags = []
-    memo: dict = {}
-    for size in range(1, n + 1):
-        kprime = (size * k) // n
-        for S_tuple in itertools.combinations(range(n), size):
-            stats["coalitions"] += 1
-            A_S = frozenset.intersection(
-                *(instance.utilities[i].approved for i in S_tuple)
-            )
-            threshold = max(utilities_at_W[i] for i in S_tuple) + 1
-            if len(A_S) < threshold or threshold > k:
-                continue
-            key = (kprime, A_S, threshold)
-            cached = memo.get(key)
-            if cached is None:
-                if kprime not in domains:
-                    domains[kprime] = completable_hatw_domain(instance, W, kprime, mode)
-                    stats["hatw_sets"] += len(domains[kprime])
-                domain = domains[kprime]
-                if not domain:
-                    cached = (False, None)
-                    if f"vacuous-k'={kprime}" not in flags:
-                        flags.append(f"vacuous-k'={kprime}")
-                else:
-                    blocks = True
-                    completions = {}
-                    for hatW in domain:
-                        found = None
-                        for wprime in _subsets_by_size(
-                            set(instance.candidates) - hatW, kprime
-                        ):
-                            T = hatW | wprime
-                            if not is_feasible(instance.feasibility, T):
-                                continue
-                            stats["wprime_sets"] += 1
-                            if len(A_S & T) >= threshold:
-                                found = wprime
-                                break
-                        if found is None:
-                            blocks = False
-                            completions = None
-                            break
-                        completions[hatW] = found
-                    cached = (blocks, completions)
-                memo[key] = cached
-            blocks, completions = cached
-            if blocks:
-                return VerificationReport(
-                    notion="restrained_ejr",
-                    gamma_or_theta=Fraction(1),
-                    verdict=False,
-                    witness={"S": frozenset(S_tuple), "completions": completions},
-                    stats=stats,
-                    flags=flags,
-                )
-    return VerificationReport(
-        notion="restrained_ejr",
-        gamma_or_theta=Fraction(1),
-        verdict=True,
-        stats=stats,
-        flags=flags,
+    return _check_restrained(
+        instance, W, "restrained_ejr", Fraction(1), mode, [], _ejr_test, count_visited=True
     )

@@ -304,6 +304,21 @@ def test_theorem_suite_rejects_a_flag_the_suite_does_not_take(capsys, argv, opti
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--name", "lb1-emptiness", "--r", "0", "--class-cap", "1"], "r must be"),
+        (["--name", "endow2-value", "--beta", "0"], "beta must be"),
+    ],
+)
+def test_theorem_suite_rejects_a_zero_it_cannot_use(tmp_path, capsys, argv, message):
+    # 0 is a value, not an omitted flag: it must not fall back to the default
+    out = tmp_path / "suite.json"
+    assert run(["theorem-suite", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suite_params_name_real_suite_parameters():
     assert set(SUITE_PARAMS) == set(THEOREM_SUITES)
     for name, params in SUITE_PARAMS.items():

@@ -55,6 +55,10 @@ def test_quad_division_by_conjugate():
     z = Quad.sqrt(Fraction(3))
     inv = 1 / (1 + z)
     assert inv * (1 + z) == 1
+    with pytest.raises(ZeroDivisionError):
+        Quad(1, 1, 2) / Quad(0, 0, 2)
+    with pytest.raises(ZeroDivisionError):
+        Quad(1, 1, 2) / 0
 
 
 def test_quad_floor_and_ceil():

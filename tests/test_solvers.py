@@ -117,13 +117,13 @@ def test_local_determinism():
 def test_local_epsilon_stops_earlier():
     inst = random_instance(13, constraint_kinds=("none",), utility_kinds=("additive",))
     exact = solve_local(inst, "gpav")
-    loose = solve_local(inst, "gpav", SolverConfig(rule="gpav", epsilon=Fraction(10)))
+    loose = solve_local(inst, "gpav", SolverConfig(epsilon=Fraction(10)))
     assert loose.iterations <= exact.iterations
 
 
 def test_local_epsilon_snw_certified():
     inst = random_instance(17, constraint_kinds=("none",))
-    result = solve_local(inst, "snw", SolverConfig(rule="snw", epsilon=Fraction(1, 100)))
+    result = solve_local(inst, "snw", SolverConfig(epsilon=Fraction(1, 100)))
     assert result.committee.size <= inst.k
 
 

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corelect.constraints import PartitionMatroidFamily
 from corelect.errors import InfeasibleInstanceError, RuleMismatchError
 from corelect.instances import (
     gen_rest1,
@@ -329,6 +332,128 @@ def test_ejr_requires_approval():
     inst = random_instance(2, utility_kinds=("additive",))
     with pytest.raises(RuleMismatchError):
         check_restrained_ejr(inst, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# the restrained engine: pinned reports and a fuzz against the oracles
+# ---------------------------------------------------------------------------
+
+
+def _two_party_instance():
+    # voters 0 and 1 share one oracle (one voter class); parties {0,1,2}
+    # and {3,4,5} each capped at 2 seats of k = 4
+    u = [
+        ApprovalUtility([0, 1, 2]),
+        ApprovalUtility([0, 1, 2]),
+        ApprovalUtility([3, 4, 5]),
+        ApprovalUtility([4, 5]),
+    ]
+    family = PartitionMatroidFamily([[0, 1, 2], [3, 4, 5]], [2, 2], 4)
+    return Instance(list(range(6)), u, k=4, feasibility=family, validate="trust")
+
+
+def _completions(pairs):
+    return [{"hatW": h, "Wprime": p} for h, p in pairs]
+
+
+def test_restrained_core_reports_are_pinned():
+    inst = _two_party_instance()
+    assert check_restrained_core(inst, {0, 1, 3, 4}, 2).to_json() == {
+        "notion": "restrained_core",
+        "gamma_or_theta": 2,
+        "verdict": "pass",
+        "stats": {"coalitions": 15, "hatw_sets": 32, "wprime_sets": 376},
+        "flags": ["floored-endowment"],
+    }
+    assert check_restrained_core(inst, {3, 4}, 2).to_json() == {
+        "notion": "restrained_core",
+        "gamma_or_theta": 2,
+        "verdict": "fail",
+        "stats": {"coalitions": 5, "hatw_sets": 8, "wprime_sets": 82},
+        "flags": ["floored-endowment"],
+        "witness": {
+            "S": [0, 1],
+            "completions": _completions(
+                [([], [0, 1]), ([3], [0, 1]), ([4], [0, 1]), ([3, 4], [0, 1])]
+            ),
+        },
+    }
+
+
+def test_restrained_ejr_reports_are_pinned():
+    # wprime_sets counts the W' visited, not the table size as the core does
+    inst = _two_party_instance()
+    assert check_restrained_ejr(inst, {0, 1, 3, 4}).to_json() == {
+        "notion": "restrained_ejr",
+        "gamma_or_theta": 1,
+        "verdict": "pass",
+        "stats": {"coalitions": 15, "hatw_sets": 26, "wprime_sets": 43},
+        "flags": [],
+    }
+    assert check_restrained_ejr(inst, {0, 3}).to_json() == {
+        "notion": "restrained_ejr",
+        "gamma_or_theta": 1,
+        "verdict": "fail",
+        "stats": {"coalitions": 4, "hatw_sets": 4, "wprime_sets": 34},
+        "flags": [],
+        "witness": {
+            "S": [3],
+            "completions": _completions([([], [4]), ([0], [4]), ([3], [4]), ([0, 3], [4])]),
+        },
+    }
+
+
+@st.composite
+def _restrained_cases(draw):
+    """A small approval or additive instance under a partition matroid, a
+    feasible W, a mode and a gamma.  Voters are drawn from a pool of at
+    most three oracles, so voter classes merge often."""
+    m = draw(st.integers(2, 5))
+    cands = list(range(m))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(3, m)))
+    if draw(st.booleans()):
+        oracle = st.sets(st.sampled_from(cands)).map(ApprovalUtility)
+    else:
+        weight = st.integers(0, 4).map(lambda w: Fraction(w, 4))
+        oracle = st.dictionaries(st.sampled_from(cands), weight).map(AdditiveUtility)
+    pool = draw(st.lists(oracle, min_size=1, max_size=3))
+    utilities = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    group_of = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    groups = [[c for c in cands if group_of[c] == g] for g in range(3)]
+    groups = [g for g in groups if g]
+    caps = [draw(st.integers(1, len(g))) for g in groups]
+    family = PartitionMatroidFamily(groups, caps, k)
+    inst = Instance(cands, utilities, k=k, feasibility=family, validate="trust")
+    W = frozenset()
+    for c in draw(st.permutations(cands))[: draw(st.integers(0, k))]:
+        if family.contains(W | {c}):
+            W |= {c}
+    mode = draw(st.sampled_from(("subset_of_W", "any_hatW")))
+    gamma = draw(st.sampled_from((Fraction(1), Fraction(2))))
+    return inst, W, mode, gamma
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_restrained_cases())
+def test_restrained_engine_matches_oracles_and_replays(case):
+    inst, W, mode, gamma = case
+    report = check_restrained_core(inst, W, gamma, mode=mode)
+    ref, ref_S = oracle_restrained_core(inst, W, gamma, mode=mode)
+    assert report.verdict == ref
+    if not report.verdict:
+        # both scan coalitions by size, then ids: the witnesses agree
+        assert report.witness["S"] == ref_S
+        cert = report.witness["completions"]
+        assert blocks_restrained_core(inst, W, gamma, ref_S, mode=mode, cert=cert)[0]
+    if all(isinstance(u, ApprovalUtility) for u in inst.utilities):
+        report = check_restrained_ejr(inst, W, mode=mode)
+        ref, ref_S = oracle_restrained_ejr(inst, W, mode=mode)
+        assert report.verdict == ref
+        if not report.verdict:
+            assert report.witness["S"] == ref_S
+            cert = report.witness["completions"]
+            assert blocks_restrained_ejr(inst, W, ref_S, mode=mode, cert=cert)[0]
 
 
 # ---------------------------------------------------------------------------
