@@ -251,7 +251,8 @@ def _cmd_experiment(args) -> int:
     if args.kind == "sampling-bound":
         u = inst.utilities[args.voter]
         T = sorted(_ids(args.set)) if args.set else sorted(inst.candidates)
-        ok = verify_sampling_bound(u, T, parse_rational(args.alpha), beta=args.beta or 1)
+        beta = 1 if args.beta is None else args.beta
+        ok = verify_sampling_bound(u, T, parse_rational(args.alpha), beta=beta)
         return runner.emit(
             {"kind": "sampling-bound", "holds": ok},
             args.report,
@@ -284,7 +285,7 @@ def _cmd_experiment(args) -> int:
         seed,
         gamma=parse_rational(args.gamma_param),
         q=parse_rational(args.q),
-        beta=args.beta or 1,
+        beta=1 if args.beta is None else args.beta,
     )
     status = EXIT_PASS if rep.premises_ok and rep.joint_witnessed else EXIT_FAIL
     return runner.emit({"kind": "endow2", **rep.to_json()}, args.report, status, seed=seed)

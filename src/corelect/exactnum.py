@@ -49,6 +49,23 @@ def _sqrt_if_perfect(fr: Fraction):
     return None
 
 
+def int_sign(a: int, b: int, n: int) -> int:
+    """Exact sign of a + b*sqrt(n) for integers a, b and a non-square n > 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs: compare a^2 against b^2 n
+    lhs, rhs = a * a, b * b * n
+    if lhs == rhs:
+        return 0  # impossible for non-square n, kept for safety
+    if a > 0:  # b < 0: positive iff a^2 > b^2 n
+        return 1 if lhs > rhs else -1
+    return 1 if lhs < rhs else -1
+
+
 class Quad:
     """Exact number a + b*sqrt(d) with rational a, b and d > 0 non-square.
 
@@ -147,23 +164,13 @@ class Quad:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            return 0  # impossible for non-square d, kept for safety
-        if a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return 1 if lhs > rhs else -1
-        return 1 if lhs < rhs else -1
+        a, b, d = self.a, self.b, self.d
+        # times a.den * b.den * d.den > 0, with sqrt(d) = sqrt(d.num * d.den) / d.den
+        return int_sign(
+            a.numerator * b.denominator * d.denominator,
+            b.numerator * a.denominator,
+            d.numerator * d.denominator,
+        )
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)

@@ -10,6 +10,13 @@ Fraction fields stay the source of truth for ``key`` and ``to_json``.
 Every oracle satisfies u(empty) = 0, and the two axioms every voter
 utility must obey -- monotonicity and the unit-Lipschitz bound -- can be
 checked exhaustively at desk scale with ``check_axioms``.
+
+The exhaustive checks (``check_axioms``, ``self_bounding_constant`` and
+the exact sampling expectations in ``corelect.sampling``) evaluate each
+subset once, into an integer table indexed by bitmask: values over one
+common denominator, with a second integer column for the sqrt part of
+Quad values.  Every comparison is then an integer sign test, and only
+the returned value is built as a Fraction or Quad.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
     InfeasibleInstanceError,
     MalformedUtilityError,
 )
-from .exactnum import ExactValue, Quad, parse_rational
+from .exactnum import ExactValue, Quad, int_sign, parse_rational
 
 EXHAUSTIVE_LIMIT = 20  # 2**20 subsets is the hard cap for exhaustive checks
 
@@ -376,6 +383,99 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
         yield frozenset(c for c, bit in zip(universe, mask) if bit)
 
 
+def _masks(m: int, sizes=None):
+    """Bitmasks over m bits by size, then in the lexicographic order of
+    ``itertools.combinations`` (bit i standing for the i-th member)."""
+    bits = [1 << i for i in range(m)]
+    return itertools.chain.from_iterable(
+        map(sum, itertools.combinations(bits, size))
+        for size in (range(m + 1) if sizes is None else sizes)
+    )
+
+
+class _SubsetTable:
+    """u over the subsets of a sorted, distinct universe, one ``u.value``
+    call per subset (of the given ``sizes`` only, when they are given).
+
+    Bit i of a mask stands for ``universe[i]``, and u(mask) equals
+    (rat[mask] + irr[mask] * sqrt(radicand)) / den with integers only;
+    ``irr`` is None when every value is rational.  A Quad value
+    a + b*sqrt(d) has radicand d.num * d.den, so sqrt(d) =
+    sqrt(radicand) / d.den.  Evaluations that raised
+    ``MalformedUtilityError`` are kept in ``errors`` (in evaluation order)
+    and raised again by ``require`` when a sweep reaches them.
+    """
+
+    __slots__ = ("universe", "rat", "irr", "den", "radicand", "field", "errors")
+
+    def __init__(self, u: UtilityFunction, universe: Sequence[int], sizes=None):
+        self.universe = universe
+        self.rat = rat = [0] * (1 << len(universe))
+        self.irr = None
+        self.den = 1
+        self.radicand = 1
+        self.field = None  # the d of u's Quad values
+        self.errors = {}
+        factor = {1: 1}  # denominator q -> den // q
+        value = u.value
+        by_size = range(len(universe) + 1) if sizes is None else sizes
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(universe, size) for size in by_size
+        )
+        for mask, members in zip(_masks(len(universe), by_size), subsets):
+            try:
+                v = value(frozenset(members))
+            except MalformedUtilityError as exc:
+                self.errors[mask] = exc
+                continue
+            if isinstance(v, Quad):
+                q = v.b.denominator * self._radical(v.d)
+                self.irr[mask] = v.b.numerator * (factor.get(q) or self._grow(q, factor))
+                v = v.a
+            f = factor.get(v.denominator) or self._grow(v.denominator, factor)
+            rat[mask] = v.numerator * f
+
+    def _radical(self, d: Fraction) -> int:
+        """d.den, so that b*sqrt(d) = (b / d.den) * sqrt(radicand)."""
+        if self.field is None:
+            self.field = d
+            self.radicand = d.numerator * d.denominator
+            self.irr = [0] * len(self.rat)
+        elif d != self.field:
+            raise ValueError("cannot mix radicands")
+        return d.denominator
+
+    def _grow(self, q: int, factor: dict) -> int:
+        """Extend den to a multiple of q, rescaling every stored integer."""
+        grow = q // math.gcd(self.den, q)
+        if grow > 1:
+            self.den *= grow
+            for column in (self.rat, self.irr or []):
+                column[:] = [x * grow for x in column]
+            for key in factor:
+                factor[key] *= grow
+        factor[q] = self.den // q
+        return factor[q]
+
+    def require(self, masks=None):
+        """Raise the first failed evaluation among ``masks`` (default: all)."""
+        if self.errors:
+            for mask in self.errors if masks is None else masks:
+                if mask in self.errors:
+                    raise self.errors[mask]
+
+    def at(self, mask: int) -> tuple:
+        """(rat, irr) of one subset; irr is 0 in a rational table."""
+        return self.rat[mask], 0 if self.irr is None else self.irr[mask]
+
+    def exact(self, a: int, b: int, den: int) -> ExactValue:
+        """(a + b*sqrt(radicand)) / den as a Fraction, or a Quad over u's field."""
+        if not b:
+            return Fraction(a, den)
+        d = self.field
+        return Quad(Fraction(a, den), Fraction(b * d.denominator, den), d)
+
+
 def check_axioms(
     u: UtilityFunction,
     universe: Sequence[int],
@@ -396,9 +496,58 @@ def check_axioms(
             f"universe of {len(universe)} exceeds exhaustive limit {limit}; "
             "pass sample_budget for a Monte-Carlo check"
         )
-    subsets = (
-        _subset_iter(universe) if exhaustive else _sampled_subsets(universe, sample_budget, seed)
+    if exhaustive:
+        mono_w, lip_w, checked = _axiom_scan(_SubsetTable(u, universe))
+    else:
+        mono_w, lip_w, checked = _sampled_axiom_scan(
+            u, universe, _sampled_subsets(universe, sample_budget, seed)
+        )
+    return AxiomReport(
+        monotone=mono_w is None,
+        monotone_witness=mono_w,
+        lipschitz=lip_w is None,
+        lipschitz_witness=lip_w,
+        exhaustive=exhaustive,
+        checked=checked,
     )
+
+
+def _axiom_scan(table: _SubsetTable):
+    """The first monotone and Lipschitz violations, subsets in size then
+    lexicographic order and j ascending; stops once both are found."""
+    universe, rat, irr, den, n = table.universe, table.rat, table.irr, table.den, table.radicand
+    members = list(zip((1 << i for i in range(len(universe))), universe))
+    if irr is None:
+
+        def exceeds(x, y, c):  # u(x) - u(y) > c / den
+            return rat[x] - rat[y] > c
+
+    else:
+
+        def exceeds(x, y, c):
+            return int_sign(rat[x] - rat[y] - c, irr[x] - irr[y], n) > 0
+
+    def subset(mask):
+        return frozenset(c for bit, c in members if mask & bit)
+
+    mono_w = lip_w = None
+    checked = 0
+    for T in _masks(len(universe)):
+        checked += 1
+        if table.errors:
+            table.require([T] + [T ^ bit for bit, _ in members])
+        for bit, j in members:
+            if T & bit:
+                if lip_w is None and exceeds(T, T ^ bit, den):
+                    lip_w = AxiomWitness(subset(T), j)
+            elif mono_w is None and exceeds(T, T | bit, 0):
+                mono_w = AxiomWitness(subset(T | bit), j)
+        if mono_w and lip_w:
+            break
+    return mono_w, lip_w, checked
+
+
+def _sampled_axiom_scan(u: UtilityFunction, universe: Sequence[int], subsets):
     mono_w = lip_w = None
     checked = 0
     for T in subsets:
@@ -413,14 +562,7 @@ def check_axioms(
                     mono_w = mono_w or AxiomWitness(T | {j}, j)
         if mono_w and lip_w:
             break
-    return AxiomReport(
-        monotone=mono_w is None,
-        monotone_witness=mono_w,
-        lipschitz=lip_w is None,
-        lipschitz_witness=lip_w,
-        exhaustive=exhaustive,
-        checked=checked,
-    )
+    return mono_w, lip_w, checked
 
 
 def self_bounding_constant(
@@ -434,16 +576,40 @@ def self_bounding_constant(
     universe = sorted(set(universe))
     if len(universe) > limit:
         raise EnumerationLimitError(f"universe of {len(universe)} exceeds limit {limit}")
-    best: ExactValue = Fraction(0)
-    for T in _subset_iter(universe):
-        vT = u.value(T)
-        if not vT > 0:
+    return _self_bounding(_SubsetTable(u, universe))
+
+
+def _self_bounding(table: _SubsetTable) -> ExactValue:
+    """beta* over a full table: each ratio sum_j (u(T) - u(T - {j})) / u(T)
+    is compared with the best so far by cross-multiplication."""
+    table.require()
+    rat, irr, n = table.rat, table.irr, table.radicand
+    bits = [1 << i for i in range(len(table.universe))]
+    if irr is None:
+        best_a, best_c = 0, 1
+        for T in range(1, len(rat)):
+            c = rat[T]
+            if c > 0:
+                a = T.bit_count() * c - sum(rat[T ^ bit] for bit in bits if T & bit)
+                if a * best_c > best_a * c:
+                    best_a, best_c = a, c
+        return Fraction(best_a, best_c)
+    best = (0, 0, 1, 0)  # (a + b r) / (c + e r) with r = sqrt(n), denominator positive
+    for T in range(1, len(rat)):
+        c, e = rat[T], irr[T]
+        if int_sign(c, e, n) <= 0:
             continue
-        total = sum((vT - u.value(T - {j}) for j in T), Fraction(0))
-        ratio = total / vT
-        if ratio > best:
-            best = ratio
-    return best
+        size = T.bit_count()
+        a = size * c - sum(rat[T ^ bit] for bit in bits if T & bit)
+        b = size * e - sum(irr[T ^ bit] for bit in bits if T & bit)
+        ba, bb, bc, be = best
+        # a/c > ba/bc  <=>  (a + b r)(bc + be r) - (ba + bb r)(c + e r) > 0
+        diff = (a * bc + b * be * n - ba * c - bb * e * n, a * be + b * bc - ba * e - bb * c)
+        if int_sign(*diff, n) > 0:
+            best = (a, b, c, e)
+    a, b, c, e = best
+    # rationalize: (a + b r)(c - e r) / (c^2 - e^2 n)
+    return table.exact(a * c - b * e * n, b * c - a * e, c * c - e * e * n)
 
 
 def check_submodular(

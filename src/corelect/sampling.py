@@ -9,22 +9,53 @@ comparisons against the exact rational probability, never floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import EnumerationLimitError
-from .exactnum import parse_rational
+from .exactnum import ExactValue, int_sign, parse_rational
 from .instances import rng_from_seed
-from .model import UtilityFunction, self_bounding_constant
+from .model import (
+    EXHAUSTIVE_LIMIT,
+    UtilityFunction,
+    _SubsetTable,
+    _self_bounding,
+    self_bounding_constant,
+)
 
 EXACT_SIZE_CAP = 16
 
 
-def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> Fraction:
+def _weighted_sizes(alpha: Fraction, m: int):
+    """The subset sizes an alpha-sample of m members takes with positive
+    probability; None for all of them."""
+    if alpha == 0:
+        return (0,)
+    return (m,) if alpha == 1 else None
+
+
+def _expectation(table: _SubsetTable, alpha: Fraction) -> tuple:
+    """E[u(O)] over ``table`` as (a, b, den), meaning (a + b*sqrt(n)) / den:
+    the sum of p^|O| (q-p)^(m-|O|) u(O) / q^m for alpha = p/q."""
+    p, q, m = alpha.numerator, alpha.denominator, len(table.universe)
+    weight = [p**k * (q - p) ** (m - k) for k in range(m + 1)]
+
+    def weighted(column):
+        return sum(weight[mask.bit_count()] * v for mask, v in enumerate(column))
+
+    b = 0 if table.irr is None else weighted(table.irr)
+    return weighted(table.rat), b, q**m * table.den
+
+
+def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> ExactValue:
     """E[u(O)] where O keeps each member of T independently w.p. alpha.
 
-    Full enumeration over subsets of T; exact in the field of u's values.
+    Full enumeration over the subsets of T that O takes with positive
+    probability, each evaluated once; exact in the field of u's values.
     """
     T = sorted(set(T))
     alpha = parse_rational(alpha)
@@ -32,33 +63,38 @@ def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> Fra
         raise ValueError("alpha must lie in [0, 1]")
     if len(T) > EXACT_SIZE_CAP:
         raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
-    total = Fraction(0)
-    import itertools
-
-    for size in range(len(T) + 1):
-        p = alpha**size * (1 - alpha) ** (len(T) - size)
-        if p == 0:
-            continue
-        for O in itertools.combinations(T, size):
-            total = total + p * u.value(frozenset(O))
-    return total
+    table = _SubsetTable(u, T, _weighted_sizes(alpha, len(T)))
+    table.require()
+    return table.exact(*_expectation(table, alpha))
 
 
 def verify_sampling_bound(u: UtilityFunction, T: Iterable[int], alpha, beta: int) -> bool:
     """Assert E[u(O)] >= alpha^beta * u(T) exactly.
 
     beta must be a valid self-bounding exponent for u restricted to T;
-    this is re-verified before the bound is checked.
+    this is re-verified before the bound is checked.  Both steps read one
+    table of u over the subsets of T.
     """
     T = sorted(set(T))
     alpha = parse_rational(alpha)
     if not (isinstance(beta, int) and beta >= 1):
         raise ValueError("beta must be an integer >= 1")
-    actual = self_bounding_constant(u, T)
+    if len(T) > EXHAUSTIVE_LIMIT:
+        raise EnumerationLimitError(f"universe of {len(T)} exceeds limit {EXHAUSTIVE_LIMIT}")
+    table = _SubsetTable(u, T)
+    actual = _self_bounding(table)
     if actual > beta:
         raise ValueError(f"u restricted to T is only {actual}-self-bounding > beta={beta}")
-    expectation = exact_sample_expectation(u, T, alpha)
-    return expectation >= alpha**beta * u.value(frozenset(T))
+    if not (0 <= alpha <= 1):
+        raise ValueError("alpha must lie in [0, 1]")
+    if len(T) > EXACT_SIZE_CAP:
+        raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
+    a, b, den = _expectation(table, alpha)
+    # E >= (p/q)^beta u(T)  <=>  (a + b r) q^beta >= p^beta (rat + irr r) den / den(u)
+    rat, irr = table.at(len(table.rat) - 1)
+    p, q = alpha.numerator**beta, alpha.denominator**beta
+    scale = p * (den // table.den)
+    return int_sign(a * q - scale * rat, b * q - scale * irr, table.radicand) >= 0
 
 
 def _bernoulli_mask(rng, p: Fraction, count: int):
@@ -121,27 +157,55 @@ def mc_lower_tail(
         raise ValueError("delta must lie in [0, 1)")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if beta is not None and not beta > 0:
+        raise ValueError("beta must be positive")
+    exact = len(T) <= EXACT_SIZE_CAP
+    if exact:
+        # the samples and mu0 read one table; beta* needs every subset
+        table = _SubsetTable(u, T, None if beta is None else _weighted_sizes(alpha, len(T)))
     if beta is None:
-        beta = self_bounding_constant(u, T)
+        beta = _self_bounding(table) if exact else self_bounding_constant(u, T)
         if beta < 1:
             beta = Fraction(1)
     rng = rng_from_seed(seed)
-    exact = len(T) <= EXACT_SIZE_CAP
+    if exact:
+        return _exact_tail(table, alpha, delta, trials, seed, beta, rng)
     samples = []
     for _ in range(trials):
         mask = _bernoulli_mask(rng, alpha, len(T))
         O = frozenset(c for c, keep in zip(T, mask) if keep)
         samples.append(u.value(O))
-    mu0_ci = None
-    if exact:
-        mu0 = exact_sample_expectation(u, T, alpha)
-    else:
-        mu0 = sum(samples, Fraction(0)) / trials
-        mean = float(mu0)
-        var = sum((float(v) - mean) ** 2 for v in samples) / max(1, trials - 1)
-        mu0_ci = 3 * math.sqrt(var / trials)
+    mu0 = sum(samples, Fraction(0)) / trials
+    mean = float(mu0)
+    var = sum((float(v) - mean) ** 2 for v in samples) / max(1, trials - 1)
+    mu0_ci = 3 * math.sqrt(var / trials)
     threshold = (1 - delta) * mu0
     hits = sum(1 for v in samples if v <= threshold)
+    return _tail_report(mu0, False, threshold, hits, delta, trials, seed, beta, mu0_ci)
+
+
+def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
+    """The lower tail with mu0 exact: each trial's sample is looked up in
+    the table by its mask, and hits are counted in integers."""
+    bits = np.array([1 << i for i in range(len(table.universe))], dtype=np.int64)
+    draws = [_bernoulli_mask(rng, alpha, len(bits)) for _ in range(trials)]
+    counts = Counter((np.array(draws) @ bits).tolist())
+    table.require(counts)
+    table.require()
+    a, b, den = _expectation(table, alpha)
+    # u(O) <= (1 - e/f) mu0  <=>  (rat + irr r) f den / den(u) <= (f - e)(a + b r)
+    e, f = delta.numerator, delta.denominator
+    scale = f * (den // table.den)
+    hits = 0
+    for mask, count in counts.items():
+        rat, irr = table.at(mask)
+        if int_sign(scale * rat - (f - e) * a, scale * irr - (f - e) * b, table.radicand) <= 0:
+            hits += count
+    mu0 = table.exact(a, b, den)
+    return _tail_report(mu0, True, (1 - delta) * mu0, hits, delta, trials, seed, beta, None)
+
+
+def _tail_report(mu0, mu0_exact, threshold, hits, delta, trials, seed, beta, mu0_ci):
     empirical = Fraction(hits, trials)
     bound = math.exp(-float(delta) ** 2 * float(mu0) / (2 * float(beta)))
     slack = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
@@ -153,7 +217,7 @@ def mc_lower_tail(
         verdict = "fail"
     return TailReport(
         mu0=mu0,
-        mu0_exact=exact,
+        mu0_exact=mu0_exact,
         threshold=threshold,
         empirical=empirical,
         analytic_bound=bound,
@@ -232,6 +296,8 @@ def endow2_reduction_experiment(
     q = parse_rational(q)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     phi = Fraction(len(S), instance.n)
     b = instance.budget
     failures = []

@@ -479,10 +479,9 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         if key not in memo:
             if kprime not in tables_of:
                 tables = tables_of[kprime] = _completion_tables(instance, W, kprime, mode)
+                assert tables, "a feasible W leaves every k' a completable hatW"
                 hatw_sets += len(tables)
                 entries += sum(len(wprimes) for _, wprimes in tables)
-                if not tables:
-                    flags.append(f"vacuous-k'={kprime}")
             memo[key], seen = _complete(instance, tables_of[kprime], kprime, req, meets)
             visited += seen
         if memo[key] is not None:

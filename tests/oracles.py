@@ -233,6 +233,66 @@ def oracle_classic_ejr(instance, W):
     return True, None
 
 
+def oracle_axioms(u, universe):
+    """Monotonicity and the unit-Lipschitz bound over every (T, j), one
+    evaluation per neighbour; subsets by size then lexicographically, j
+    ascending, stopping after the first T at which both have failed.
+
+    Returns (monotone witness, Lipschitz witness, subsets checked), each
+    witness a (subset, candidate) pair or None.
+    """
+    universe = sorted(set(universe))
+    mono_w = lip_w = None
+    checked = 0
+    for T in _all_subsets(universe):
+        vT = naive_value(u, T)
+        checked += 1
+        for j in universe:
+            if j in T:
+                if vT - naive_value(u, T - {j}) > 1:
+                    lip_w = lip_w or (T, j)
+            elif vT > naive_value(u, T | {j}):
+                mono_w = mono_w or (T | {j}, j)
+        if mono_w and lip_w:
+            break
+    return mono_w, lip_w, checked
+
+
+def oracle_self_bounding_constant(u, universe):
+    """max over T with u(T) > 0 of sum_j (u(T) - u(T - {j})) / u(T); 0 when u vanishes."""
+    best = Fraction(0)
+    for T in _all_subsets(universe):
+        vT = naive_value(u, T)
+        if not vT > 0:
+            continue
+        total = Fraction(0)
+        for j in T:
+            total = total + (vT - naive_value(u, T - {j}))
+        ratio = total / vT
+        if ratio > best:
+            best = ratio
+    return best
+
+
+def oracle_lower_tail_hits(u, T, alpha, delta, trials, seed):
+    """Trials whose sample O has u(O) <= (1 - delta) E[u(O)], drawing each
+    O from the Philox stream of ``rng_from_seed(seed)``, one
+    ``integers(0, q, size=|T|) < p`` call per trial for alpha = p/q."""
+    from corelect.instances import rng_from_seed
+
+    T = sorted(T)
+    alpha, delta = Fraction(alpha), Fraction(delta)
+    threshold = (1 - delta) * oracle_sample_expectation(u, T, alpha)
+    rng = rng_from_seed(seed)
+    hits = 0
+    for _ in range(trials):
+        keep = rng.integers(0, alpha.denominator, size=len(T)) < alpha.numerator
+        O = frozenset(c for c, k in zip(T, keep) if k)
+        if naive_value(u, O) <= threshold:
+            hits += 1
+    return hits
+
+
 def oracle_sample_expectation(u, T, alpha):
     """Expected utility of an alpha-sample of T, by full enumeration."""
     T = sorted(T)

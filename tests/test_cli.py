@@ -376,3 +376,33 @@ def test_shared_parser_does_not_leak_flags_between_runs(tmp_path):
     run(argv + ["--report", str(r2)])
     assert _read(r1)["manifest"]["flags"]["min_coalition"] == "2"
     assert "min_coalition" not in _read(r2)["manifest"]["flags"]
+
+
+def _experiment_instance(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "endow2":
+        from corelect.model import AdditiveUtility, Instance
+        from corelect.serialize import save_instance
+
+        utilities = [AdditiveUtility({c: Fraction(1, 3) for c in range(6)}) for _ in range(2)]
+        inst = Instance(
+            list(range(8)), utilities, sizes={c: 1 for c in range(8)}, budget=6, validate="trust"
+        )
+        save_instance(inst, path)
+        return path, ["--committee", "6,7", "--coalition", "0,1", "--deviation", "0,1,2,3,4,5"]
+    run(["gen", "--name", "xos", "--params", "k=2", "--out", str(path)])
+    return path, ["--alpha", "1/2", "--delta", "1/2", "--trials", "50"]
+
+
+@pytest.mark.parametrize("kind", ["sampling-bound", "lower-tail", "endow2"])
+def test_experiment_rejects_beta_zero(tmp_path, capsys, kind):
+    # 0 is a value, not an omitted flag: it must not fall back to beta = 1
+    inst_path, extra = _experiment_instance(tmp_path, kind)
+    report = tmp_path / "report.json"
+    argv = ["experiment", "--kind", kind, "--in", str(inst_path), *extra]
+    assert run([*argv, "--beta", "0", "--report", str(report)]) == 2
+    assert "beta must be" in capsys.readouterr().err
+    assert not report.exists()
+    assert run([*argv, "--beta", "-1", "--report", str(report)]) == 2
+    assert run([*argv, "--report", str(report)]) in (0, 1)
+    assert "beta" not in _read(report)["manifest"]["flags"]

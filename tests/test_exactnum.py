@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corelect.exactnum import (
     Quad,
     exact_ceil,
     exact_floor,
+    int_sign,
     is_integral,
     parse_rational,
     rational_to_json,
@@ -82,3 +86,15 @@ def test_mixed_radicands_rejected():
     b = Quad.sqrt(Fraction(3))
     with pytest.raises(ValueError):
         _ = a + b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6),
+    st.integers(2, 10**4).filter(lambda n: math.isqrt(n) ** 2 != n),
+)
+def test_int_sign_matches_high_precision_sign(a, b, n):
+    # |a + b sqrt(n)| >= 1 / (|a| + |b| sqrt(n)) unless a = b = 0, far above 60 digits
+    with mpmath.workdps(60):
+        assert int_sign(a, b, n) == mpmath.sign(a + b * mpmath.sqrt(n))

@@ -255,3 +255,140 @@ def test_scaled_oracles_keep_their_fraction_fields():
     assert u.value({0, 1}) == Fraction(2, 3) and u.value({1, 2}) == Fraction(5, 3)
     assert XOSUtility([dict(cl) for cl in u.to_json()["clauses"]]) == u
     assert AdditiveUtility({}).value({0, 1}) == 0
+
+
+# -- the exhaustive sweeps read one subset table; the naive loops are the reference --
+
+SWEEP_KINDS = ("approval", "additive", "coverage", "xos")
+_sweep_settings = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def _universes(max_size=6):
+    return st.sets(st.integers(0, 20), max_size=max_size).map(sorted)
+
+
+@st.composite
+def _random_kind(draw):
+    universe = draw(_universes())
+    rng = rng_from_seed(draw(st.integers(0, 2**31)))
+    return random_utility(draw(st.sampled_from(SWEEP_KINDS)), universe, rng), universe
+
+
+@st.composite
+def _injected_table(draw):
+    """A full table of an additive oracle with every weight in [1/2, 1], and
+    one entry moved: to 0 (a monotone violation) or up by 2 (Lipschitz)."""
+    universe = draw(_universes().filter(lambda U: len(U) >= 2))
+    weights = {c: Fraction(draw(st.integers(4, 8)), 8) for c in universe}
+    entries = {S: naive_value(AdditiveUtility(weights), S) for S in _power_set(universe)}
+    S = draw(st.sampled_from(sorted((S for S in entries if len(S) >= 2), key=sorted)))
+    entries[S] = 0 if draw(st.booleans()) else entries[S] + 2
+    return TableUtility(entries), universe
+
+
+@st.composite
+def _lb00_voter(draw):
+    beta = draw(st.sampled_from((5, 6, 7)))
+    u = gen_lb00(beta, 2).utilities[draw(st.integers(0, 5))]
+    return u, sorted(draw(st.sets(st.integers(0, 11), max_size=7)))
+
+
+def _power_set(universe):
+    return [
+        frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
+        for mask in range(1 << len(universe))
+    ]
+
+
+def _all_zero():
+    tables = _universes().map(lambda U: (TableUtility({S: 0 for S in _power_set(U)}), U))
+    return st.one_of(_universes().map(lambda U: (AdditiveUtility({}), U)), tables)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want) and got == want and str(got) == str(want), (got, want)
+
+
+def _witness(w):
+    return None if w is None else (w.subset, w.candidate)
+
+
+@_sweep_settings
+@given(
+    st.one_of(_random_kind(), _injected_table(), _lb00_voter(), _all_zero()),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 8)]),
+    st.integers(0, 2**31),
+)
+def test_sweeps_match_naive_oracles(case, alpha, seed):
+    from corelect.exactnum import exact_ceil
+    from corelect.sampling import exact_sample_expectation, mc_lower_tail, verify_sampling_bound
+
+    from oracles import (
+        oracle_axioms,
+        oracle_lower_tail_hits,
+        oracle_sample_expectation,
+        oracle_self_bounding_constant,
+    )
+
+    u, universe = case
+    rep = check_axioms(u, universe)
+    mono_w, lip_w, checked = oracle_axioms(u, universe)
+    assert rep.exhaustive and rep.checked == checked
+    assert (rep.monotone, _witness(rep.monotone_witness)) == (mono_w is None, mono_w)
+    assert (rep.lipschitz, _witness(rep.lipschitz_witness)) == (lip_w is None, lip_w)
+    if isinstance(u, TableUtility) and any(u.entries.values()):
+        assert not rep.ok  # the injected entry is found
+
+    bstar = self_bounding_constant(u, universe)
+    _assert_same(bstar, oracle_self_bounding_constant(u, universe))
+
+    expectation = oracle_sample_expectation(u, universe, alpha)
+    _assert_same(exact_sample_expectation(u, universe, alpha), expectation)
+
+    beta = max(1, exact_ceil(bstar))
+    holds = expectation >= alpha**beta * naive_value(u, universe)
+    assert verify_sampling_bound(u, universe, alpha, beta) is holds
+    if bstar > 1:
+        with pytest.raises(ValueError):
+            verify_sampling_bound(u, universe, alpha, 1)
+
+    delta, trials = Fraction(1, 2), 40
+    for given_beta in (beta, None):
+        tail = mc_lower_tail(u, universe, alpha, delta, trials, seed, beta=given_beta)
+        hits = oracle_lower_tail_hits(u, universe, alpha, delta, trials, seed)
+        assert tail.empirical == Fraction(hits, trials) and tail.mu0_exact
+        _assert_same(tail.mu0, expectation)
+        _assert_same(tail.threshold, (1 - delta) * expectation)
+    _assert_same(tail.beta, bstar if bstar >= 1 else Fraction(1))
+
+
+def test_sweeps_evaluate_only_the_subsets_they_reach():
+    from corelect.sampling import exact_sample_expectation, mc_lower_tail, verify_sampling_bound
+
+    # alpha 0 and 1 weigh only the empty set and the whole of T
+    u = TableUtility({frozenset({0, 1, 2}): Fraction(3, 2)})
+    assert exact_sample_expectation(u, [0, 1, 2], 1) == Fraction(3, 2)
+    assert exact_sample_expectation(u, [0, 1, 2], 0) == 0
+    for alpha, mu0 in ((1, Fraction(3, 2)), (0, Fraction(0))):
+        tail = mc_lower_tail(u, [0, 1, 2], alpha, Fraction(1, 2), 50, seed=3, beta=1)
+        assert tail.mu0 == mu0 and tail.empirical == (0 if alpha else 1)
+    with pytest.raises(MalformedUtilityError, match=r"\[0\]"):
+        exact_sample_expectation(u, [0, 1, 2], Fraction(1, 2))
+    with pytest.raises(MalformedUtilityError, match=r"\[0\]"):
+        verify_sampling_bound(u, [0, 1, 2], 1, beta=1)
+    with pytest.raises(MalformedUtilityError, match=r"\[0\]"):
+        mc_lower_tail(u, [0, 1, 2], 1, Fraction(1, 2), 50, seed=3)
+
+    # both axioms fail at T = {0}, so the scan stops before {1, 2} and {0, 1, 2}
+    partial = {
+        frozenset({0}): 2, frozenset({1}): 0, frozenset({2}): 0,
+        frozenset({0, 1}): 1, frozenset({0, 2}): 2,
+    }
+    rep = check_axioms(TableUtility(partial), [0, 1, 2])
+    assert rep.checked == 2
+    assert _witness(rep.lipschitz_witness) == (frozenset({0}), 0)
+    assert _witness(rep.monotone_witness) == (frozenset({0, 1}), 1)
+    # the first missing subset the scan reaches is the one named
+    partial[frozenset({0})] = 1
+    with pytest.raises(MalformedUtilityError, match=r"\[1, 2\]"):
+        check_axioms(TableUtility(partial), [0, 1, 2])
