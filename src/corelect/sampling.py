@@ -19,36 +19,41 @@ import numpy as np
 from .errors import EnumerationLimitError
 from .exactnum import ExactValue, int_sign, parse_rational
 from .instances import rng_from_seed
-from .model import (
-    EXHAUSTIVE_LIMIT,
-    UtilityFunction,
-    _SubsetTable,
-    _self_bounding,
-    self_bounding_constant,
-)
+from .model import UtilityFunction, _SubsetTable, _self_bounding, self_bounding_constant
 
 EXACT_SIZE_CAP = 16
 
 
-def _weighted_sizes(alpha: Fraction, m: int):
-    """The subset sizes an alpha-sample of m members takes with positive
-    probability; None for all of them."""
-    if alpha == 0:
-        return (0,)
-    return (m,) if alpha == 1 else None
+def _parse_alpha(alpha) -> Fraction:
+    """alpha as a Fraction, which must be a probability."""
+    alpha = parse_rational(alpha)
+    if not (0 <= alpha <= 1):
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha
+
+
+def _exact_table(u: UtilityFunction, T: list, alpha: Fraction, every_subset=False):
+    """The table of u over the subsets of T that an alpha-sample takes with
+    positive probability (all of them for ``every_subset``, as beta* needs)."""
+    if len(T) > EXACT_SIZE_CAP:
+        raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
+    sizes = None
+    if not every_subset and alpha in (0, 1):
+        sizes = (len(T) if alpha else 0,)
+    return _SubsetTable(u, T, sizes)
 
 
 def _expectation(table: _SubsetTable, alpha: Fraction) -> tuple:
     """E[u(O)] over ``table`` as (a, b, den), meaning (a + b*sqrt(n)) / den:
     the sum of p^|O| (q-p)^(m-|O|) u(O) / q^m for alpha = p/q."""
+    table.require()
     p, q, m = alpha.numerator, alpha.denominator, len(table.universe)
     weight = [p**k * (q - p) ** (m - k) for k in range(m + 1)]
 
     def weighted(column):
         return sum(weight[mask.bit_count()] * v for mask, v in enumerate(column))
 
-    b = 0 if table.irr is None else weighted(table.irr)
-    return weighted(table.rat), b, q**m * table.den
+    return weighted(table.rat), weighted(table.irr), q**m * table.den
 
 
 def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> ExactValue:
@@ -58,13 +63,8 @@ def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> Exa
     probability, each evaluated once; exact in the field of u's values.
     """
     T = sorted(set(T))
-    alpha = parse_rational(alpha)
-    if not (0 <= alpha <= 1):
-        raise ValueError("alpha must lie in [0, 1]")
-    if len(T) > EXACT_SIZE_CAP:
-        raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
-    table = _SubsetTable(u, T, _weighted_sizes(alpha, len(T)))
-    table.require()
+    alpha = _parse_alpha(alpha)
+    table = _exact_table(u, T, alpha)
     return table.exact(*_expectation(table, alpha))
 
 
@@ -76,22 +76,16 @@ def verify_sampling_bound(u: UtilityFunction, T: Iterable[int], alpha, beta: int
     table of u over the subsets of T.
     """
     T = sorted(set(T))
-    alpha = parse_rational(alpha)
+    alpha = _parse_alpha(alpha)
     if not (isinstance(beta, int) and beta >= 1):
         raise ValueError("beta must be an integer >= 1")
-    if len(T) > EXHAUSTIVE_LIMIT:
-        raise EnumerationLimitError(f"universe of {len(T)} exceeds limit {EXHAUSTIVE_LIMIT}")
-    table = _SubsetTable(u, T)
+    table = _exact_table(u, T, alpha, every_subset=True)
     actual = _self_bounding(table)
     if actual > beta:
         raise ValueError(f"u restricted to T is only {actual}-self-bounding > beta={beta}")
-    if not (0 <= alpha <= 1):
-        raise ValueError("alpha must lie in [0, 1]")
-    if len(T) > EXACT_SIZE_CAP:
-        raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
     a, b, den = _expectation(table, alpha)
     # E >= (p/q)^beta u(T)  <=>  (a + b r) q^beta >= p^beta (rat + irr r) den / den(u)
-    rat, irr = table.at(len(table.rat) - 1)
+    rat, irr = table.at(-1)
     p, q = alpha.numerator**beta, alpha.denominator**beta
     scale = p * (den // table.den)
     return int_sign(a * q - scale * rat, b * q - scale * irr, table.radicand) >= 0
@@ -151,7 +145,7 @@ def mc_lower_tail(
     binomial slack; runs with fewer than 30 trials are inconclusive.
     """
     T = sorted(set(T))
-    alpha = parse_rational(alpha)
+    alpha = _parse_alpha(alpha)
     delta = parse_rational(delta)
     if not (0 <= delta < 1):
         raise ValueError("delta must lie in [0, 1)")
@@ -162,7 +156,7 @@ def mc_lower_tail(
     exact = len(T) <= EXACT_SIZE_CAP
     if exact:
         # the samples and mu0 read one table; beta* needs every subset
-        table = _SubsetTable(u, T, None if beta is None else _weighted_sizes(alpha, len(T)))
+        table = _exact_table(u, T, alpha, every_subset=beta is None)
     if beta is None:
         beta = _self_bounding(table) if exact else self_bounding_constant(u, T)
         if beta < 1:
@@ -191,7 +185,6 @@ def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
     draws = [_bernoulli_mask(rng, alpha, len(bits)) for _ in range(trials)]
     counts = Counter((np.array(draws) @ bits).tolist())
     table.require(counts)
-    table.require()
     a, b, den = _expectation(table, alpha)
     # u(O) <= (1 - e/f) mu0  <=>  (rat + irr r) f den / den(u) <= (f - e)(a + b r)
     e, f = delta.numerator, delta.denominator

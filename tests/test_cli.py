@@ -406,3 +406,13 @@ def test_experiment_rejects_beta_zero(tmp_path, capsys, kind):
     assert run([*argv, "--beta", "-1", "--report", str(report)]) == 2
     assert run([*argv, "--report", str(report)]) in (0, 1)
     assert "beta" not in _read(report)["manifest"]["flags"]
+
+
+@pytest.mark.parametrize("alpha", ["3/2", "-1/2"])
+@pytest.mark.parametrize("kind", ["sampling-bound", "lower-tail"])
+def test_experiment_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, kind, alpha):
+    inst_path, _ = _experiment_instance(tmp_path, kind)
+    report = tmp_path / "report.json"
+    argv = ["experiment", "--kind", kind, "--in", str(inst_path), "--delta", "1/2"]
+    assert run([*argv, f"--alpha={alpha}", "--trials", "50", "--report", str(report)]) == 2
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err

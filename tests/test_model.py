@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelect.errors import EnumerationLimitError, MalformedUtilityError
+from corelect.exactnum import Quad
 from corelect.instances import gen_lb00, gen_xos_example, random_utility, rng_from_seed
 from corelect.model import (
     AdditiveUtility,
@@ -12,6 +13,7 @@ from corelect.model import (
     CoverageUtility,
     Instance,
     TableUtility,
+    UtilityFunction,
     XOSUtility,
     check_axioms,
     check_submodular,
@@ -293,6 +295,28 @@ def _lb00_voter(draw):
     return u, sorted(draw(st.sets(st.integers(0, 11), max_size=7)))
 
 
+class _QuadTable(UtilityFunction):
+    """Explicit values a + b*sqrt(2), monotone and Lipschitz or not; the
+    naive oracles read it as a table."""
+
+    kind = "table"
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def value(self, T):
+        return self.entries[T] if T else Fraction(0)
+
+
+@st.composite
+def _quad_table(draw):
+    universe = sorted(draw(st.sets(st.integers(0, 9), max_size=4)))
+    half = st.integers(-2, 4).map(lambda k: Fraction(k, 2))
+    root2 = Quad.sqrt(Fraction(2))
+    entries = {S: draw(half) + draw(half) * root2 for S in _power_set(universe) if S}
+    return _QuadTable(entries), universe
+
+
 def _power_set(universe):
     return [
         frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
@@ -315,7 +339,7 @@ def _witness(w):
 
 @_sweep_settings
 @given(
-    st.one_of(_random_kind(), _injected_table(), _lb00_voter(), _all_zero()),
+    st.one_of(_random_kind(), _injected_table(), _lb00_voter(), _quad_table(), _all_zero()),
     st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 8)]),
     st.integers(0, 2**31),
 )
@@ -392,3 +416,39 @@ def test_sweeps_evaluate_only_the_subsets_they_reach():
     partial[frozenset({0})] = 1
     with pytest.raises(MalformedUtilityError, match=r"\[1, 2\]"):
         check_axioms(TableUtility(partial), [0, 1, 2])
+
+
+def test_axiom_scan_evaluates_no_layer_past_its_early_break():
+    # u({0}) = 2 breaks the Lipschitz bound and u({0, 1}) = 1 < u({0})
+    # monotonicity, so the scan over 12 candidates stops at T = {0}: it
+    # evaluates the sizes 0, 1 and 2 (1 + 12 + 66 subsets), not all 4096
+    calls = []
+
+    class Spiked(UtilityFunction):
+        def value(self, T):
+            calls.append(T)
+            return Fraction(2) if T == {0} else Fraction(len(T), 2)
+
+    rep = check_axioms(Spiked(), range(12))
+    assert rep.checked == 2
+    assert _witness(rep.lipschitz_witness) == (frozenset({0}), 0)
+    assert _witness(rep.monotone_witness) == (frozenset({0, 1}), 1)
+    assert len(calls) == 1 + 12 + 66 and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "u1, u01, beta, holds",
+    [((-1, 1), (-1, -1), 1, True), ((Fraction(-1, 2), -1), (2, 1), 4, False)],
+)
+def test_sampling_bound_verdict_turns_on_the_sqrt_part(u1, u01, beta, holds):
+    # u = a + b*sqrt(2) on {0, 1}; the rational parts alone give the other verdict
+    from corelect.sampling import verify_sampling_bound
+
+    root2 = Quad.sqrt(Fraction(2))
+    entries = {
+        frozenset({0}): -1 - root2,
+        frozenset({1}): u1[0] + u1[1] * root2,
+        frozenset({0, 1}): u01[0] + u01[1] * root2,
+    }
+    u = _QuadTable(entries)
+    assert verify_sampling_bound(u, [0, 1], Fraction(1, 2), beta) is holds

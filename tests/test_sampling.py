@@ -51,6 +51,36 @@ def test_expectation_size_cap():
         exact_sample_expectation(u, range(20), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize("m", [4, 20])
+def test_every_sampler_rejects_alpha_outside_the_unit_interval(alpha, m):
+    # m = 4 takes the exact path, m = 20 the estimated mu0 (and is past the exact cap)
+    u = AdditiveUtility({c: Fraction(1, 2) for c in range(m)})
+    calls = [
+        lambda: exact_sample_expectation(u, range(m), alpha),
+        lambda: verify_sampling_bound(u, range(m), alpha, beta=1),
+        lambda: mc_lower_tail(u, range(m), alpha, Fraction(1, 2), 50, seed=1, beta=1),
+        lambda: mc_lower_tail(u, range(m), alpha, Fraction(1, 2), 50, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            call()
+
+
+def test_sampling_bound_size_cap_comes_before_any_evaluation():
+    calls = []
+
+    class Counted(AdditiveUtility):
+        def value(self, T):
+            calls.append(T)
+            return super().value(T)
+
+    u = Counted({c: Fraction(1, 2) for c in range(17)})
+    with pytest.raises(EnumerationLimitError, match="exact cap 16"):
+        verify_sampling_bound(u, range(17), Fraction(1, 2), beta=1)
+    assert calls == []
+
+
 def test_sampling_bound_examples():
     rng = rng_from_seed(9)
     xos = random_utility("xos", range(6), rng)
