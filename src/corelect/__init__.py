@@ -41,12 +41,14 @@ from .model import (
     CoverageUtility,
     Instance,
     LB00Utility,
+    RationalUtility,
     TableUtility,
     UtilityFunction,
     XOSUtility,
     check_axioms,
     check_submodular,
     evaluate,
+    gain_threshold,
     self_bounding_constant,
 )
 from .sampling import (

@@ -1,11 +1,20 @@
 """Election instances and utility-function oracles.
 
 All utility values are exact (Fraction, or Quad for the parametric
-lower-bound family with odd exponent).  The rational-weight oracles
-(additive, xos, coverage) scale their weights to integers once, over one
-common denominator D per oracle, when they are constructed; ``value``
-sums integers and returns the exact ``Fraction(total, D)``.  Their public
-Fraction fields stay the source of truth for ``key`` and ``to_json``.
+lower-bound family with odd exponent).  Every rational oracle (approval,
+additive, coverage, xos, table) has one integer form: a fixed positive
+integer ``scale`` D, the lcm of its weight denominators computed once at
+construction (1 for approval), and ``numerator(T)``, the integer D*u(T).
+``numerator`` is the oracle's only evaluation code; ``value(T)`` is
+``Fraction(numerator(T), scale)``.  The public Fraction fields stay the
+source of truth for ``key`` and ``to_json``.  ``LB00Utility`` has no
+integer form; code that compares utilities picks its exact Fraction/Quad
+path by the oracle's type.
+
+``gain_threshold`` decides the blocking test u(T) >= gamma*(u(W)+1) of
+the core notions on integers: t(T) >= ceil(gamma*(t(W)+D)) with
+t = numerator.  ``Instance.utility`` is a plain ``value`` call: there is
+no per-instance value cache, so memory stays bounded.
 
 Every oracle satisfies u(empty) = 0, and the two axioms every voter
 utility must obey -- monotonicity and the unit-Lipschitz bound -- can be
@@ -75,14 +84,33 @@ class UtilityFunction:
         return f"<{type(self).__name__} {self.key()!r}>"
 
 
-class ApprovalUtility(UtilityFunction):
+class RationalUtility(UtilityFunction):
+    """An oracle with an integer form: u(T) = numerator(T) / scale exactly,
+    for a positive integer ``scale`` fixed at construction.
+
+    Each subclass binds ``value`` in its own namespace, so a profiler that
+    patches methods class by class still tells the kinds apart.
+    """
+
+    scale: int = 1
+
+    def numerator(self, T: Iterable[int]) -> int:
+        raise NotImplementedError
+
+    def value(self, T):
+        return Fraction(self.numerator(T), self.scale)
+
+
+class ApprovalUtility(RationalUtility):
     kind = "approval"
 
     def __init__(self, approved: Iterable[int]):
         self.approved = frozenset(int(c) for c in approved)
 
-    def value(self, T):
-        return Fraction(len(self.approved & _as_frozen(T)))
+    def numerator(self, T):
+        return len(self.approved.intersection(T))
+
+    value = RationalUtility.value
 
     def key(self):
         return ("approval", self.approved)
@@ -91,7 +119,7 @@ class ApprovalUtility(UtilityFunction):
         return {"kind": "approval", "approved": sorted(self.approved)}
 
 
-class AdditiveUtility(UtilityFunction):
+class AdditiveUtility(RationalUtility):
     """Additive utility with per-candidate weights in [0, 1]."""
 
     kind = "additive"
@@ -106,12 +134,14 @@ class AdditiveUtility(UtilityFunction):
                 )
             if w != 0:
                 self.weights[int(cand)] = w
-        self._scale = _common_denominator(self.weights.values())
-        self._int_weights = _scaled(self.weights, self._scale)
+        self.scale = _common_denominator(self.weights.values())
+        self._int_weights = _scaled(self.weights, self.scale)
 
-    def value(self, T):
+    def numerator(self, T):
         weights = self._int_weights
-        return Fraction(sum(weights[c] for c in _as_frozen(T) if c in weights), self._scale)
+        return sum(weights[c] for c in _as_frozen(T) if c in weights)
+
+    value = RationalUtility.value
 
     def key(self):
         return ("additive", tuple(sorted(self.weights.items())))
@@ -125,7 +155,7 @@ class AdditiveUtility(UtilityFunction):
         }
 
 
-class CoverageUtility(UtilityFunction):
+class CoverageUtility(RationalUtility):
     """Weighted set cover: candidate j covers element set E_j.
 
     Per-candidate covered weight is capped at 1 so the Lipschitz axiom
@@ -150,15 +180,17 @@ class CoverageUtility(UtilityFunction):
                     f"candidate {cand} covers weight {total} > 1 (breaks Lipschitz)"
                 )
             self.covers[int(cand)] = elems
-        self._scale = _common_denominator(self.element_weights.values())
-        self._int_weights = _scaled(self.element_weights, self._scale)
+        self.scale = _common_denominator(self.element_weights.values())
+        self._int_weights = _scaled(self.element_weights, self.scale)
 
-    def value(self, T):
+    def numerator(self, T):
         covered = set()
         for c in _as_frozen(T):
             covered |= self.covers.get(c, frozenset())
         weights = self._int_weights
-        return Fraction(sum(weights[e] for e in covered if e in weights), self._scale)
+        return sum(weights[e] for e in covered if e in weights)
+
+    value = RationalUtility.value
 
     def key(self):
         return (
@@ -179,7 +211,7 @@ class CoverageUtility(UtilityFunction):
         }
 
 
-class XOSUtility(UtilityFunction):
+class XOSUtility(RationalUtility):
     """Max over additive clauses; clause weights lie in [0, 1]."""
 
     kind = "xos"
@@ -198,17 +230,19 @@ class XOSUtility(UtilityFunction):
                     cleaned[int(cand)] = w
             self.clauses.append(cleaned)
         # one denominator across all clauses, so the max is taken over integers
-        self._scale = _common_denominator(w for cl in self.clauses for w in cl.values())
-        self._int_clauses = [_scaled(cl, self._scale) for cl in self.clauses]
+        self.scale = _common_denominator(w for cl in self.clauses for w in cl.values())
+        self._int_clauses = [_scaled(cl, self.scale) for cl in self.clauses]
 
-    def value(self, T):
+    def numerator(self, T):
         T = _as_frozen(T)
         best = 0
         for clause in self._int_clauses:
             s = sum(clause[c] for c in T if c in clause)
             if s > best:
                 best = s
-        return Fraction(best, self._scale)
+        return best
+
+    value = RationalUtility.value
 
     def key(self):
         return ("xos", tuple(tuple(sorted(cl.items())) for cl in self.clauses))
@@ -224,7 +258,7 @@ class XOSUtility(UtilityFunction):
         }
 
 
-class TableUtility(UtilityFunction):
+class TableUtility(RationalUtility):
     """Explicit subset table for small universes (m <= 20)."""
 
     kind = "table"
@@ -239,14 +273,18 @@ class TableUtility(UtilityFunction):
             self.entries[subset] = v
         if frozenset() in self.entries and self.entries[frozenset()] != 0:
             raise MalformedUtilityError("table must assign 0 to the empty set")
+        self.scale = _common_denominator(self.entries.values())
+        self._int_entries = _scaled(self.entries, self.scale)
 
-    def value(self, T):
+    def numerator(self, T):
         T = _as_frozen(T)
         if not T:
-            return Fraction(0)
-        if T not in self.entries:
+            return 0
+        if T not in self._int_entries:
             raise MalformedUtilityError(f"table has no entry for {sorted(T)}")
-        return self.entries[T]
+        return self._int_entries[T]
+
+    value = RationalUtility.value
 
     def key(self):
         return ("table", tuple(sorted((tuple(sorted(s)), v) for s, v in self.entries.items())))
@@ -342,6 +380,27 @@ UTILITY_KINDS = {
 def evaluate(u: UtilityFunction, T: Iterable[int]) -> ExactValue:
     """Exact utility of committee T.  Pure; u(empty) = 0."""
     return u.value(_as_frozen(T))
+
+
+def exact_measure(u: UtilityFunction):
+    """A function of T ordered exactly as u(T): the integer ``numerator``
+    of an oracle with an integer form, ``value`` otherwise."""
+    return u.numerator if isinstance(u, RationalUtility) else u.value
+
+
+def gain_threshold(u: UtilityFunction, W: Iterable[int], gamma) -> tuple:
+    """(measure, bar) with u(T) >= gamma * (u(W) + 1) exactly when
+    measure(T) >= bar, for a rational gamma (int or Fraction).
+
+    With an integer form D*u = t the test is t(T) >= gamma*(t(W) + D),
+    and t(T) is an integer, so bar = ceil(gamma.num*(t(W) + D)/gamma.den).
+    Otherwise measure is ``u.value`` and bar the exact gamma*(u(W) + 1).
+    """
+    W = _as_frozen(W)
+    if isinstance(u, RationalUtility):
+        need = gamma.numerator * (u.numerator(W) + u.scale)
+        return u.numerator, -(-need // gamma.denominator)
+    return u.value, gamma * (u.value(W) + 1)
 
 
 @dataclass
@@ -731,7 +790,6 @@ class Instance:
 
             feasibility = CardinalityFamily(self.k)
         self.feasibility = feasibility
-        self._value_cache: dict = {}
         if validate not in ("check", "trust", "auto"):
             raise ValueError("validate must be one of check/trust/auto")
         if validate == "check" or (validate == "auto" and len(self.candidates) <= 12):
@@ -769,14 +827,8 @@ class Instance:
         return Committee(members, cost=self.cost(members))
 
     def utility(self, i: int, T: Iterable[int]) -> ExactValue:
-        """Cached exact utility of voter i for committee T."""
-        T = _as_frozen(T)
-        key = (i, T)
-        val = self._value_cache.get(key)
-        if val is None:
-            val = self.utilities[i].value(T)
-            self._value_cache[key] = val
-        return val
+        """Exact utility of voter i for committee T."""
+        return self.utilities[i].value(_as_frozen(T))
 
     def require_k_mode(self, op: str):
         if not self.is_k_mode:

@@ -19,7 +19,13 @@ import numpy as np
 from .errors import EnumerationLimitError
 from .exactnum import ExactValue, int_sign, parse_rational
 from .instances import rng_from_seed
-from .model import UtilityFunction, _SubsetTable, _self_bounding, self_bounding_constant
+from .model import (
+    UtilityFunction,
+    _SubsetTable,
+    _self_bounding,
+    gain_threshold,
+    self_bounding_constant,
+)
 
 EXACT_SIZE_CAP = 16
 
@@ -289,14 +295,16 @@ def endow2_reduction_experiment(
     q = parse_rational(q)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (isinstance(beta, int) and beta >= 1):
+        # a fractional beta makes gamma^beta irrational: no exact premise test
+        raise ValueError("beta must be an integer >= 1")
     phi = Fraction(len(S), instance.n)
     b = instance.budget
     failures = []
     factor = eta * beta * gamma**beta
     for i in S:
-        if instance.utility(i, T) < factor * (instance.utility(i, W) + 1):
+        measure, bar = gain_threshold(instance.utilities[i], W, factor)
+        if measure(T) < bar:
             failures.append(f"voter {i} misses the eta*beta*gamma^beta factor")
     if instance.cost(T) > phi * b:
         failures.append("Cost(T) exceeds the coalition budget phi*b")

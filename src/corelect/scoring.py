@@ -7,6 +7,11 @@ gpav(W) = sum_i Phi(u_i(W)) with Phi(x) = H(floor x) + (x - floor x)/ceil x.
 
 Marginals for pav/gpav are exact score differences; snw marginals are
 ratios of comparables, so sign and ordering comparisons stay exact.
+
+``score`` works on the voters' integer forms u_i = t_i / D_i whenever
+every oracle has one: snw is prod(D_i + t_i) / prod(D_i), built as one
+Fraction, and pav/gpav split each t_i by D_i into floor and remainder.
+Instances with an ``LB00Utility`` voter take the exact Fraction/Quad path.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Iterable
 
 from .errors import RuleMismatchError
 from .exactnum import ExactValue, exact_floor, is_integral
+from .model import AdditiveUtility, RationalUtility
 
 RULES = ("pav", "snw", "gpav")
 
@@ -93,6 +99,9 @@ def score(rule: str, instance, W: Iterable[int]) -> Score:
     """Exact score of committee W under the given rule."""
     if rule not in RULES:
         raise RuleMismatchError(f"unknown rule {rule!r}")
+    voters = instance.utilities
+    if all(isinstance(u, RationalUtility) for u in voters):
+        return _integer_score(rule, voters, frozenset(W))
     values = _voter_values(instance, W)
     if rule == "pav":
         total = Fraction(0)
@@ -110,6 +119,27 @@ def score(rule: str, instance, W: Iterable[int]) -> Score:
     for v in values:
         total = phi(v) + total
     return Score("gpav", total)
+
+
+def _integer_score(rule, voters, W) -> Score:
+    """``score`` from each voter's integer form u_i(W) = t_i / D_i."""
+    if rule == "snw":
+        num = den = 1
+        for u in voters:
+            num *= u.scale + u.numerator(W)
+            den *= u.scale
+        return Score("snw", Fraction(num, den))
+    # Phi(t/D) = H(q) + r / (D * (q + 1)) with q, r = divmod(t, D)
+    floors: dict = {}
+    rest = Fraction(0)
+    for u in voters:
+        q, r = divmod(u.numerator(W), u.scale)
+        floors[q] = floors.get(q, 0) + 1
+        if r:
+            if rule == "pav":
+                raise RuleMismatchError("pav requires integer utilities")
+            rest += Fraction(r, u.scale * (q + 1))
+    return Score(rule, sum((count * harmonic(q) for q, count in floors.items()), rest))
 
 
 @dataclass(frozen=True)
@@ -164,8 +194,6 @@ def marginal_remove(rule: str, instance, W: Iterable[int], c: int) -> Marginals:
 
 def delta_star(instance, W: Iterable[int], c: int, S: Iterable[int]) -> Fraction:
     """sum over i in S of u_i(c) / (u_i(W) + 1), for additive utilities."""
-    from .model import AdditiveUtility
-
     W = frozenset(W)
     total = Fraction(0)
     for i in S:

@@ -26,7 +26,7 @@ from .instances import (
     rng_from_seed,
 )
 from .intervals import certified_log_gt, certified_log_le
-from .model import Instance, check_axioms, self_bounding_constant
+from .model import Instance, check_axioms, gain_threshold, self_bounding_constant
 from .sampling import mc_lower_tail, verify_sampling_bound
 from .scoring import delta_star, marginal_add, marginal_remove
 from .solvers import SolverConfig, solve_global, solve_local
@@ -552,11 +552,8 @@ def run_lemma_mat_delta(count: int = 500, seed0: int = 7400) -> SuiteResult:
         W = frozenset(perm[:w_size])
         t_size = int(rng.integers(max(1, m - w_size - 2), m - w_size + 1))
         T = frozenset(perm[w_size : w_size + t_size])
-        S = [
-            i
-            for i in range(n)
-            if inst.utility(i, T | W) >= 2 * (inst.utility(i, W) + 1)
-        ]
+        tests = (gain_threshold(u, W, 2) for u in utilities)
+        S = [i for i, (measure, bar) in enumerate(tests) if measure(T | W) >= bar]
         if not S:
             continue
         case += 1

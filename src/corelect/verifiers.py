@@ -37,7 +37,7 @@ from typing import Iterable, Optional
 from .constraints import is_feasible, is_q_completable
 from .errors import EnumerationLimitError, RuleMismatchError
 from .exactnum import parse_rational, rational_to_json
-from .model import ApprovalUtility, Instance
+from .model import ApprovalUtility, Instance, exact_measure, gain_threshold
 
 NOTIONS = ("core", "restrained_core", "restrained_ejr", "endowment_core", "pb_core")
 
@@ -104,6 +104,12 @@ def _guard_enumeration(m: int, max_size: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
+def _gain_coalition(instance, W, gamma):
+    """T -> the voters i with u_i(T) >= gamma * (u_i(W) + 1)."""
+    tests = [gain_threshold(u, W, gamma) for u in instance.utilities]
+    return lambda T: frozenset(i for i, (measure, bar) in enumerate(tests) if measure(T) >= bar)
+
+
 def blocks_core(instance, W, gamma, S, T, min_coalition=None) -> bool:
     """Does (S, T) block W in the gamma-approximate core sense?"""
     W, T, S = frozenset(W), frozenset(T), frozenset(S)
@@ -114,9 +120,7 @@ def blocks_core(instance, W, gamma, S, T, min_coalition=None) -> bool:
         return False
     if len(T) * instance.n > len(S) * instance.k:
         return False
-    return all(
-        instance.utility(i, T) >= gamma * (instance.utility(i, W) + 1) for i in S
-    )
+    return S <= _gain_coalition(instance, W, gamma)(T)
 
 
 def blocks_pb_core(instance, W, gamma, S, T) -> bool:
@@ -126,9 +130,7 @@ def blocks_pb_core(instance, W, gamma, S, T) -> bool:
         return False
     if instance.cost(T) * instance.n > len(S) * instance.budget:
         return False
-    return all(
-        instance.utility(i, T) >= gamma * (instance.utility(i, W) + 1) for i in S
-    )
+    return S <= _gain_coalition(instance, W, gamma)(T)
 
 
 def blocks_endowment(instance, W, theta, S, T) -> bool:
@@ -145,7 +147,8 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
         return False
     if instance.cost(T) * theta * instance.n > len(S) * instance.budget:
         return False
-    return all(instance.utility(i, T) > instance.utility(i, W) for i in S)
+    measures = (exact_measure(instance.utilities[i]) for i in S)
+    return all(measure(T) > measure(W) for measure in measures)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +158,21 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
 
 def _enumerating_core_check(
     instance,
-    W,
     notion,
     param,
-    satisfies,
+    coalition,
     endowment_ok,
     min_coalition=None,
     subset_cap=DEFAULT_SUBSET_CAP,
 ):
-    """Shared scan over deviations T: best coalition is everyone satisfied."""
-    W = frozenset(W)
+    """Shared scan over deviations T: the best coalition is ``coalition(T)``,
+    every voter T satisfies."""
     max_size = instance.k if instance.is_k_mode else instance.m
     _guard_enumeration(instance.m, max_size, subset_cap)
     degenerate = None
     enumerated = 0
     for T in _subsets_by_size(instance.candidates, max_size):
-        S_T = frozenset(i for i in range(instance.n) if satisfies(i, T))
+        S_T = coalition(T)
         if not T:
             if S_T and endowment_ok(T, S_T):
                 degenerate = S_T
@@ -218,14 +220,11 @@ def check_core(
     gamma = parse_rational(gamma)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    W = frozenset(W)
-    thresholds = [gamma * (instance.utility(i, W) + 1) for i in range(instance.n)]
     return _enumerating_core_check(
         instance,
-        W,
         "core",
         gamma,
-        satisfies=lambda i, T: instance.utility(i, T) >= thresholds[i],
+        coalition=_gain_coalition(instance, frozenset(W), gamma),
         endowment_ok=lambda T, S: len(T) * instance.n <= len(S) * instance.k,
         min_coalition=min_coalition,
         subset_cap=subset_cap,
@@ -261,14 +260,11 @@ def check_pb_core(
     gamma = parse_rational(gamma)
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    W = frozenset(W)
-    thresholds = [gamma * (instance.utility(i, W) + 1) for i in range(instance.n)]
     report = _enumerating_core_check(
         instance,
-        W,
         "pb_core",
         gamma,
-        satisfies=lambda i, T: instance.utility(i, T) >= thresholds[i],
+        coalition=_gain_coalition(instance, frozenset(W), gamma),
         endowment_ok=lambda T, S: instance.cost(T) * instance.n
         <= len(S) * instance.budget,
         subset_cap=subset_cap,
@@ -293,13 +289,15 @@ def check_endowment_core(
     if theta < 1:
         raise ValueError("theta must be at least 1")
     W = frozenset(W)
-    current = [instance.utility(i, W) for i in range(instance.n)]
+    measures = [exact_measure(u) for u in instance.utilities]
+    current = [measure(W) for measure in measures]
     report = _enumerating_core_check(
         instance,
-        W,
         "endowment_core",
         theta,
-        satisfies=lambda i, T: instance.utility(i, T) > current[i],
+        coalition=lambda T: frozenset(
+            i for i, measure in enumerate(measures) if measure(T) > current[i]
+        ),
         endowment_ok=lambda T, S: instance.cost(T) * theta * instance.n
         <= len(S) * instance.budget,
         subset_cap=subset_cap,
@@ -328,13 +326,14 @@ def _core_test(instance, W, voters, gamma):
     one of those classes reaches gamma*(u_i(W)+1) at T.  The satisfied
     classes of each T are computed once.
     """
-    thresholds = {i: gamma * (instance.utility(i, W) + 1) for i in voters}
-    class_of, ids, reps = {}, {}, []
+    class_of, ids, tests = {}, {}, []
     for i in voters:
-        key = (instance.utilities[i].key(), thresholds[i])
+        u = instance.utilities[i]
+        measure, bar = gain_threshold(u, W, gamma)
+        key = (u.key(), bar)
         if key not in ids:
-            ids[key] = len(reps)
-            reps.append(i)
+            ids[key] = len(tests)
+            tests.append((measure, bar))
         class_of[i] = ids[key]
     satisfied: dict = {}
 
@@ -348,8 +347,8 @@ def _core_test(instance, W, voters, gamma):
         sat = satisfied.get(T)
         if sat is None:
             sat = 0
-            for c, i in enumerate(reps):
-                if instance.utility(i, T) >= thresholds[i]:
+            for c, (measure, bar) in enumerate(tests):
+                if measure(T) >= bar:
                     sat |= 1 << c
             satisfied[T] = sat
         return sat & mask == mask
@@ -367,7 +366,7 @@ def _ejr_test(instance, W, voters):
     for i in voters:
         if not isinstance(instance.utilities[i], ApprovalUtility):
             raise RuleMismatchError("restrained EJR needs approval utilities")
-    at_W = {i: instance.utility(i, W) for i in voters}
+    at_W = {i: instance.utilities[i].numerator(W) for i in voters}
 
     def requirement(S):
         A_S = frozenset.intersection(*(instance.utilities[i].approved for i in S))

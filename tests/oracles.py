@@ -54,6 +54,44 @@ def naive_value(u, T):
     raise ValueError(f"unknown kind {kind}")
 
 
+def _naive_harmonic(x):
+    total = Fraction(0)
+    for j in range(1, x + 1):
+        total = total + Fraction(1, j)
+    return total
+
+
+def _naive_floor(v):
+    f = 0
+    while f + 1 <= v:
+        f += 1
+    return f
+
+
+def oracle_score(rule, instance, W):
+    """The exact pav, snw or gpav score of W from the definitions, one
+    naive_value per voter: pav sums H(u_i) (integer utilities only), snw
+    multiplies 1 + u_i, gpav sums H(floor u_i) + (u_i - floor u_i) / ceil u_i."""
+    from corelect.errors import RuleMismatchError
+
+    values = [naive_value(u, W) for u in instance.utilities]
+    if rule == "snw":
+        product = Fraction(1)
+        for v in values:
+            product = product * (1 + v)
+        return product
+    total = Fraction(0)
+    for v in values:
+        fl = _naive_floor(v)
+        if v == fl:
+            total = total + _naive_harmonic(fl)
+        elif rule == "pav":
+            raise RuleMismatchError("pav requires integer utilities")
+        else:
+            total = total + _naive_harmonic(fl) + (v - fl) / (fl + 1)
+    return total
+
+
 def _all_subsets(pool, max_size=None):
     pool = sorted(pool)
     if max_size is None:

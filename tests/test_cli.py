@@ -416,3 +416,52 @@ def test_experiment_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, ki
     argv = ["experiment", "--kind", kind, "--in", str(inst_path), "--delta", "1/2"]
     assert run([*argv, f"--alpha={alpha}", "--trials", "50", "--report", str(report)]) == 2
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
+    # odd beta: the Quad path of score and of the restrained core's
+    # threshold test; outputs as recorded before the integer path existed
+    inst_path = tmp_path / "lb00.json"
+    assert run(["gen", "--name", "lb00", "--params", "beta=5", "r=1", "--out", str(inst_path)]) == 0
+
+    def payload(*argv):
+        out = tmp_path / "out.json"
+        flag = "--out" if argv[0] == "solve" else "--report"
+        assert run([*argv, "--in", str(inst_path), flag, str(out)]) == 0
+        result = _read(out)
+        result.pop("manifest")
+        return result
+
+    assert payload("solve", "--method", "global", "--rule", "snw") == {
+        "committee": [0, 1, 3],
+        "iterations": 42,
+        "score": {
+            "ln_approx": 0.732902931800679,
+            "rule": "snw",
+            "value": "Quad(697761/400000 + 432/625*sqrt(243/1024))",
+        },
+    }
+    assert payload("solve", "--method", "global", "--rule", "gpav")["score"] == {
+        "rule": "gpav",
+        "value": "Quad(3/5 + 2/5*sqrt(243/1024))",
+    }
+    flags = ["unconstrained-reduces-to-core", "floored-endowment"]
+    stats = {"coalitions": 63, "hatw_sets": 20, "wprime_sets": 160}
+    assert payload(
+        "verify", "--notion", "restrained-core", "--gamma", "e^1", "--committee", "0,1,3"
+    ) == {
+        "flags": flags + ["gamma-sugar-overapproximation-pass-direction-only"],
+        "gamma_or_theta": "5436563657/2000000000",
+        "notion": "restrained_core",
+        "stats": stats,
+        "verdict": "pass",
+    }
+    assert payload(
+        "verify", "--notion", "restrained-core", "--gamma", "1", "--committee", "0,1,2"
+    ) == {
+        "flags": flags,
+        "gamma_or_theta": 1,
+        "notion": "restrained_core",
+        "stats": stats,
+        "verdict": "pass",
+    }

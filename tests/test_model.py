@@ -18,6 +18,7 @@ from corelect.model import (
     check_axioms,
     check_submodular,
     evaluate,
+    gain_threshold,
     self_bounding_constant,
 )
 
@@ -221,6 +222,8 @@ def _assert_matches_naive(u):
     for T in ALL_SUBSETS:
         v = u.value(T)
         assert type(v) is Fraction and v == naive_value(u, T), (u, sorted(T))
+        t = u.numerator(T)
+        assert type(t) is int and Fraction(t, u.scale) == v
 
 
 _settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -257,6 +260,48 @@ def test_scaled_oracles_keep_their_fraction_fields():
     assert u.value({0, 1}) == Fraction(2, 3) and u.value({1, 2}) == Fraction(5, 3)
     assert XOSUtility([dict(cl) for cl in u.to_json()["clauses"]]) == u
     assert AdditiveUtility({}).value({0, 1}) == 0
+
+
+def test_table_and_approval_integer_forms():
+    u = TableUtility({(0,): Fraction(1, 3), (1,): Fraction(1, 2), (0, 1): Fraction(3, 4)})
+    assert u.scale == 12
+    assert [u.numerator(T) for T in ([], [0], [1], [0, 1])] == [0, 4, 6, 9]
+    assert u.value({0, 1}) == Fraction(3, 4)
+    with pytest.raises(MalformedUtilityError):
+        u.numerator({2})
+    a = ApprovalUtility([1, 3])
+    assert a.scale == 1 and a.numerator([1, 2, 3]) == 2 and a.value({1}) == 1
+
+
+# the gammas the verifiers meet: 1, the 16/15 bound, 3/2, 2 and the CLI's e^1
+GAMMAS = (1, Fraction(16, 15), Fraction(3, 2), 2, Fraction(5436563657, 2000000000))
+
+
+@pytest.mark.parametrize("kind", ["approval", "additive", "coverage", "xos", "lb00"])
+def test_gain_threshold_decides_the_exact_inequality(kind):
+    if kind == "lb00":
+        oracles = gen_lb00(5, 1).utilities[:2]
+        universe = range(6)
+    else:
+        rng = rng_from_seed(4242)
+        universe = range(5)
+        oracles = [random_utility(kind, universe, rng) for _ in range(4)]
+    subsets = [frozenset(c for c in universe if mask >> c & 1) for mask in range(1 << len(universe))]
+    for u in oracles:
+        for W in subsets[::3]:
+            for gamma in GAMMAS:
+                need = gamma * (u.value(W) + 1)
+                measure, bar = gain_threshold(u, W, gamma)
+                for T in subsets:
+                    assert (measure(T) >= bar) == (u.value(T) >= need), (u, W, gamma, T)
+
+
+def test_gain_threshold_ties_at_the_bar():
+    # u(T) = 3/2 equals (3/2) * (0 + 1) exactly; one 1/12 less misses it
+    u = AdditiveUtility({0: 1, 1: Fraction(1, 2), 2: Fraction(5, 12)})
+    measure, bar = gain_threshold(u, set(), Fraction(3, 2))
+    assert (u.scale, bar) == (12, 18)
+    assert measure({0, 1}) >= bar and not measure({0, 2}) >= bar
 
 
 # -- the exhaustive sweeps read one subset table; the naive loops are the reference --

@@ -168,6 +168,28 @@ def test_reduction_premises_unmet_is_report_not_exception():
     assert not rep.premises_ok and rep.premise_failures
 
 
+def test_reduction_premise_is_met_exactly_at_the_factor():
+    # eta * beta * gamma^beta = 3/2: voter 0 gets exactly 3/2 * (0 + 1) from T,
+    # voter 1 one twelfth less
+    inst = Instance(
+        [0, 1, 2],
+        [
+            AdditiveUtility({0: 1, 1: Fraction(1, 2)}),
+            AdditiveUtility({0: 1, 1: Fraction(5, 12)}),
+        ],
+        sizes={0: 1, 1: 1, 2: 1},
+        budget=4,
+        validate="trust",
+    )
+    kwargs = dict(W=frozenset({2}), T=frozenset({0, 1}), kappa=2, trials=1, seed=0)
+    rep = endow2_reduction_experiment(inst, S=[0, 1], eta=Fraction(3, 4), gamma=2, **kwargs)
+    assert rep.premise_failures == ["voter 1 misses the eta*beta*gamma^beta factor"]
+    assert endow2_reduction_experiment(inst, S=[0], eta=Fraction(3, 4), gamma=2, **kwargs).premises_ok
+    # gamma^(1/2) is irrational, so a fractional beta is refused, not rounded
+    with pytest.raises(ValueError, match="beta must be an integer"):
+        endow2_reduction_experiment(inst, S=[0], eta=1, gamma=2, beta=Fraction(1, 2), **kwargs)
+
+
 def test_reduction_gamma_one_samples_everything():
     inst = _reduction_instance()
     rep = endow2_reduction_experiment(

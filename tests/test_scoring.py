@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from corelect.errors import RuleMismatchError
-from corelect.model import AdditiveUtility, ApprovalUtility, Instance
+from corelect.exactnum import Quad
+from corelect.instances import gen_lb00, random_instance
+from corelect.model import AdditiveUtility, ApprovalUtility, Instance, TableUtility
 from corelect.scoring import (
     Score,
     delta_star,
@@ -14,6 +16,8 @@ from corelect.scoring import (
     phi,
     score,
 )
+
+from oracles import _all_subsets, oracle_score
 
 
 def _single(u, m=4, k=None):
@@ -140,3 +144,72 @@ def test_delta_star_requires_additive():
     inst = _single(ApprovalUtility([0]))
     with pytest.raises(RuleMismatchError):
         delta_star(inst, set(), 0, [0])
+
+
+# -- score against the naive oracle, on every oracle kind --
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RuleMismatchError:
+        return "mismatch"
+
+
+def _assert_score_matches_oracle(inst, rational=True):
+    for W in _all_subsets(inst.candidates):
+        for rule in ("pav", "snw", "gpav"):
+            mine = _outcome(lambda: score(rule, inst, W).value)
+            assert mine == _outcome(lambda: oracle_score(rule, inst, W)), (rule, sorted(W))
+            if rational and mine != "mismatch":
+                assert type(mine) is Fraction
+
+
+@pytest.mark.parametrize("kind", ["approval", "additive", "coverage", "xos"])
+def test_score_matches_oracle_on_random_instances(kind):
+    for seed in range(6):
+        inst = random_instance(seed, n_max=4, m_max=5, k_max=3, utility_kinds=(kind,))
+        _assert_score_matches_oracle(inst)
+
+
+def test_score_matches_oracle_on_a_mixed_denominator_table():
+    # the table's scale is lcm(3, 2, 5, 6, 10, 4, 7) = 420; two entries are
+    # integers, so pav scores some committees and refuses others
+    entries = {
+        (0,): Fraction(1, 3),
+        (1,): Fraction(1, 2),
+        (2,): 1,
+        (0, 1): Fraction(5, 6),
+        (0, 2): Fraction(7, 10),
+        (1, 2): Fraction(5, 4),
+        (0, 1, 2): 2 + Fraction(1, 7),
+    }
+    u = TableUtility(entries)
+    assert u.scale == 420
+    inst = Instance([0, 1, 2], [u, ApprovalUtility([0, 2])], k=3, validate="trust")
+    _assert_score_matches_oracle(inst)
+    assert score("pav", inst, {2}).value == 2
+    with pytest.raises(RuleMismatchError):
+        score("pav", inst, {0})
+
+
+@pytest.mark.parametrize("beta", [5, 6])
+def test_score_matches_oracle_on_lb00(beta):
+    # odd beta gives Quad values, so this is the exact Fraction/Quad path
+    inst = gen_lb00(beta, 1)
+    _assert_score_matches_oracle(inst, rational=False)
+    if beta % 2:
+        assert isinstance(score("snw", inst, {0, 3}).value, Quad)
+
+
+def test_pav_refuses_a_fractional_additive_voter():
+    inst = Instance(
+        [0, 1],
+        [ApprovalUtility([0, 1]), AdditiveUtility({0: 1, 1: Fraction(1, 2)})],
+        k=2,
+        validate="trust",
+    )
+    assert score("pav", inst, {0}).value == Fraction(2)
+    with pytest.raises(RuleMismatchError):
+        score("pav", inst, {1})
+    assert score("gpav", inst, {0, 1}).value == Fraction(3, 2) + 1 + Fraction(1, 4)

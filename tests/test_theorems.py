@@ -98,3 +98,18 @@ def test_lb1_emptiness_capped_run():
     assert rep.result in ("cap-exceeded", "confirmed-empty")
     assert rep.classes_checked > 0
     assert rep.classes_total == 1_947_792
+
+
+def test_lemma_mat_delta_case_stream_is_pinned(monkeypatch):
+    # the coalition S of each case comes from the doubling test
+    # u_i(T + W) >= 2 (u_i(W) + 1); the sizes |S| pin which seeds become cases
+    import corelect.theorems as theorems
+
+    sizes = []
+    certify = theorems.certified_log_gt
+    monkeypatch.setattr(
+        theorems, "certified_log_gt", lambda x, n: sizes.append(n) or certify(x, n)
+    )
+    result = run_lemma_mat_delta(30)
+    assert result.passed and result.total == 30
+    assert sizes == [2, 1, 1, 2, 3, 1, 1, 2, 1, 2, 2, 1, 1, 2, 1, 2, 3, 1, 4, 2, 1, 3, 4, 1, 2, 4, 2, 4, 4, 2]

@@ -11,10 +11,18 @@ from corelect.instances import (
     gen_xos_example,
     random_instance,
 )
-from corelect.model import AdditiveUtility, ApprovalUtility, Instance
+from corelect.model import (
+    AdditiveUtility,
+    ApprovalUtility,
+    CoverageUtility,
+    Instance,
+    XOSUtility,
+)
 from corelect.solvers import solve_global, solve_local
 from corelect.verifiers import (
     blocks_core,
+    blocks_endowment,
+    blocks_pb_core,
     blocks_restrained_core,
     blocks_restrained_ejr,
     check_core,
@@ -403,21 +411,60 @@ def test_restrained_ejr_reports_are_pinned():
     }
 
 
+E_SUGAR = Fraction(5436563657, 2000000000)  # the CLI's e^1
+GAMMAS = (Fraction(1), Fraction(16, 15), Fraction(3, 2), Fraction(2), E_SUGAR)
+
+
+def _rational(denominators, top=1):
+    """Rationals in [0, top] over the given denominators."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(0, int(top * d)).map(lambda w: Fraction(w, d))
+    )
+
+
+KINDS = ("approval", "additive", "xos", "coverage")
+
+
+def _oracle(cands, kind):
+    """Oracles of one kind over cands; additive, xos and coverage weights
+    have denominators, so their scale D is not 1."""
+    weights = _rational((2, 3, 4, 5))
+    strategies = {
+        "approval": st.sets(st.sampled_from(cands)).map(ApprovalUtility),
+        "additive": st.dictionaries(st.sampled_from(cands), weights).map(AdditiveUtility),
+        "xos": st.lists(
+            st.dictionaries(st.sampled_from(cands), weights), min_size=1, max_size=3
+        ).map(XOSUtility),
+        # every candidate covers one or two of six elements of weight <= 1/2,
+        # which stays within the unit bound
+        "coverage": st.builds(
+            CoverageUtility,
+            st.lists(
+                st.frozensets(st.integers(0, 5), min_size=1, max_size=2),
+                min_size=len(cands),
+                max_size=len(cands),
+            ).map(lambda covers: dict(zip(cands, covers))),
+            st.lists(
+                st.sampled_from((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))),
+                min_size=6,
+                max_size=6,
+            ).map(lambda weights: dict(enumerate(weights))),
+        ),
+    }
+    return strategies[kind]
+
+
 @st.composite
 def _restrained_cases(draw):
-    """A small approval or additive instance under a partition matroid, a
-    feasible W, a mode and a gamma.  Voters are drawn from a pool of at
-    most three oracles, so voter classes merge often."""
+    """A small instance of one oracle kind under a partition matroid, a
+    feasible W, a mode and a gamma, integer or not.  Voters are drawn from
+    a pool of at most three oracles, so voter classes merge often."""
     m = draw(st.integers(2, 5))
     cands = list(range(m))
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, min(3, m)))
-    if draw(st.booleans()):
-        oracle = st.sets(st.sampled_from(cands)).map(ApprovalUtility)
-    else:
-        weight = st.integers(0, 4).map(lambda w: Fraction(w, 4))
-        oracle = st.dictionaries(st.sampled_from(cands), weight).map(AdditiveUtility)
-    pool = draw(st.lists(oracle, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(KINDS))
+    pool = draw(st.lists(_oracle(cands, kind), min_size=1, max_size=3))
     utilities = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
     group_of = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     groups = [[c for c in cands if group_of[c] == g] for g in range(3)]
@@ -430,11 +477,11 @@ def _restrained_cases(draw):
         if family.contains(W | {c}):
             W |= {c}
     mode = draw(st.sampled_from(("subset_of_W", "any_hatW")))
-    gamma = draw(st.sampled_from((Fraction(1), Fraction(2))))
+    gamma = draw(st.sampled_from(GAMMAS))
     return inst, W, mode, gamma
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(_restrained_cases())
 def test_restrained_engine_matches_oracles_and_replays(case):
     inst, W, mode, gamma = case
@@ -446,6 +493,10 @@ def test_restrained_engine_matches_oracles_and_replays(case):
         assert report.witness["S"] == ref_S
         cert = report.witness["completions"]
         assert blocks_restrained_core(inst, W, gamma, ref_S, mode=mode, cert=cert)[0]
+    core = check_core(inst, W, gamma)
+    assert core.verdict == oracle_core(inst, W, gamma)[0]
+    if not core.verdict:
+        assert blocks_core(inst, W, gamma, core.witness["S"], core.witness["T"])
     if all(isinstance(u, ApprovalUtility) for u in inst.utilities):
         report = check_restrained_ejr(inst, W, mode=mode)
         ref, ref_S = oracle_restrained_ejr(inst, W, mode=mode)
@@ -544,3 +595,42 @@ def test_theta_monotone_for_endowment():
         ]
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert not lo or hi
+
+
+@st.composite
+def _budget_cases(draw):
+    """A small budget-mode instance of one rational oracle kind, with
+    rational sizes and budget, and a committee W of at most two."""
+    m = draw(st.integers(2, 5))
+    cands = list(range(m))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(KINDS))
+    utilities = draw(st.lists(_oracle(cands, kind), min_size=n, max_size=n))
+    size = _rational((1, 2, 3, 4), top=2).filter(lambda s: s > 0)
+    sizes = draw(st.lists(size, min_size=m, max_size=m))
+    budget = draw(_rational((1, 2, 3), top=6).filter(lambda b: b > 0))
+    inst = Instance(
+        cands, utilities, sizes=dict(enumerate(sizes)), budget=budget, validate="trust"
+    )
+    W = frozenset(draw(st.sets(st.sampled_from(cands), max_size=2)))
+    return inst, W
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_budget_cases(), st.sampled_from(GAMMAS))
+def test_pb_core_fuzz_matches_oracle_and_replays(case, gamma):
+    inst, W = case
+    report = check_pb_core(inst, W, gamma)
+    assert report.verdict == oracle_pb_core(inst, W, gamma)[0]
+    if not report.verdict:
+        assert blocks_pb_core(inst, W, gamma, report.witness["S"], report.witness["T"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_budget_cases(), st.sampled_from((Fraction(1), Fraction(16, 15), Fraction(3, 2), Fraction(2))))
+def test_endowment_core_fuzz_matches_oracle_and_replays(case, theta):
+    inst, W = case
+    report = check_endowment_core(inst, W, theta)
+    assert report.verdict == oracle_endowment_core(inst, W, theta)[0]
+    if not report.verdict:
+        assert blocks_endowment(inst, W, theta, report.witness["S"], report.witness["T"])
