@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 import time
 from fractions import Fraction
@@ -314,6 +315,10 @@ CLI_SUITE_PARAMS = {
 _SUITE_FLAGS = ("seeds", "r", "beta", "kappa", "eta", "time_cap", "class_cap")  # default None
 # set once the flags are checked; every theorem-suite manifest records them
 _RESOLVED_DEFAULTS = {"kappa": "1.454", "eta": "11.63", "time_cap": 60.0}
+# lb1-emptiness stops at a class count, so its exit code does not depend on
+# the host; 40,000 classes reach r = 5's passing class 32,679.  A wall-clock
+# stop applies only when --time-cap is given.
+_SUITE_DEFAULTS = {"lb1-emptiness": {"time_cap": None, "class_cap": 40_000}}
 
 
 def _suite_kwargs(args) -> dict:
@@ -332,7 +337,7 @@ def _suite_kwargs(args) -> dict:
             option = "--" + flag.replace("_", "-")
             raise FormatError(f"suite {args.name!r} does not take {option}")
         kwargs[params[flag]] = value
-    for flag, default in _RESOLVED_DEFAULTS.items():
+    for flag, default in {**_RESOLVED_DEFAULTS, **_SUITE_DEFAULTS.get(args.name, {})}.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
     return kwargs
@@ -354,11 +359,12 @@ def _cmd_theorem_suite(args) -> int:
         return runner.emit(payload, args.out, EXIT_PASS)
     if args.name == "lb1-emptiness":
         r = 5 if args.r is None else args.r
-        rep = lb1_emptiness_search(r, time_cap_s=args.time_cap, class_cap=args.class_cap)
+        time_cap = math.inf if args.time_cap is None else args.time_cap
+        rep = lb1_emptiness_search(r, time_cap_s=time_cap, class_cap=args.class_cap)
         payload = rep.to_json()
         payload["stopped_by"] = None
         if rep.result == "cap-exceeded":
-            by_class = args.class_cap is not None and rep.classes_checked >= args.class_cap
+            by_class = rep.classes_checked >= args.class_cap
             payload["stopped_by"] = "class-cap" if by_class else "time-cap"
         if rep.result == "counterexample-candidate":
             from .lb_search import verify_passing_class
@@ -463,10 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--time-cap", type=float, default=None, dest="time_cap",
-        help=f"lb1-emptiness only, seconds (default {_RESOLVED_DEFAULTS['time_cap']:g})",
+        help="lb1-emptiness only, seconds (default: no wall-clock stop)",
     )
     p.add_argument(
-        "--class-cap", type=int, default=None, dest="class_cap", help="lb1-emptiness only"
+        "--class-cap", type=int, default=None, dest="class_cap",
+        help=f"lb1-emptiness only (default {_SUITE_DEFAULTS['lb1-emptiness']['class_cap']})",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorem_suite)

@@ -28,9 +28,28 @@ no cap is below the largest need, rho = max(max n, ceil(n(V) / 2)).  The
 search keeps no memo; a query costs at most the 16 terms, over index
 tuples built at import.
 
-The search honors a wall-clock cap and reports honestly: confirmed
-emptiness, cap exceeded (no claim), or a candidate committee that
-passed (which would refute the bound at this scale).
+Targets are integers: u_v is an integer and gamma = p/q, so
+ceil(gamma (u_v + 1)) = -(-p (u_v + 1) // q), with no Fraction per class.
+
+The planner replies of one class are kept in layers by seats used
+(``_ReplyLayers``): layer t lists every h <= counts with sum(h) = t in
+lexicographic order, each with its voter utilities and its least cap
+left in the pool (the caps ``pool - h`` are formed only when a cap is
+below a residual target).  A layer is built the first time a coalition
+reaches it and then serves all 15 coalitions; a layer below every
+coalition's first refuting reply is never built.  A coalition whose
+planner may use L seats walks layers min(L, sum counts) down to 0, and
+within layer t its completion budget min(k', cap - t) is one constant.
+That walk visits the replies in the order of the former single list,
+the lexicographic list sorted stably by descending seats used: a stable
+sort keeps each sum's lexicographic order.  ``verify_passing_class``
+walks the same layers, so it meets the same first refuting reply per
+coalition and its certificates are unchanged.
+
+The search reports honestly: confirmed emptiness, cap exceeded (no
+claim; it stops at a class-count cap or a wall-clock cap), or a
+candidate committee that passed (which would refute the bound at this
+scale).
 """
 
 from __future__ import annotations
@@ -42,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError
-from .exactnum import exact_ceil, parse_rational
+from .exactnum import parse_rational
 from .instances import LB1_PARTIES, LB1_VOTERS
 
 EDGE_ENDPOINTS = tuple(
@@ -123,8 +142,70 @@ def _cover_feasible(needs, caps, budget):
     return _min_cover(needs, caps) <= budget
 
 
-def _utilities(counts):
-    return tuple(counts[e1] + counts[e2] + counts[e3] for e1, e2, e3 in EDGES_OF_VOTER)
+def _utilities(h):
+    """Each voter's utility under party counts h: its three parties' counts."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = EDGES_OF_VOTER
+    return (
+        h[a0] + h[a1] + h[a2], h[b0] + h[b1] + h[b2], h[c0] + h[c1] + h[c2], h[d0] + h[d1] + h[d2]
+    )
+
+
+def _targets(utils, gamma: Fraction):
+    """ceil(gamma * (u + 1)) for each integer utility u, in integers."""
+    p, q = gamma.numerator, gamma.denominator
+    return tuple(-(-p * (u + 1) // q) for u in utils)
+
+
+def _compositions(counts, t):
+    """Every h <= counts (six parties) with sum(h) == t, in lexicographic order."""
+    c0, c1, c2, c3, c4, c5 = counts
+    room4 = c5
+    room3 = c4 + room4
+    room2 = c3 + room3
+    room1 = c2 + room2
+    room0 = c1 + room1  # seats the parties after party 0 can take
+    for a in range(max(0, t - room0), min(c0, t) + 1):
+        ta = t - a
+        for b in range(max(0, ta - room1), min(c1, ta) + 1):
+            tb = ta - b
+            for c in range(max(0, tb - room2), min(c2, tb) + 1):
+                tc = tb - c
+                for d in range(max(0, tc - room3), min(c3, tc) + 1):
+                    td = tc - d
+                    for e in range(max(0, td - room4), min(c4, td) + 1):
+                        yield (a, b, c, d, e, td - e)
+
+
+class _ReplyLayers(dict):
+    """The planner replies under one committee class, by seats used.
+
+    ``self[t]`` lists (h, voter utilities, least cap left in the pool)
+    for every h <= counts with sum(h) == t, in lexicographic order; a
+    layer is built on first use.
+    """
+
+    def __init__(self, counts, pool):
+        super().__init__()
+        self.counts = counts
+        self.pool = pool
+        self.seats = sum(counts)
+
+    def __missing__(self, t):
+        pool = self.pool
+        layer = self[t] = [
+            (h, _utilities(h), pool - max(h)) for h in _compositions(self.counts, t)
+        ]
+        return layer
+
+    def caps(self, h):
+        """Units of each party left in the pool after reply h."""
+        return tuple(self.pool - c for c in h)
+
+    def walk(self, limit):
+        """(seats used, layer) for the replies using at most ``limit``
+        seats, largest first."""
+        for t in range(min(limit, self.seats), -1, -1):
+            yield t, self[t]
 
 
 @dataclass
@@ -205,17 +286,22 @@ def verify_passing_class(r: int, counts, gamma=Fraction(16, 15), pool_size=None)
     pool = cap if pool_size is None else int(pool_size)
     counts = tuple(int(c) for c in counts)
     utils = _utilities(counts)
-    needs_full = tuple(exact_ceil(gamma * (u + 1)) for u in utils)
+    needs_full = _targets(utils, gamma)
     certificates = []
-    hat_cache: dict = {}
+    layers = _ReplyLayers(counts, pool)
     for S in COALITIONS:
         kprime = (len(S) * k) // 4
         refuting = None
-        for hatw, caps, hat_used, hat_util in _hat_iter(counts, k - kprime, pool, hat_cache):
+        replies = (
+            (min(kprime, cap - t), reply)
+            for t, layer in layers.walk(k - kprime)
+            for reply in layer
+        )
+        for budget, (hatw, hat_util, _) in replies:
+            caps = layers.caps(hatw)
             residual = tuple(
                 needs_full[v] - hat_util[v] if v in S else 0 for v in range(4)
             )
-            budget = min(kprime, cap - hat_used)
             if not _cover_feasible_second_opinion(residual, caps, budget):
                 refuting = {
                     "coalition": S,
@@ -259,48 +345,52 @@ def _class_iter(pool, cap, k):
 
 
 def _blocking_coalition_exists(counts, pool, cap, k, needs):
-    """Is there a coalition that blocks the committee with these counts?"""
-    hat_cache: dict = {}
+    """Is there a coalition that blocks the committee with these counts?
+
+    Returns (True, S) for the first blocking S in ``COALITIONS`` order,
+    else (False, None).  S is refuted by a planner reply whose residual
+    targets no completion within the budget can cover; the cover test is
+    ``_cover_feasible`` inlined on the coalition's residuals."""
+    layers = _ReplyLayers(counts, pool)
     for S in COALITIONS:
-        kprime = (len(S) * k) // 4
-        if any(needs[v] > 3 * pool for v in S):
+        targets = tuple((v, needs[v]) for v in S)
+        if any(n > 3 * pool for _, n in targets):
             continue  # unreachable target even with every approved candidate
-        # planner replies: non-dummy count vectors below the committee's
-        for _, caps, hat_used, hat_util in _hat_iter(counts, k - kprime, pool, hat_cache):
-            residual = tuple(
-                needs[v] - hat_util[v] if v in S else 0 for v in range(4)
-            )
-            if not _cover_feasible(residual, caps, min(kprime, cap - hat_used)):
-                break
-        else:
+        kprime = (len(S) * k) // 4
+        if _first_refuting_reply(layers, targets, k - kprime, kprime, cap) is None:
             return True, S
     return False, None
 
 
-def _hat_iter(counts, hat_limit, pool, cache):
-    """Planner replies under ``counts`` using at most ``hat_limit`` seats,
-    as (reply, per-party caps left in a pool of ``pool``, seats used,
-    voter utilities), largest first."""
-    key = (counts, hat_limit)
-    if key not in cache:
-        options = []
+def _first_refuting_reply(layers, targets, hat_limit, kprime, cap):
+    """The first reply, in layer order, after which the coalition with
+    these (voter, target) pairs cannot reach every target, or None.
 
-        def rec(idx, remaining, prefix):
-            if idx == 6:
-                options.append(tuple(prefix))
-                return
-            for c in range(min(counts[idx], remaining) + 1):
-                prefix.append(c)
-                rec(idx + 1, remaining - c, prefix)
-                prefix.pop()
-
-        rec(0, hat_limit, [])
-        # try cap-hungry planner replies first: refutations come fast
-        options.sort(key=lambda h: -sum(h))
-        cache[key] = [
-            (h, tuple(pool - c for c in h), sum(h), _utilities(h)) for h in options
-        ]
-    return cache[key]
+    A residual never exceeds the caps on its voter's three edges: they sum
+    to 3 * pool - u_v, and every target is at most 3 * pool.  So the
+    per-voter reach test of ``_cover_feasible`` always passes here."""
+    for t, layer in layers.walk(hat_limit):
+        budget = min(kprime, cap - t)
+        for reply in layer:
+            util = reply[1]
+            residual = [0, 0, 0, 0]
+            top = total = 0
+            for v, n in targets:
+                d = n - util[v]
+                if d > 0:
+                    residual[v] = d
+                    total += d
+                    if d > top:
+                        top = d
+            if not total:
+                continue
+            # max(top, ceil(total / 2)) bounds the least cover from below,
+            # and equals it when no cap is below the largest residual
+            if top > budget or total > 2 * budget:
+                return reply
+            if reply[2] < top and _min_cover(residual, layers.caps(reply[0])) > budget:
+                return reply
+    return None
 
 
 def lb1_emptiness_search(
@@ -345,8 +435,7 @@ def lb1_emptiness_search(
                 "no stability claim is made for the unchecked remainder"
             )
             break
-        utils = _utilities(counts)
-        needs = tuple(exact_ceil(gamma * (u + 1)) for u in utils)
+        needs = _targets(_utilities(counts), gamma)
         blocked, S = _blocking_coalition_exists(counts, pool, cap, k, needs)
         checked += 1
         if not blocked:

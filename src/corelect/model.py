@@ -453,8 +453,8 @@ def _masks(m: int, sizes=None):
 
 
 class _SubsetTable:
-    """u over the subsets of a sorted, distinct universe, one ``u.value``
-    call per subset of each size layer filled (every layer by default).
+    """u over the subsets of a sorted, distinct universe, one evaluation
+    per subset of each size layer filled (every layer by default).
 
     Bit i of a mask stands for ``universe[i]``, and u(mask) equals
     (rat[mask] + irr[mask] * sqrt(radicand)) / den with integers only;
@@ -480,12 +480,24 @@ class _SubsetTable:
         self.fill(range(len(universe) + 1) if sizes is None else sizes)
 
     def fill(self, sizes):
-        """Evaluate u on every subset of each of the given sizes."""
-        rat, irr, factor, value = self.rat, self.irr, self._factor, self.u.value
+        """Evaluate u on every subset of each of the given sizes: a rational
+        oracle's ``numerator`` over its fixed ``scale``, else ``value``."""
+        rat, irr, factor = self.rat, self.irr, self._factor
         subsets = itertools.chain.from_iterable(
             itertools.combinations(self.universe, size) for size in sizes
         )
-        for mask, members in zip(_masks(len(self.universe), sizes), subsets):
+        masks = _masks(len(self.universe), sizes)
+        if isinstance(self.u, RationalUtility):
+            numerator, scale = self.u.numerator, self.u.scale
+            f = factor.get(scale) or self._grow(scale)
+            for mask, members in zip(masks, subsets):
+                try:
+                    rat[mask] = numerator(frozenset(members)) * f
+                except MalformedUtilityError as exc:
+                    self.errors[mask] = exc
+            return
+        value = self.u.value
+        for mask, members in zip(masks, subsets):
             try:
                 v = value(frozenset(members))
             except MalformedUtilityError as exc:

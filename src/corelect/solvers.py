@@ -80,7 +80,7 @@ def solve_global(instance: Instance, rule: str) -> SolveResult:
         key = tuple(sorted(T))
         if best is None or s > best[0]:
             best = (s, key, T)
-        elif not s < best[0]:
+        elif s == best[0]:
             # score tie: prefer the larger committee, then the
             # lexicographically smallest sorted id sequence
             if len(key) > len(best[1]) or (len(key) == len(best[1]) and key < best[1]):

@@ -9,6 +9,7 @@ cross-check the optimized implementations; keep them dumb.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -90,6 +91,23 @@ def oracle_score(rule, instance, W):
         else:
             total = total + _naive_harmonic(fl) + (v - fl) / (fl + 1)
     return total
+
+
+def oracle_global(rule, instance):
+    """The Global committee by full enumeration: every subset of at most k
+    candidates that the family admits, ranked by ``oracle_score``, then by
+    size (larger first), then by sorted ids (lexicographically smallest
+    first).  Returns (members, score value)."""
+    from corelect.constraints import is_feasible
+
+    ranked = []
+    for T in _all_subsets(sorted(instance.candidates), instance.k):
+        if is_feasible(instance.feasibility, T):
+            ranked.append((oracle_score(rule, instance, T), len(T), sorted(T)))
+    top = max(v for v, _, _ in ranked)
+    tied = [(size, ids) for v, size, ids in ranked if v == top]
+    largest = max(size for size, _ in tied)
+    return frozenset(min(ids for size, ids in tied if size == largest)), top
 
 
 def _all_subsets(pool, max_size=None):
@@ -396,3 +414,42 @@ def oracle_min_cover(needs, caps):
         if all(g >= n for g, n in zip(got, needs)) and (best is None or sum(x) < best):
             best = sum(x)
     return best
+
+
+def _lb1_utilities(h):
+    """Each voter's utility from party counts h: the sum over its three edges."""
+    return tuple(sum(h[e] for e, ends in enumerate(K4_EDGES) if v in ends) for v in range(4))
+
+
+def oracle_hat_iter(counts, hat_limit, pool):
+    """The lb1 planner replies under ``counts`` as one list: every h <= counts
+    using at most ``hat_limit`` seats, in lexicographic order, then sorted
+    stably by seats used, largest first.  Each entry is (h, caps left in a
+    pool of ``pool``, seats used, voter utilities)."""
+    replies = [
+        h for h in itertools.product(*(range(c + 1) for c in counts)) if sum(h) <= hat_limit
+    ]
+    replies.sort(key=lambda h: -sum(h))
+    return [(h, tuple(pool - c for c in h), sum(h), _lb1_utilities(h)) for h in replies]
+
+
+def oracle_blocking_coalition(counts, pool, cap, k, gamma):
+    """The first coalition (largest first, then lexicographic) that reaches
+    its targets ceil(gamma (u + 1)) after every planner reply of
+    ``oracle_hat_iter``, or None when the lb1 class passes.  A reply is
+    answered by the library's ``_cover_feasible``, which the cover tests
+    check against ``oracle_cover_feasible``."""
+    from corelect.lb_search import _cover_feasible
+
+    needs = [math.ceil(Fraction(gamma) * (u + 1)) for u in _lb1_utilities(counts)]
+    for size in (4, 3, 2, 1):
+        kprime = size * k // 4
+        replies = oracle_hat_iter(counts, k - kprime, pool)
+        for S in itertools.combinations(range(4), size):
+            for _, caps, used, util in replies:
+                residual = [needs[v] - util[v] if v in S else 0 for v in range(4)]
+                if not _cover_feasible(residual, caps, min(kprime, cap - used)):
+                    break
+            else:
+                return S
+    return None

@@ -1,12 +1,13 @@
 import inspect
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from corelect.cli import CLI_SUITE_PARAMS, SUITE_PARAMS, parse_gamma, run
 from corelect.instances import endow2_bound
-from corelect.lb_search import lb1_emptiness_search
+from corelect.lb_search import EmptinessReport, lb1_emptiness_search
 from corelect.theorems import THEOREM_SUITES
 from corelect.serialize import load_instance
 
@@ -271,6 +272,27 @@ def test_lb1_emptiness_suite_reports_honestly(tmp_path):
     assert report["stopped_by"] == "class-cap"
 
 
+def test_lb1_emptiness_stops_at_a_class_count_by_default(tmp_path, monkeypatch):
+    # omitted caps resolve to 40,000 classes and no wall clock, so the exit
+    # code of a default run does not depend on the host's speed
+    seen = {}
+
+    def search(r, time_cap_s, class_cap):
+        seen.update(r=r, time_cap_s=time_cap_s, class_cap=class_cap)
+        return EmptinessReport(
+            "cap-exceeded", Fraction(16, 15), r, 1_947_792, classes_checked=class_cap
+        )
+
+    monkeypatch.setattr("corelect.cli.lb1_emptiness_search", search)
+    out = tmp_path / "lb1.json"
+    assert run(["theorem-suite", "--name", "lb1-emptiness", "--out", str(out)]) == 0
+    assert seen == {"r": 5, "time_cap_s": math.inf, "class_cap": 40_000}
+    report = _read(out)
+    assert report["stopped_by"] == "class-cap"
+    assert report["manifest"]["flags"]["class_cap"] == 40_000
+    assert "time_cap" not in report["manifest"]["flags"]
+
+
 @pytest.mark.parametrize(
     "name, seeds, cases",
     [("lb1-points", 3, 4 * 3), ("tight-upper", 2, 3 * 2), ("sampling-bound", 2, 4 * 2 + 1)],
@@ -341,7 +363,8 @@ def test_cli_suite_params_name_real_parameters():
         (["--name", "tight-lower"], {}),
         (["--name", "endow2-value"], {}),
         (["--name", "endow2-value", "--kappa", "3/2"], {"kappa": "3/2"}),
-        (["--name", "lb1-emptiness", "--class-cap", "20"], {"class_cap": 20}),
+        # lb1-emptiness has no wall-clock stop unless --time-cap is given
+        (["--name", "lb1-emptiness", "--class-cap", "20"], {"class_cap": 20, "time_cap": None}),
         (
             ["--name", "lb1-emptiness", "--class-cap", "20", "--time-cap", "90"],
             {"class_cap": 20, "time_cap": 90.0},
@@ -349,7 +372,8 @@ def test_cli_suite_params_name_real_parameters():
     ],
 )
 def test_theorem_suite_manifest_records_resolved_defaults(tmp_path, argv, flags):
-    # the flags every theorem-suite manifest recorded before the defaults moved
+    # the flags every theorem-suite manifest recorded before the defaults moved;
+    # a flag resolved to None is left out of the manifest
     out = tmp_path / "suite.json"
     assert run(["theorem-suite", *argv, "--out", str(out)]) == 0
     expected = {
@@ -362,6 +386,7 @@ def test_theorem_suite_manifest_records_resolved_defaults(tmp_path, argv, flags)
         "time_cap": 60.0,
         **flags,
     }
+    expected = {key: value for key, value in expected.items() if value is not None}
     manifest = _read(out)["manifest"]
     assert manifest["flags"] == expected
     assert list(manifest["flags"]) == sorted(expected)

@@ -481,6 +481,24 @@ def test_axiom_scan_evaluates_no_layer_past_its_early_break():
     assert len(calls) == 1 + 12 + 66 and len(set(calls)) == len(calls)
 
 
+def test_subset_table_reads_a_rational_oracle_by_numerator():
+    # one integer numerator per subset and no Fraction value; the result is unchanged
+    calls = {"numerator": 0, "value": 0}
+
+    class Counted(AdditiveUtility):
+        def numerator(self, T):
+            calls["numerator"] += 1
+            return super().numerator(T)
+
+        def value(self, T):
+            calls["value"] += 1
+            return super().value(T)
+
+    u = Counted({0: Fraction(1, 2), 1: Fraction(1, 3), 2: 1, 3: Fraction(3, 4)})
+    assert self_bounding_constant(u, range(4)) == Fraction(1)
+    assert calls == {"numerator": 2**4, "value": 0}
+
+
 @pytest.mark.parametrize(
     "u1, u01, beta, holds",
     [((-1, 1), (-1, -1), 1, True), ((Fraction(-1, 2), -1), (2, 1), 4, False)],

@@ -71,9 +71,9 @@ def test_sampling_bound_size_cap_comes_before_any_evaluation():
     calls = []
 
     class Counted(AdditiveUtility):
-        def value(self, T):
+        def numerator(self, T):
             calls.append(T)
-            return super().value(T)
+            return super().numerator(T)
 
     u = Counted({c: Fraction(1, 2) for c in range(17)})
     with pytest.raises(EnumerationLimitError, match="exact cap 16"):

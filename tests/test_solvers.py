@@ -14,6 +14,7 @@ from corelect.model import AdditiveUtility, ApprovalUtility, Instance
 from corelect.scoring import score
 from corelect.solvers import SolverConfig, solve_global, solve_local
 from corelect.theorems import tight_lower_instance
+from oracles import oracle_global
 
 
 def test_global_single_voter_takes_top_weights():
@@ -132,3 +133,35 @@ def test_global_prefers_larger_committee_on_ties():
     inst = gen_rest1(2)
     result = solve_global(inst, "snw")
     assert result.committee.size == inst.k
+
+
+@pytest.mark.parametrize(
+    "approved, k, expected",
+    [
+        ([[0, 1], [2, 3]], 2, {0, 2}),  # four committees tie: the smallest ids win
+        ([[0], [1]], 3, {0, 1, 2}),  # a third seat adds nothing: the larger committee wins
+    ],
+)
+def test_global_tie_break_on_hand_built_ties(approved, k, expected):
+    inst = Instance(range(4), [ApprovalUtility(a) for a in approved], k=k, validate="trust")
+    for rule in ("pav", "snw", "gpav"):
+        assert solve_global(inst, rule).committee.members == expected
+        assert oracle_global(rule, inst)[0] == expected
+
+
+@pytest.mark.parametrize("rule", ["pav", "snw", "gpav"])
+def test_global_matches_exhaustive_oracle_with_its_tie_break(rule):
+    # pav needs integer utilities; approval voters tie often under every rule
+    kinds = ("approval",) if rule == "pav" else ("approval", "additive", "xos")
+    solved = 0
+    for seed in range(30):
+        inst = random_instance(seed + 600, utility_kinds=kinds)
+        try:
+            result = solve_global(inst, rule)
+        except InfeasibleInstanceError:
+            continue
+        members, value = oracle_global(rule, inst)
+        assert result.committee.members == members, seed
+        assert result.score.value == value, seed
+        solved += 1
+    assert solved >= 20
