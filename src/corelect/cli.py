@@ -313,12 +313,14 @@ CLI_SUITE_PARAMS = {
     "lb1-emptiness": {"r": "r", "time_cap": "time_cap_s", "class_cap": "class_cap"},
 }
 _SUITE_FLAGS = ("seeds", "r", "beta", "kappa", "eta", "time_cap", "class_cap")  # default None
-# set once the flags are checked; every theorem-suite manifest records them
-_RESOLVED_DEFAULTS = {"kappa": "1.454", "eta": "11.63", "time_cap": 60.0}
-# lb1-emptiness stops at a class count, so its exit code does not depend on
-# the host; 40,000 classes reach r = 5's passing class 32,679.  A wall-clock
-# stop applies only when --time-cap is given.
-_SUITE_DEFAULTS = {"lb1-emptiness": {"time_cap": None, "class_cap": 40_000}}
+# the defaults of the flags a suite takes, set once the flags are checked, so
+# the manifest records them.  lb1-emptiness stops at a class count, so its
+# exit code does not depend on the host; 40,000 classes reach r = 5's passing
+# class 32,679.  A wall-clock stop applies only when --time-cap is given.
+_SUITE_DEFAULTS = {
+    "endow2-value": {"kappa": "1.454", "eta": "11.63"},
+    "lb1-emptiness": {"class_cap": 40_000},
+}
 
 
 def _suite_kwargs(args) -> dict:
@@ -337,7 +339,7 @@ def _suite_kwargs(args) -> dict:
             option = "--" + flag.replace("_", "-")
             raise FormatError(f"suite {args.name!r} does not take {option}")
         kwargs[params[flag]] = value
-    for flag, default in {**_RESOLVED_DEFAULTS, **_SUITE_DEFAULTS.get(args.name, {})}.items():
+    for flag, default in _SUITE_DEFAULTS.get(args.name, {}).items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
     return kwargs
@@ -460,13 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=None, help="number of random cases")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--beta", type=int, default=None)
-    p.add_argument(
-        "--kappa", default=None,
-        help=f"endow2-value only (default {_RESOLVED_DEFAULTS['kappa']})",
-    )
-    p.add_argument(
-        "--eta", default=None, help=f"endow2-value only (default {_RESOLVED_DEFAULTS['eta']})"
-    )
+    endow2 = _SUITE_DEFAULTS["endow2-value"]
+    p.add_argument("--kappa", default=None, help=f"endow2-value only (default {endow2['kappa']})")
+    p.add_argument("--eta", default=None, help=f"endow2-value only (default {endow2['eta']})")
     p.add_argument(
         "--time-cap", type=float, default=None, dest="time_cap",
         help="lb1-emptiness only, seconds (default: no wall-clock stop)",
@@ -499,7 +497,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EnumerationLimitError as exc:
-        print(f"error: {exc} (reduce the instance or raise the cap)", file=sys.stderr)
+        print(f"error: {exc} (reduce the instance)", file=sys.stderr)
         return EXIT_USAGE
     except CorelectError as exc:
         print(f"error: {exc}", file=sys.stderr)

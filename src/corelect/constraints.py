@@ -17,9 +17,8 @@ from .errors import (
     EnumerationLimitError,
     MatroidAxiomViolation,
     NotABasisError,
+    require_work,
 )
-
-SUBSET_CAP = 1 << 20  # hard cap on brute-force completability searches
 
 
 def _frozen(T: Iterable[int]) -> frozenset:
@@ -227,8 +226,9 @@ def is_q_completable(
 
     Returns (verdict, witness): the lexicographically-least witness when
     true (searched by size 0 upward, candidates in id order), else None.
-    Downward-closed kinds answer directly; general kinds enumerate up to
-    the subset cap.
+    Downward-closed kinds answer directly; general kinds enumerate, and
+    since the search stops at its first witness, its subsets are counted
+    as they go against the work limit.
     """
     hatW = _frozen(hatW)
     if q < 0:
@@ -249,14 +249,11 @@ def is_q_completable(
                     best = (key, witness)
         return (True, best[1]) if best else (False, None)
     pool = sorted(set(universe) - hatW)
-    count = 0
-    for size in range(q + 1):
-        for extra in itertools.combinations(pool, size):
-            count += 1
-            if count > SUBSET_CAP:
-                raise EnumerationLimitError("completability search exceeds subset cap")
-            if P.contains(hatW | frozenset(extra)):
-                return True, frozenset(extra)
+    extras = itertools.chain.from_iterable(itertools.combinations(pool, s) for s in range(q + 1))
+    for count, extra in enumerate(extras, 1):
+        require_work(count, "the completability search")
+        if P.contains(hatW | frozenset(extra)):
+            return True, frozenset(extra)
     return False, None
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one work limit
+every exhaustive search is held to."""
+
+import math
+
+# the most steps (subsets, committees or table entries) any exhaustive
+# search may take; each entry point estimates its steps before it starts
+WORK_LIMIT = 1 << 20
 
 
 class CorelectError(Exception):
@@ -10,7 +17,21 @@ class MalformedUtilityError(CorelectError):
 
 
 class EnumerationLimitError(CorelectError):
-    """An exhaustive search would exceed the configured subset cap."""
+    """An exhaustive search would take more than WORK_LIMIT steps; the
+    message states the estimated steps."""
+
+
+def subsets_up_to(m: int, size: int) -> int:
+    """The number of subsets of an m-set with at most ``size`` members."""
+    return sum(math.comb(m, s) for s in range(min(size, m) + 1))
+
+
+def require_work(steps: int, what: str) -> None:
+    """Refuse ``what`` up front when its estimated ``steps`` exceed WORK_LIMIT."""
+    if steps > WORK_LIMIT:
+        raise EnumerationLimitError(
+            f"{what} would take {steps} steps, over the work limit {WORK_LIMIT}"
+        )
 
 
 class RuleMismatchError(CorelectError):

@@ -36,14 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    EnumerationLimitError,
-    InfeasibleInstanceError,
-    MalformedUtilityError,
-)
+from .errors import WORK_LIMIT, InfeasibleInstanceError, MalformedUtilityError, require_work
 from .exactnum import ExactValue, Quad, int_sign, parse_rational
-
-EXHAUSTIVE_LIMIT = 20  # 2**20 subsets is the hard cap for exhaustive checks
 
 
 def _as_frozen(T: Iterable[int]) -> frozenset:
@@ -553,23 +547,21 @@ class _SubsetTable:
 def check_axioms(
     u: UtilityFunction,
     universe: Sequence[int],
-    limit: int = EXHAUSTIVE_LIMIT,
     sample_budget: Optional[int] = None,
     seed: int = 0,
 ) -> AxiomReport:
     """Exhaustively test monotonicity and the unit-Lipschitz bound.
 
     Over every (T, j): u(T) <= u(T + {j}) and u(T) - u(T - {j}) <= 1.
-    Returns the violating (T, j) on failure.  If the universe exceeds the
-    exhaustive limit, a seeded Monte-Carlo budget may be passed instead.
+    Returns the violating (T, j) on failure.  The exhaustive scan takes
+    2^m steps; past the work limit, a seeded Monte-Carlo budget may be
+    passed instead.
     """
     universe = sorted(set(universe))
-    exhaustive = len(universe) <= limit
-    if not exhaustive and sample_budget is None:
-        raise EnumerationLimitError(
-            f"universe of {len(universe)} exceeds exhaustive limit {limit}; "
-            "pass sample_budget for a Monte-Carlo check"
-        )
+    m = len(universe)
+    exhaustive = 1 << m <= WORK_LIMIT
+    if sample_budget is None:
+        require_work(1 << m, f"the axiom check of {m} candidates (or pass sample_budget)")
     if exhaustive:
         mono_w, lip_w, checked = _axiom_scan(u, universe)
     else:
@@ -642,17 +634,14 @@ def _sampled_axiom_scan(u: UtilityFunction, universe: Sequence[int], subsets):
     return mono_w, lip_w, checked
 
 
-def self_bounding_constant(
-    u: UtilityFunction, universe: Sequence[int], limit: int = EXHAUSTIVE_LIMIT
-) -> ExactValue:
+def self_bounding_constant(u: UtilityFunction, universe: Sequence[int]) -> ExactValue:
     """Minimal beta* with sum of removal marginals <= beta* * u(T) over all T.
 
     beta* = max over T with u(T) > 0 of (sum_j (u(T) - u(T - {j}))) / u(T);
-    if u vanishes everywhere, returns 0 by convention.
+    if u vanishes everywhere, returns 0 by convention.  Takes 2^m steps.
     """
     universe = sorted(set(universe))
-    if len(universe) > limit:
-        raise EnumerationLimitError(f"universe of {len(universe)} exceeds limit {limit}")
+    require_work(1 << len(universe), f"beta* of {len(universe)} candidates")
     return _self_bounding(_SubsetTable(u, universe))
 
 
@@ -691,17 +680,15 @@ def _self_bounding(table: _SubsetTable) -> ExactValue:
     return table.exact(a * c - b * e * n, b * c - a * e, c * c - e * e * n)
 
 
-def check_submodular(
-    u: UtilityFunction, universe: Sequence[int], limit: int = EXHAUSTIVE_LIMIT
-):
-    """Exhaustive submodularity check over (T1 <= T2, j in T1).
+def check_submodular(u: UtilityFunction, universe: Sequence[int]):
+    """Exhaustive submodularity check over (T1 <= T2, j in T1), 4^m subset
+    pairs.
 
     Returns (True, None) or (False, (T1, T2, j)) on the first violation of
     u(T1) - u(T1 - {j}) >= u(T2) - u(T2 - {j}).
     """
     universe = sorted(set(universe))
-    if len(universe) > limit // 2:
-        raise EnumerationLimitError("universe too large for the pairwise subset scan")
+    require_work(4 ** len(universe), f"the submodularity check of {len(universe)} candidates")
     subsets = list(_subset_iter(universe))
     values = {T: u.value(T) for T in subsets}
     for T2 in subsets:

@@ -19,16 +19,15 @@ import numpy as np
 
 from .constraints import extend_to_basis, is_basis, is_feasible
 from .errors import (
-    EnumerationLimitError,
     InfeasibleInstanceError,
     NotABasisError,
     UnsupportedConstraintError,
+    require_work,
+    subsets_up_to,
 )
 from .intervals import certified_log_gt
 from .model import Committee, Instance
 from .scoring import Score, score
-
-GLOBAL_ENUM_LIMIT = 24  # candidate cap for subset enumeration in Global
 
 
 @dataclass
@@ -57,10 +56,7 @@ def _enumerate_family(instance: Instance):
             if len(member) <= instance.k:
                 yield member
         return
-    if instance.m > GLOBAL_ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"global enumeration needs m <= {GLOBAL_ENUM_LIMIT}, got {instance.m}"
-        )
+    require_work(subsets_up_to(instance.m, instance.k), "Global's committee enumeration")
     cands = sorted(instance.candidates)
     for size in range(instance.k + 1):
         for T in itertools.combinations(cands, size):
@@ -70,7 +66,10 @@ def _enumerate_family(instance: Instance):
 
 
 def solve_global(instance: Instance, rule: str) -> SolveResult:
-    """Exact maximizer of the rule's score over the feasibility family."""
+    """Exact maximizer of the rule's score over the feasibility family.
+
+    A non-explicit family is enumerated as every committee of size <= k,
+    and refused up front when those exceed the work limit."""
     instance.require_k_mode("solve_global")
     best = None  # (score, sorted-id tuple, members)
     count = 0

@@ -8,6 +8,7 @@ shared by the test suite and the command-line runner.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InfeasibleInstanceError
@@ -449,27 +450,33 @@ def _random_small(seedstream, kinds=("approval", "additive", "coverage", "xos"))
     return u, candidates, rng
 
 
+def _accepted_cases(draw, count: int, seed0: int):
+    """(seed, case) for the first ``count`` seeds from seed0 upward whose
+    draw is accepted; ``draw(seed)`` returns the case, or None to reject."""
+    drawn = ((seed, draw(seed)) for seed in itertools.count(seed0))
+    return itertools.islice(((seed, case) for seed, case in drawn if case is not None), count)
+
+
 def run_lemma_smoothed_log(count: int = 500, seed0: int = 7000) -> SuiteResult:
     """ln(1+u(W)) - ln(1+u(W-j)) <= (u(W) - u(W-j)) / u(W) when u(W) > 0."""
     result = SuiteResult("lemma-smoothed-log")
-    case = 0
-    seed = seed0
-    while case < count:
+
+    def draw(seed):
         u, candidates, rng = _random_small(seed)
-        seed += 1
         size = int(rng.integers(1, len(candidates) + 1))
         W = frozenset(int(c) for c in rng.permutation(len(candidates))[:size])
         a = u.value(W)
         if not a > 0:
-            continue
+            return None
         j = sorted(W)[int(rng.integers(0, len(W)))]
-        b = u.value(W - {j})
-        case += 1
+        return W, j, a, u.value(W - {j})
+
+    for seed, (W, j, a, b) in _accepted_cases(draw, count, seed0):
         if a == b:
-            continue  # both sides zero
+            continue  # both sides zero: counted in the total, not recorded
         ratio = (1 + a) / (1 + b)
         ok = certified_log_le(ratio, (a - b) / a)
-        result.record(ok, f"seed {seed - 1}: W={sorted(W)}, j={j}")
+        result.record(ok, f"seed {seed}: W={sorted(W)}, j={j}")
     result.total = count
     return result
 
@@ -536,11 +543,9 @@ def run_lemma_mat_delta(count: int = 500, seed0: int = 7400) -> SuiteResult:
     """When a disjoint T more than doubles every coalition member's
     utility-plus-one, the average snw add marginal over T exceeds |S|/|T|."""
     result = SuiteResult("lemma-mat-delta")
-    case = 0
-    seed = seed0
-    while case < count:
+
+    def draw(seed):
         rng = rng_from_seed(seed)
-        seed += 1
         n = int(rng.integers(1, 5))
         m = int(rng.integers(6, 11))
         candidates = list(range(m))
@@ -554,15 +559,14 @@ def run_lemma_mat_delta(count: int = 500, seed0: int = 7400) -> SuiteResult:
         T = frozenset(perm[w_size : w_size + t_size])
         tests = (gain_threshold(u, W, 2) for u in utilities)
         S = [i for i, (measure, bar) in enumerate(tests) if measure(T | W) >= bar]
-        if not S:
-            continue
-        case += 1
+        return (inst, W, T, S) if S else None
+
+    for seed, (inst, W, T, S) in _accepted_cases(draw, count, seed0):
         product = Fraction(1)
         for c in sorted(T):
             product *= marginal_add("snw", inst, W, c).total
         ok = certified_log_gt(product, len(S))
-        result.record(ok, f"seed {seed - 1}: product vs e^{len(S)}")
-    result.total = count
+        result.record(ok, f"seed {seed}: product vs e^{len(S)}")
     return result
 
 
@@ -570,11 +574,9 @@ def run_lemma_m2(count: int = 500, seed0: int = 7500) -> SuiteResult:
     """At a gpav local optimum, the out-of-committee mass of Delta* is
     bounded by (alpha-beta)/(1-beta) * (n - in-committee mass)."""
     result = SuiteResult("lemma-m2")
-    case = 0
-    seed = seed0
-    while case < count:
+
+    def draw(seed):
         rng = rng_from_seed(seed)
-        seed += 1
         n = int(rng.integers(2, 6))
         m = int(rng.integers(4, 9))
         k = int(rng.integers(2, min(m, 5)))
@@ -587,18 +589,18 @@ def run_lemma_m2(count: int = 500, seed0: int = 7500) -> SuiteResult:
         alpha = Fraction(s_size, n)
         t_cap = int(alpha * k)
         if t_cap < 1:
-            continue
+            return None
         t_size = int(rng.integers(1, t_cap + 1))
         T = frozenset(int(c) for c in rng.permutation(m)[:t_size])
         beta = Fraction(len(T & W), k)
-        if beta >= 1:
-            continue
-        case += 1
+        return (inst, W, S, T, alpha, beta) if beta < 1 else None
+
+    for seed, (inst, W, S, T, alpha, beta) in _accepted_cases(draw, count, seed0):
+        n = inst.n
         m1 = sum((delta_star(inst, W, c, S) for c in T & W), Fraction(0))
         m2 = sum((delta_star(inst, W, c, S) for c in T - W), Fraction(0))
         ok = m2 <= (alpha - beta) / (1 - beta) * (n - m1)
-        result.record(ok, f"seed {seed - 1}: M2*={m2} exceeds bound")
-    result.total = count
+        result.record(ok, f"seed {seed}: M2*={m2} exceeds bound")
     return result
 
 

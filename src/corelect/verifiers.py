@@ -29,21 +29,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .constraints import is_feasible, is_q_completable
-from .errors import EnumerationLimitError, RuleMismatchError
+from .errors import RuleMismatchError, require_work, subsets_up_to
 from .exactnum import parse_rational, rational_to_json
 from .model import ApprovalUtility, Instance, exact_measure, gain_threshold
 
 NOTIONS = ("core", "restrained_core", "restrained_ejr", "endowment_core", "pb_core")
-
-DEFAULT_SUBSET_CAP = 1 << 20
-RESTRAINED_N_CAP = 10
-RESTRAINED_M_CAP = 14
 
 
 @dataclass
@@ -89,14 +84,6 @@ def _subsets_by_size(pool: Iterable[int], max_size: int):
     pool = sorted(pool)
     for size in range(max_size + 1):
         yield from (frozenset(c) for c in itertools.combinations(pool, size))
-
-
-def _guard_enumeration(m: int, max_size: int, cap: int):
-    total = sum(math.comb(m, s) for s in range(min(max_size, m) + 1))
-    if total > cap:
-        raise EnumerationLimitError(
-            f"would enumerate {total} subsets (> cap {cap}); instance too large"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +143,19 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _enumerating_core_check(
-    instance,
-    notion,
-    param,
-    coalition,
-    endowment_ok,
-    min_coalition=None,
-    subset_cap=DEFAULT_SUBSET_CAP,
-):
-    """Shared scan over deviations T: the best coalition is ``coalition(T)``,
-    every voter T satisfies."""
+def _max_deviation_size(instance, notion) -> int:
+    """The largest deviation size, once the scan over every deviation up
+    to it fits the work limit; called before any oracle call."""
     max_size = instance.k if instance.is_k_mode else instance.m
-    _guard_enumeration(instance.m, max_size, subset_cap)
+    require_work(subsets_up_to(instance.m, max_size), f"the {notion} check's deviations")
+    return max_size
+
+
+def _enumerating_core_check(
+    instance, notion, param, max_size, coalition, endowment_ok, min_coalition=None
+):
+    """Shared scan over deviations T of size <= ``max_size``: the best
+    coalition is ``coalition(T)``, every voter T satisfies."""
     degenerate = None
     enumerated = 0
     for T in _subsets_by_size(instance.candidates, max_size):
@@ -208,11 +195,7 @@ def _enumerating_core_check(
 
 
 def check_core(
-    instance: Instance,
-    W: Iterable[int],
-    gamma,
-    min_coalition=None,
-    subset_cap=DEFAULT_SUBSET_CAP,
+    instance: Instance, W: Iterable[int], gamma, min_coalition=None
 ) -> VerificationReport:
     """gamma-approximate core: no (S, T) with |T| <= (|S|/n)k and
     u_i(T) >= gamma*(u_i(W)+1) for all of S.  Exact comparisons."""
@@ -224,10 +207,10 @@ def check_core(
         instance,
         "core",
         gamma,
+        _max_deviation_size(instance, "core"),
         coalition=_gain_coalition(instance, frozenset(W), gamma),
         endowment_ok=lambda T, S: len(T) * instance.n <= len(S) * instance.k,
         min_coalition=min_coalition,
-        subset_cap=subset_cap,
     )
 
 
@@ -248,11 +231,7 @@ def _budget_mode(instance: Instance, auto_lift: bool, op: str) -> Instance:
 
 
 def check_pb_core(
-    instance: Instance,
-    W: Iterable[int],
-    gamma,
-    auto_lift: bool = False,
-    subset_cap=DEFAULT_SUBSET_CAP,
+    instance: Instance, W: Iterable[int], gamma, auto_lift: bool = False
 ) -> VerificationReport:
     """Budget-mode core: Cost(T) <= (|S|/n) b instead of the size bound."""
     lifted = instance.is_k_mode
@@ -264,10 +243,10 @@ def check_pb_core(
         instance,
         "pb_core",
         gamma,
+        _max_deviation_size(instance, "pb_core"),
         coalition=_gain_coalition(instance, frozenset(W), gamma),
         endowment_ok=lambda T, S: instance.cost(T) * instance.n
         <= len(S) * instance.budget,
-        subset_cap=subset_cap,
     )
     if lifted:
         report.flags.append("auto-lifted-unit-sizes")
@@ -275,11 +254,7 @@ def check_pb_core(
 
 
 def check_endowment_core(
-    instance: Instance,
-    W: Iterable[int],
-    theta,
-    auto_lift: bool = False,
-    subset_cap=DEFAULT_SUBSET_CAP,
+    instance: Instance, W: Iterable[int], theta, auto_lift: bool = False
 ) -> VerificationReport:
     """theta-approximate endowment core: coalition budgets are scaled down
     by theta and members need only match their current utility."""
@@ -288,6 +263,7 @@ def check_endowment_core(
     theta = parse_rational(theta)
     if theta < 1:
         raise ValueError("theta must be at least 1")
+    max_size = _max_deviation_size(instance, "endowment_core")
     W = frozenset(W)
     measures = [exact_measure(u) for u in instance.utilities]
     current = [measure(W) for measure in measures]
@@ -295,12 +271,12 @@ def check_endowment_core(
         instance,
         "endowment_core",
         theta,
+        max_size,
         coalition=lambda T: frozenset(
             i for i, measure in enumerate(measures) if measure(T) > current[i]
         ),
         endowment_ok=lambda T, S: instance.cost(T) * theta * instance.n
         <= len(S) * instance.budget,
-        subset_cap=subset_cap,
     )
     # the empty deviation ties exactly with zero-utility voters; that is
     # an equality artifact of the printed >= definition, flagged not blocked
@@ -446,19 +422,20 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     """The one coalition scan: sizes ascending, then ids; the first
     coalition whose every hatW completes is the witness.  Coalitions with
     equal (k', requirement) share a verdict, and each k' table is built
-    once.
+    once.  The work is 2^n coalitions plus, per distinct k', the hatW of
+    size <= k - k' times the W' of size <= k', checked up front.
 
     ``stats["wprime_sets"]`` counts every (hatW, W') entry of the tables
     built or, with ``count_visited``, the entries visited completing them.
     """
     if mode not in ("subset_of_W", "any_hatW"):
         raise ValueError("mode must be subset_of_W or any_hatW")
-    if instance.n > RESTRAINED_N_CAP or instance.m > RESTRAINED_M_CAP:
-        raise EnumerationLimitError(
-            f"restrained check capped at n<={RESTRAINED_N_CAP}, m<={RESTRAINED_M_CAP}"
-        )
     W = frozenset(W)
-    n, k = instance.n, instance.k
+    n, m, k = instance.n, instance.m, instance.k
+    pool = len(W) if mode == "subset_of_W" else m
+    kprimes = {(size * k) // n for size in range(1, n + 1)}
+    pairs = sum(subsets_up_to(pool, k - kp) * subsets_up_to(m, kp) for kp in kprimes)
+    require_work((1 << n) + pairs, f"the {notion} check")
     requirement, meets = test(instance, W, range(n))
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")

@@ -361,10 +361,10 @@ def test_cli_suite_params_name_real_parameters():
     [
         (["--name", "main1", "--seeds", "2"], {"seeds": 2}),
         (["--name", "tight-lower"], {}),
-        (["--name", "endow2-value"], {}),
-        (["--name", "endow2-value", "--kappa", "3/2"], {"kappa": "3/2"}),
+        (["--name", "endow2-value"], {"eta": "11.63", "kappa": "1.454"}),
+        (["--name", "endow2-value", "--kappa", "3/2"], {"eta": "11.63", "kappa": "3/2"}),
         # lb1-emptiness has no wall-clock stop unless --time-cap is given
-        (["--name", "lb1-emptiness", "--class-cap", "20"], {"class_cap": 20, "time_cap": None}),
+        (["--name", "lb1-emptiness", "--class-cap", "20"], {"class_cap": 20}),
         (
             ["--name", "lb1-emptiness", "--class-cap", "20", "--time-cap", "90"],
             {"class_cap": 20, "time_cap": 90.0},
@@ -372,21 +372,11 @@ def test_cli_suite_params_name_real_parameters():
     ],
 )
 def test_theorem_suite_manifest_records_resolved_defaults(tmp_path, argv, flags):
-    # the flags every theorem-suite manifest recorded before the defaults moved;
-    # a flag resolved to None is left out of the manifest
+    # a manifest records the flags given and the defaults of the flags the
+    # suite takes, nothing else
     out = tmp_path / "suite.json"
     assert run(["theorem-suite", *argv, "--out", str(out)]) == 0
-    expected = {
-        "command": "theorem-suite",
-        "eta": "11.63",
-        "jobs": 1,
-        "kappa": "1.454",
-        "name": argv[1],
-        "out": str(out),
-        "time_cap": 60.0,
-        **flags,
-    }
-    expected = {key: value for key, value in expected.items() if value is not None}
+    expected = {"command": "theorem-suite", "jobs": 1, "name": argv[1], "out": str(out), **flags}
     manifest = _read(out)["manifest"]
     assert manifest["flags"] == expected
     assert list(manifest["flags"]) == sorted(expected)
