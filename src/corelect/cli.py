@@ -21,6 +21,8 @@ from . import __version__
 from .errors import CorelectError, EnumerationLimitError
 from .exactnum import parse_rational, rational_to_json
 from .instances import (
+    ENDOW2_ETA,
+    ENDOW2_KAPPA,
     endow2_bound,
     gen_lb00,
     gen_lb_16_15,
@@ -28,7 +30,8 @@ from .instances import (
     gen_tight_2alpha,
     gen_xos_example,
 )
-from .lb_search import lb1_emptiness_search
+from .intervals import exp_upper
+from .lb_search import LB1_CLASS_CAP, lb1_emptiness_search
 from .model import check_axioms, self_bounding_constant
 from .sampling import endow2_reduction_experiment, mc_lower_tail, verify_sampling_bound
 from .serialize import (
@@ -53,27 +56,10 @@ EXIT_USAGE = 2
 
 
 def parse_gamma(text: str):
-    """Accept "p/q", decimal strings, and "e^B" sugar.
-
-    The sugar expands to a 10-decimal-place rational over-approximation
-    of e^B, which is sound for pass-direction checks only (passing is
-    monotone in gamma).
-    """
+    """Accept "p/q", decimal strings, and "e^B" sugar, which expands to
+    ``exp_upper(B)``, sound for pass-direction checks only."""
     if text.startswith("e^"):
-        from mpmath import iv
-
-        B = int(text[2:])
-        old = iv.prec
-        try:
-            iv.prec = 256
-            hi_t = iv.exp(iv.mpf(B))._mpi_[1]
-        finally:
-            iv.prec = old
-        sign, man, exp, _ = hi_t
-        hi = Fraction(int(man)) * Fraction(2) ** exp
-        scale = 10**10
-        approx = Fraction(-((-hi * scale).__floor__()), scale)  # ceil
-        return approx, True
+        return exp_upper(int(text[2:])), True
     return parse_rational(text), False
 
 
@@ -314,12 +300,11 @@ CLI_SUITE_PARAMS = {
 }
 _SUITE_FLAGS = ("seeds", "r", "beta", "kappa", "eta", "time_cap", "class_cap")  # default None
 # the defaults of the flags a suite takes, set once the flags are checked, so
-# the manifest records them.  lb1-emptiness stops at a class count, so its
-# exit code does not depend on the host; 40,000 classes reach r = 5's passing
-# class 32,679.  A wall-clock stop applies only when --time-cap is given.
+# the manifest records them.  A wall-clock stop applies only when --time-cap
+# is given.
 _SUITE_DEFAULTS = {
-    "endow2-value": {"kappa": "1.454", "eta": "11.63"},
-    "lb1-emptiness": {"class_cap": 40_000},
+    "endow2-value": {"kappa": ENDOW2_KAPPA, "eta": ENDOW2_ETA},
+    "lb1-emptiness": {"class_cap": LB1_CLASS_CAP},
 }
 
 
@@ -450,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--committee", default="", metavar="ids")
     p.add_argument("--coalition", default="", metavar="ids")
     p.add_argument("--deviation", default="", metavar="ids")
-    p.add_argument("--kappa", default="1.454")
-    p.add_argument("--eta", default="11.63")
+    p.add_argument("--kappa", default=ENDOW2_KAPPA)
+    p.add_argument("--eta", default=ENDOW2_ETA)
     p.add_argument("--gamma-param", default="2", dest="gamma_param")
     p.add_argument("--q", default="1/2")
     p.add_argument("--report", default=None)
@@ -462,16 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=None, help="number of random cases")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--beta", type=int, default=None)
-    endow2 = _SUITE_DEFAULTS["endow2-value"]
-    p.add_argument("--kappa", default=None, help=f"endow2-value only (default {endow2['kappa']})")
-    p.add_argument("--eta", default=None, help=f"endow2-value only (default {endow2['eta']})")
+    p.add_argument("--kappa", default=None, help=f"endow2-value only (default {ENDOW2_KAPPA})")
+    p.add_argument("--eta", default=None, help=f"endow2-value only (default {ENDOW2_ETA})")
     p.add_argument(
         "--time-cap", type=float, default=None, dest="time_cap",
         help="lb1-emptiness only, seconds (default: no wall-clock stop)",
     )
     p.add_argument(
         "--class-cap", type=int, default=None, dest="class_cap",
-        help=f"lb1-emptiness only (default {_SUITE_DEFAULTS['lb1-emptiness']['class_cap']})",
+        help=f"lb1-emptiness only (default {LB1_CLASS_CAP})",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorem_suite)

@@ -257,14 +257,14 @@ def is_q_completable(
     return False, None
 
 
-def verify_matroid_axioms(P, universe: Sequence[int], limit: int = 12):
+def verify_matroid_axioms(P, universe: Sequence[int]):
     """Exhaustive downward-closure + exchange check of an independence predicate.
 
     Returns (True, None) or (False, witness-description).  Intended for
-    desk-scale universes (default cap 12 elements).
+    desk-scale universes (at most 12 elements).
     """
     universe = sorted(set(universe))
-    if len(universe) > limit:
+    if len(universe) > 12:
         raise EnumerationLimitError(f"universe of {len(universe)} exceeds matroid-check cap")
     indep = []
     for size in range(len(universe) + 1):

@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 ExactValue = Union[Fraction, "Quad"]
 
 

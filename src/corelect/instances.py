@@ -24,7 +24,7 @@ from .constraints import (
 )
 from .errors import OutOfRegionError, ParameterError
 from .exactnum import parse_rational
-from .intervals import PRECISIONS
+from .intervals import PRECISIONS, endpoint_fraction
 from .model import (
     AdditiveUtility,
     ApprovalUtility,
@@ -107,35 +107,40 @@ def gen_rest1(q: int, voters_per_group: int = 1) -> Instance:
 
 LB1_PARTIES = ("ab", "bc", "ca", "ad", "bd", "cd")
 LB1_VOTERS = ("a", "b", "c", "d")
+# the approximation factor the 16/15 construction refutes
+LB1_GAMMA = Fraction(16, 15)
+# times r: the utility floors of the weakest voter and of the second voter;
+# a committee below either is beaten by an explicit deviation
+LB1_SINGLE_FLOOR = Fraction(9, 8)
+LB1_PAIR_FLOOR = Fraction(21, 8)
 
 
-def gen_lb_16_15(r: int, pool_size: Optional[int] = None) -> Instance:
-    """Four voters, six parties (one per voter pair), committee size 6.4r,
-    and a single packing row capping non-dummy candidates at 6r.
-
-    Each party's pool defaults to 6r candidates (any single party can fill
-    the cap); the dummy party is truncated to k.  Requires r % 5 == 0 so
-    6.4r is an integer.
-    """
+def lb1_geometry(r: int, pool_size: Optional[int] = None) -> tuple:
+    """(k, cap, pool) of the 16/15 instance at r: k = 6.4r seats, a cap of
+    6r non-dummy candidates, and each party's pool (default 6r, so any
+    single party can fill the cap).  Requires r % 5 == 0 so 6.4r is an
+    integer."""
     if r < 5 or r % 5 != 0:
         raise ParameterError("r must be a positive multiple of 5")
-    k = 32 * r // 5  # 6.4 r
     cap = 6 * r
     pool = cap if pool_size is None else int(pool_size)
     if pool < 1:
         raise ParameterError("pool_size must be positive")
+    return 32 * r // 5, cap, pool
+
+
+def gen_lb_16_15(r: int, pool_size: Optional[int] = None) -> Instance:
+    """Four voters, six parties (one per voter pair), committee size 6.4r,
+    and a single packing row capping non-dummy candidates at 6r; the pools
+    are ``lb1_geometry``'s and the dummy party is truncated to k."""
+    k, cap, pool = lb1_geometry(r, pool_size)
     party_ids = {}
     next_id = 0
     for party in LB1_PARTIES:
         party_ids[party] = list(range(next_id, next_id + pool))
         next_id += pool
     dummies = list(range(next_id, next_id + k))
-    approves = {
-        "a": ("ab", "ca", "ad"),
-        "b": ("ab", "bc", "bd"),
-        "c": ("bc", "ca", "cd"),
-        "d": ("ad", "bd", "cd"),
-    }
+    approves = {v: tuple(p for p in LB1_PARTIES if v in p) for v in LB1_VOTERS}
     utilities = [
         ApprovalUtility(
             [c for party in approves[v] for c in party_ids[party]]
@@ -194,7 +199,7 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
     r = Fraction(r)
     if not (ua <= ub <= uc <= ud):
         raise OutOfRegionError("utilities must be sorted ascending")
-    if ua < Fraction(9, 8) * r or ub < Fraction(21, 8) * r:
+    if ua < LB1_SINGLE_FLOOR * r or ub < LB1_PAIR_FLOOR * r:
         raise OutOfRegionError("u_a >= 9r/8 and u_b >= 21r/8 required")
     if ua + ub + uc + ud > 12 * r:
         raise OutOfRegionError("total utility exceeds 12r")
@@ -204,7 +209,6 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
         raise OutOfRegionError("t must be nonnegative with sum <= 1.6r")
 
     budget = Fraction(6, 5) * r  # 1.2r
-    scale = Fraction(16, 15)
     if ta + tb + tc <= budget:
         if ua + ub >= uc:
             case = "1"
@@ -215,8 +219,8 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
         else:
             case = "2"
             x_ab = Fraction(0)
-            x_ca = scale * ua
-            x_bc = scale * (uc - ua)
+            x_ca = LB1_GAMMA * ua
+            x_bc = LB1_GAMMA * (uc - ua)
     else:
         # shrink t componentwise (c, then b, then a) down to total 1.2r
         excess = ta + tb + tc - budget
@@ -225,7 +229,7 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
             take = min(excess, t_red[idx])
             t_red[idx] -= take
             excess -= take
-        hat = [scale * v - tr for v, tr in zip((ua, ub, uc), t_red)]
+        hat = [LB1_GAMMA * v - tr for v, tr in zip((ua, ub, uc), t_red)]
         ha, hb, hc = hat
         if ha + hb >= hc:
             case = "3a"
@@ -239,11 +243,33 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
             x_bc = hc - ha
     # the five deviation constraints, verified with the *actual* t
     assert x_ab + x_bc + x_ca + ta + tb + tc <= 6 * r
-    assert x_ab + x_ca + ta >= scale * ua
-    assert x_ab + x_bc + tb >= scale * ub
-    assert x_ca + x_bc + tc >= scale * uc
+    assert x_ab + x_ca + ta >= LB1_GAMMA * ua
+    assert x_ab + x_bc + tb >= LB1_GAMMA * ub
+    assert x_ca + x_bc + tc >= LB1_GAMMA * uc
     assert min(x_ab, x_ca, x_bc) >= 0
     return LB1Deviation(x_ab, x_ca, x_bc, case)
+
+
+def _lb1_weakest_first(instance: Instance, W) -> tuple:
+    """(each voter's utility of W, the voters from least utility up)."""
+    W = frozenset(W)
+    values = [instance.utility(i, W) for i in range(4)]
+    return values, sorted(range(4), key=lambda i: (values[i], i))
+
+
+def _lb1_burn_and_gain(instance: Instance, voters) -> tuple:
+    """(hatW, W', hatW + W') for the deviating voters: with endowment
+    k' = |S| k / 4, hatW burns k - k' seats on the parties no deviator
+    approves, and W' takes the cap's remaining room from the first party
+    every deviator approves."""
+    meta = instance.meta
+    names = {LB1_VOTERS[i] for i in voters}
+    hat_size = instance.k - (len(voters) * instance.k) // 4
+    burnt = [c for p in LB1_PARTIES if not names & set(p) for c in sorted(meta["parties"][p])]
+    hatW = frozenset(burnt[:hat_size])
+    gain_party = next(p for p in LB1_PARTIES if names <= set(p))
+    wprime = frozenset(sorted(meta["parties"][gain_party])[: meta["cap"] - hat_size])
+    return hatW, wprime, hatW | wprime
 
 
 def lb1_undersupplied_voter_deviation(instance: Instance, W) -> dict:
@@ -254,25 +280,11 @@ def lb1_undersupplied_voter_deviation(instance: Instance, W) -> dict:
     1.2r candidates from one approved party, and 1.2r >= (16/15)*(9r/8)
     beats the voter's current utility by the full 16/15 factor.
     """
-    meta = instance.meta
-    r = meta["r"]
-    W = frozenset(W)
-    values = [instance.utility(i, W) for i in range(4)]
-    voter_idx = min(range(4), key=lambda i: (values[i], i))
-    voter = LB1_VOTERS[voter_idx]
-    if values[voter_idx] >= Fraction(9, 8) * r:
+    values, order = _lb1_weakest_first(instance, W)
+    voter_idx = order[0]
+    if values[voter_idx] >= LB1_SINGLE_FLOOR * instance.meta["r"]:
         raise OutOfRegionError("no voter is below the 9r/8 threshold")
-    kprime = instance.k // 4  # 1.6r
-    hat_size = instance.k - kprime  # 4.8r
-    unapproved = [p for p in LB1_PARTIES if voter not in p]
-    pool = []
-    for p in unapproved:
-        pool.extend(sorted(meta["parties"][p]))
-    hatW = frozenset(pool[:hat_size])
-    gain_party = next(p for p in LB1_PARTIES if voter in p)
-    room = meta["cap"] - hat_size  # 1.2r
-    wprime = frozenset(sorted(meta["parties"][gain_party])[:room])
-    T = hatW | wprime
+    hatW, wprime, T = _lb1_burn_and_gain(instance, (voter_idx,))
     return {
         "voter": voter_idx,
         "hatW": hatW,
@@ -288,21 +300,8 @@ def lb1_pair_deviation(instance: Instance, W) -> dict:
     below 21r/8: the complement burns 3.2r cap on the one party neither
     deviator approves, leaving 2.8r >= (16/15)(21r/8) for their shared
     party."""
-    meta = instance.meta
-    r = meta["r"]
-    W = frozenset(W)
-    values = [instance.utility(i, W) for i in range(4)]
-    order = sorted(range(4), key=lambda i: (values[i], i))
-    lo, hi = order[0], order[1]
-    pair = {LB1_VOTERS[lo], LB1_VOTERS[hi]}
-    shared = next(p for p in LB1_PARTIES if set(p) == pair)
-    others = next(p for p in LB1_PARTIES if not (set(p) & pair))
-    kprime = (2 * instance.k) // 4  # 3.2r
-    hat_size = instance.k - kprime  # 3.2r
-    hatW = frozenset(sorted(meta["parties"][others])[:hat_size])
-    room = meta["cap"] - hat_size  # 2.8r
-    wprime = frozenset(sorted(meta["parties"][shared])[:room])
-    T = hatW | wprime
+    values, (lo, hi, *_) = _lb1_weakest_first(instance, W)
+    hatW, wprime, T = _lb1_burn_and_gain(instance, (lo, hi))
     return {
         "voters": (lo, hi),
         "hatW": hatW,
@@ -313,8 +312,11 @@ def lb1_pair_deviation(instance: Instance, W) -> dict:
     }
 
 
-LB00_PARTIES = ("a", "b", "c", "d", "e", "f")
-LB00_ROLES = (("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d"))
+# two triads of parties; each voter approves two consecutive parties of one
+# triad, so the six roles run around both triangles
+LB00_TRIADS = (("a", "b", "c"), ("d", "e", "f"))
+LB00_PARTIES = tuple(p for triad in LB00_TRIADS for p in triad)
+LB00_ROLES = tuple((t[i], t[(i + 1) % 3]) for t in LB00_TRIADS for i in range(3))
 
 
 def gen_lb00(beta: int, r: int) -> Instance:
@@ -429,10 +431,10 @@ class BoundInterval:
         return self.lo <= value <= self.hi
 
 
-def _endpoint_to_fraction(tup) -> Fraction:
-    sign, man, exp, _ = tup
-    fr = Fraction(int(man)) * Fraction(2) ** exp
-    return -fr if sign else fr
+# the endowment reduction's parameters, kept as the decimal strings that
+# manifests record
+ENDOW2_KAPPA = "1.454"
+ENDOW2_ETA = "11.63"
 
 
 def endow2_bound(beta: int, kappa, eta) -> BoundInterval:
@@ -475,8 +477,8 @@ def endow2_bound(beta: int, kappa, eta) -> BoundInterval:
             c = H * beta * iv.exp(beta * iv.log(inner))
             lo_t, hi_t = c._mpi_
             return BoundInterval(
-                lo=_endpoint_to_fraction(lo_t),
-                hi=_endpoint_to_fraction(hi_t),
+                lo=endpoint_fraction(lo_t),
+                hi=endpoint_fraction(hi_t),
                 feasible_q=True,
             )
         finally:

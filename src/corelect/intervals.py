@@ -7,6 +7,7 @@ Exact ties must be resolved by the caller before asking for a certificate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import iv
@@ -24,6 +25,26 @@ def iv_fraction(x):
     """Enclosing interval of an exact rational."""
     fr = Fraction(x)
     return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+
+
+def endpoint_fraction(endpoint) -> Fraction:
+    """The exact rational value of one endpoint of an interval's ``_mpi_``."""
+    sign, man, exp, _ = endpoint
+    fr = Fraction(int(man)) * Fraction(2) ** exp
+    return -fr if sign else fr
+
+
+def exp_upper(B) -> Fraction:
+    """e^B rounded up to 10 decimal places: a rational over-approximation,
+    sound for pass-direction checks only (passing is monotone in gamma)."""
+    old = iv.prec
+    try:
+        iv.prec = 256
+        hi = endpoint_fraction(iv.exp(iv.mpf(B))._mpi_[1])
+    finally:
+        iv.prec = old
+    scale = 10**10
+    return Fraction(math.ceil(hi * scale), scale)
 
 
 def certify_less(lhs_builder, rhs_builder) -> bool:

@@ -60,9 +60,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError
 from .exactnum import parse_rational
-from .instances import LB1_PARTIES, LB1_VOTERS
+from .instances import LB1_GAMMA, LB1_PARTIES, LB1_VOTERS, lb1_geometry
+
+# the scan's default stop: a class count, so its outcome does not depend on
+# the host; 40,000 classes reach r = 5's passing class 32,679
+LB1_CLASS_CAP = 40_000
 
 EDGE_ENDPOINTS = tuple(
     tuple(LB1_VOTERS.index(ch) for ch in party) for party in LB1_PARTIES
@@ -270,7 +273,7 @@ def _cover_feasible_second_opinion(needs, caps, budget):
     return rec(0, needs, tuple(caps), budget)
 
 
-def verify_passing_class(r: int, counts, gamma=Fraction(16, 15), pool_size=None) -> dict:
+def verify_passing_class(r: int, counts, gamma=LB1_GAMMA, pool_size=None) -> dict:
     """Independently certify that a committee class passes the restrained core.
 
     For each of the 15 coalitions, finds a planner reply with no valid
@@ -278,12 +281,8 @@ def verify_passing_class(r: int, counts, gamma=Fraction(16, 15), pool_size=None)
     allocator.  Returns {"passes": bool, "certificates": [...]}; a failed
     certificate search reports the blocking coalition instead.
     """
-    if r < 5 or r % 5 != 0:
-        raise ParameterError("r must be a positive multiple of 5")
+    k, cap, pool = lb1_geometry(r, pool_size)
     gamma = parse_rational(gamma)
-    cap = 6 * r
-    k = 32 * r // 5
-    pool = cap if pool_size is None else int(pool_size)
     counts = tuple(int(c) for c in counts)
     utils = _utilities(counts)
     needs_full = _targets(utils, gamma)
@@ -395,14 +394,14 @@ def _first_refuting_reply(layers, targets, hat_limit, kprime, cap):
 
 def lb1_emptiness_search(
     r: int,
-    gamma=Fraction(16, 15),
-    time_cap_s: float = 60.0,
+    gamma=LB1_GAMMA,
+    time_cap_s: float = math.inf,
     pool_size=None,
-    class_cap=None,
+    class_cap=LB1_CLASS_CAP,
 ) -> EmptinessReport:
     """Scan every committee class of the 16/15 instance for one that passes
-    the gamma-approximate restrained core, under a wall-clock cap and an
-    optional deterministic class-count cap.
+    the gamma-approximate restrained core, under a deterministic
+    class-count cap (None for none) and an optional wall-clock cap.
 
     The per-class verdict follows the restrained definition exactly
     (floored endowment, all completable planner replies, coalition
@@ -412,12 +411,8 @@ def lb1_emptiness_search(
     allowance); a found one is reported as a counterexample candidate
     and can be certified with ``verify_passing_class``.
     """
-    if r < 5 or r % 5 != 0:
-        raise ParameterError("r must be a positive multiple of 5")
+    k, cap, pool = lb1_geometry(r, pool_size)
     gamma = parse_rational(gamma)
-    cap = 6 * r
-    k = 32 * r // 5
-    pool = cap if pool_size is None else int(pool_size)
     classes_total = sum(
         _compositions_count(t, 6, pool) for t in range(min(cap, k) + 1)
     )

@@ -361,16 +361,6 @@ class LB00Utility(UtilityFunction):
         }
 
 
-UTILITY_KINDS = {
-    "approval": ApprovalUtility,
-    "additive": AdditiveUtility,
-    "coverage": CoverageUtility,
-    "xos": XOSUtility,
-    "table": TableUtility,
-    "lb00": LB00Utility,
-}
-
-
 def evaluate(u: UtilityFunction, T: Iterable[int]) -> ExactValue:
     """Exact utility of committee T.  Pure; u(empty) = 0."""
     return u.value(_as_frozen(T))

@@ -13,8 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InfeasibleInstanceError
 from .instances import (
+    ENDOW2_ETA,
+    ENDOW2_KAPPA,
     LB00_PARTIES,
     LB00_ROLES,
+    LB00_TRIADS,
+    LB1_GAMMA,
+    LB1_PAIR_FLOOR,
+    LB1_PARTIES,
+    LB1_SINGLE_FLOOR,
     gen_lb00,
     gen_lb_16_15,
     gen_tight_2alpha,
@@ -26,15 +33,13 @@ from .instances import (
     random_utility,
     rng_from_seed,
 )
-from .intervals import certified_log_gt, certified_log_le
+from .intervals import certified_log_gt, certified_log_le, exp_upper
+from .lb_search import _compositions
 from .model import Instance, check_axioms, gain_threshold, self_bounding_constant
 from .sampling import mc_lower_tail, verify_sampling_bound
 from .scoring import delta_star, marginal_add, marginal_remove
 from .solvers import SolverConfig, solve_global, solve_local
 from .verifiers import blocks_core, check_core, check_restrained_core, check_restrained_ejr
-
-# rational upper bound of e, sound for pass-direction core checks
-E_UPPER = Fraction("2.7182818285")
 
 
 @dataclass
@@ -63,11 +68,11 @@ class SuiteResult:
         }
 
 
-def _valid_random_instance(seed, **kwargs):
+def _valid_random_instance(seed):
     """Resample forward from seed until the feasibility family is nonempty."""
     attempt = seed
     while True:
-        inst = random_instance(attempt, **kwargs)
+        inst = random_instance(attempt)
         try:
             return inst, solve_global(inst, "snw"), attempt
         except InfeasibleInstanceError:
@@ -78,16 +83,10 @@ def run_main1(count: int = 200, seed0: int = 1000) -> SuiteResult:
     """Global snw optimum lies in the e-approximate restrained core
     (1-self-bounding utilities, arbitrary constraints)."""
     result = SuiteResult("main1")
+    e_upper = exp_upper(1)  # sound for pass-direction core checks
     for case in range(count):
-        inst, solved, seed = _valid_random_instance(
-            seed0 + case,
-            n_max=6,
-            m_max=8,
-            k_max=4,
-            utility_kinds=("approval", "additive", "xos"),
-            constraint_kinds=("none", "partition", "packing", "explicit"),
-        )
-        report = check_restrained_core(inst, solved.committee.members, E_UPPER)
+        inst, solved, seed = _valid_random_instance(seed0 + case)
+        report = check_restrained_core(inst, solved.committee.members, e_upper)
         result.record(report.verdict, f"seed {seed}: blocked, witness={report.witness}")
     return result
 
@@ -99,9 +98,6 @@ def run_matroid(count: int = 100, seed0: int = 2000, starts: int = 5) -> SuiteRe
     for case in range(count):
         inst = random_instance(
             seed0 + case,
-            n_max=6,
-            m_max=8,
-            k_max=4,
             utility_kinds=("coverage",),
             constraint_kinds=("partition",),
         )
@@ -121,9 +117,6 @@ def run_ejr(count: int = 100, seed0: int = 3000) -> SuiteResult:
     for case in range(count):
         inst = random_instance(
             seed0 + case,
-            n_max=6,
-            m_max=8,
-            k_max=4,
             utility_kinds=("approval",),
             constraint_kinds=("partition",),
         )
@@ -142,9 +135,6 @@ def run_tight_upper(
     for case in range(count):
         inst = random_instance(
             seed0 + case,
-            n_max=6,
-            m_max=8,
-            k_max=4,
             utility_kinds=("additive",),
             constraint_kinds=("none",),
         )
@@ -259,7 +249,6 @@ def run_lb1_points(per_case: int = 250, r: int = 40, seed0: int = 5000) -> Suite
     result = SuiteResult("lb1-points")
     rF = Fraction(r)
     sample_u, sample_t = _lb1_case_samplers(rF)
-    scale = Fraction(16, 15)
     for offset, case in enumerate(("1", "2", "3a", "3b")):
         rng = rng_from_seed(seed0 + offset)
         produced = 0
@@ -279,9 +268,9 @@ def run_lb1_points(per_case: int = 250, r: int = 40, seed0: int = 5000) -> Suite
             ta, tb, tc = t
             ok = (
                 dev.x_ab + dev.x_bc + dev.x_ca + ta + tb + tc <= 6 * rF
-                and dev.x_ab + dev.x_ca + ta >= scale * ua
-                and dev.x_ab + dev.x_bc + tb >= scale * ub
-                and dev.x_ca + dev.x_bc + tc >= scale * uc
+                and dev.x_ab + dev.x_ca + ta >= LB1_GAMMA * ua
+                and dev.x_ab + dev.x_bc + tb >= LB1_GAMMA * ub
+                and dev.x_ca + dev.x_bc + tc >= LB1_GAMMA * uc
                 and min(dev.x) >= 0
             )
             result.record(ok, f"case {case} point {u} {t}: constraints violated")
@@ -294,17 +283,16 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
     (below 21r/8) is beaten by the constructed deviation with the full
     16/15 multiplicative margin."""
     from .constraints import is_feasible
-    from .instances import LB1_PARTIES
 
     result = SuiteResult("lb1-lemma-deviations")
     inst = gen_lb_16_15(r)
     meta = inst.meta
     rng = rng_from_seed(seed0)
-    scale = Fraction(16, 15)
+    cap = meta["cap"]
     produced_single = produced_pair = 0
     while produced_single < trials or produced_pair < trials:
-        counts = {p: int(rng.integers(0, 6 * r + 1)) for p in LB1_PARTIES}
-        while sum(counts.values()) > 6 * r:
+        counts = {p: int(rng.integers(0, cap + 1)) for p in LB1_PARTIES}
+        while sum(counts.values()) > cap:
             p = LB1_PARTIES[int(rng.integers(0, 6))]
             counts[p] = max(0, counts[p] - int(rng.integers(1, r)))
         W = set()
@@ -316,7 +304,7 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
         if not is_feasible(inst.feasibility, W):
             continue
         values = sorted(inst.utility(i, W) for i in range(4))
-        if values[0] < Fraction(9, 8) * r and produced_single < trials:
+        if values[0] < LB1_SINGLE_FLOOR * r and produced_single < trials:
             produced_single += 1
             dev = lb1_undersupplied_voter_deviation(inst, W)
             ok = (
@@ -324,11 +312,11 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
                 and len(dev["hatW"]) <= inst.k - inst.k // 4
                 and len(dev["Wprime"]) <= inst.k // 4
                 and dev["new_utility"] >= Fraction(6, 5) * r
-                and Fraction(6, 5) * r >= scale * Fraction(9, 8) * r
-                and dev["new_utility"] >= scale * dev["old_utility"]
+                and Fraction(6, 5) * r >= LB1_GAMMA * LB1_SINGLE_FLOOR * r
+                and dev["new_utility"] >= LB1_GAMMA * dev["old_utility"]
             )
             result.record(ok, f"single-voter deviation fails for counts {counts}")
-        elif values[1] < Fraction(21, 8) * r and produced_pair < trials:
+        elif values[1] < LB1_PAIR_FLOOR * r and produced_pair < trials:
             produced_pair += 1
             dev = lb1_pair_deviation(inst, W)
             room = Fraction(14, 5) * r  # 2.8r
@@ -337,30 +325,11 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
                 and len(dev["hatW"]) <= inst.k - (2 * inst.k) // 4
                 and len(dev["Wprime"]) <= (2 * inst.k) // 4
                 and min(dev["new"]) >= room
-                and room >= scale * Fraction(21, 8) * r
-                and all(nv >= scale * ov for nv, ov in zip(dev["new"], dev["old"]))
+                and room >= LB1_GAMMA * LB1_PAIR_FLOOR * r
+                and all(nv >= LB1_GAMMA * ov for nv, ov in zip(dev["new"], dev["old"]))
             )
             result.record(ok, f"pair deviation fails for counts {counts}")
     return result
-
-
-def lb00_compositions(r: int, total: int):
-    """All party-count vectors of the given total with each count <= r."""
-    parts = len(LB00_PARTIES)
-
-    def rec(idx, remaining):
-        if idx == parts - 1:
-            if remaining <= r:
-                yield (remaining,)
-            return
-        for c in range(min(r, remaining) + 1):
-            for rest in rec(idx + 1, remaining - c):
-                yield (c,) + rest
-
-    yield from rec(0, total)
-
-
-_LB00_TRIADS = (("a", "b", "c"), ("d", "e", "f"))
 
 
 def lb00_two_voter_deviation(instance, counts):
@@ -369,7 +338,7 @@ def lb00_two_voter_deviation(instance, counts):
     meta = instance.meta
     r = meta["r"]
     count_of = dict(zip(LB00_PARTIES, counts))
-    for triad in _LB00_TRIADS:
+    for triad in LB00_TRIADS:
         for idx in range(3):
             p, q = triad[idx], triad[(idx + 1) % 3]
             if 4 * count_of[p] <= 3 * r and 4 * count_of[q] <= 3 * r:
@@ -384,14 +353,13 @@ def run_lb00(beta: int = 6, rs=(2, 3), seed0: int = 6000) -> SuiteResult:
     """Exponential lower bound: axioms hold, the exponent is at most beta,
     and every committee of size 3r admits the two-voter deviation with
     an exact utility ratio of at least (1/2)(4/3)^(beta/2)."""
-    from .exactnum import Quad
-
     result = SuiteResult("lb00")
-    # (1/2)(4/3)^(beta/2): rational for even beta, quadratic otherwise
-    ratio_bound = Fraction(1, 2) * Quad.sqrt(Fraction(4, 3) ** beta)
     for r in rs:
         inst = gen_lb00(beta, r)
         u0 = inst.utilities[0]
+        # 1/(2z) = (1/2)(4/3)^(beta/2), in the utilities' own field: rational
+        # for even beta, a Quad over (3/4)^beta otherwise
+        ratio_bound = 1 / (2 * u0.z)
         rep = check_axioms(u0, inst.candidates)
         result.record(
             rep.ok and rep.exhaustive,
@@ -400,7 +368,7 @@ def run_lb00(beta: int = 6, rs=(2, 3), seed0: int = 6000) -> SuiteResult:
         bstar = self_bounding_constant(u0, inst.candidates)
         result.record(bstar <= beta, f"r={r}: self-bounding constant {bstar} > {beta}")
         worst_gamma = None
-        for counts in lb00_compositions(r, 3 * r):
+        for counts in _compositions((r,) * len(LB00_PARTIES), 3 * r):
             W = set()
             for p, c in zip(LB00_PARTIES, counts):
                 W |= set(sorted(inst.meta["parties"][p])[:c])
@@ -674,7 +642,7 @@ def run_endow2_bound() -> SuiteResult:
     """The reduction constant at kappa=1.454, eta=11.63 stays below
     11.7 * beta * 55^beta for beta up to 5."""
     result = SuiteResult("endow2-bound")
-    kappa, eta = Fraction("1.454"), Fraction("11.63")
+    kappa, eta = Fraction(ENDOW2_KAPPA), Fraction(ENDOW2_ETA)
     for beta in range(1, 6):
         interval = endow2_bound(beta, kappa, eta)
         cap = Fraction("11.7") * beta * Fraction(55) ** beta

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -418,12 +419,23 @@ def _blocks_restrained(instance, W, S, mode, cert, test):
     return completions is not None, completions
 
 
+def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
+    """An upper bound on the steps of one restrained check: the 2^n
+    coalitions plus, per distinct k', every hatW of size h <= k - k' drawn
+    from the pool and, for each, every W' of size <= k' drawn from the
+    m - h candidates outside it."""
+    work = 1 << n
+    for kp in {(size * k) // n for size in range(1, n + 1)}:
+        hat_sizes = range(min(k - kp, pool) + 1)
+        work += sum(math.comb(pool, h) * (1 + subsets_up_to(m - h, kp)) for h in hat_sizes)
+    return work
+
+
 def _check_restrained(instance, W, notion, param, mode, flags, test, count_visited):
     """The one coalition scan: sizes ascending, then ids; the first
     coalition whose every hatW completes is the witness.  Coalitions with
     equal (k', requirement) share a verdict, and each k' table is built
-    once.  The work is 2^n coalitions plus, per distinct k', the hatW of
-    size <= k - k' times the W' of size <= k', checked up front.
+    once.  ``_restrained_work`` bounds the steps, checked up front.
 
     ``stats["wprime_sets"]`` counts every (hatW, W') entry of the tables
     built or, with ``count_visited``, the entries visited completing them.
@@ -433,9 +445,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     W = frozenset(W)
     n, m, k = instance.n, instance.m, instance.k
     pool = len(W) if mode == "subset_of_W" else m
-    kprimes = {(size * k) // n for size in range(1, n + 1)}
-    pairs = sum(subsets_up_to(pool, k - kp) * subsets_up_to(m, kp) for kp in kprimes)
-    require_work((1 << n) + pairs, f"the {notion} check")
+    require_work(_restrained_work(n, m, k, pool), f"the {notion} check")
     requirement, meets = test(instance, W, range(n))
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import corelect.theorems as theorems
+from corelect.cli import run
 from corelect.lb_search import lb1_emptiness_search
 from corelect.theorems import (
     run_ejr,
@@ -67,6 +68,17 @@ def test_lb00_small_r():
     r = run_lb00(beta=6, rs=(2,))
     assert r.passed
     assert any("32/27" not in n or True for n in r.notes)
+
+
+def test_lb00_odd_beta_compares_in_the_utilities_field(tmp_path):
+    # the ratio bound 1/(2z) is a Quad over (3/4)^beta, as the utilities
+    # are; a Quad over (4/3)^beta cannot be compared with them
+    for beta in (5, 7):
+        rep = run_lb00(beta=beta, rs=(2,))
+        assert rep.passed and rep.total == 143
+    assert run_lb00(beta=6, rs=(2,)).notes[0].endswith("ratio bound without slack 32/27")
+    out = tmp_path / "lb00.json"
+    assert run(["theorem-suite", "--name", "lb00", "--beta", "5", "--out", str(out)]) == 0
 
 
 def test_lemma_suites_small():

@@ -3,23 +3,38 @@ refused up front past WORK_LIMIT; inputs under it run and match the
 naive oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from corelect.cli import run
 from corelect.constraints import CardinalityFamily, PartitionMatroidFamily
-from corelect.errors import WORK_LIMIT, EnumerationLimitError, require_work, subsets_up_to
-from corelect.instances import random_utility, rng_from_seed
-from corelect.model import AdditiveUtility, Instance, check_axioms, check_submodular
+from corelect.errors import (
+    WORK_LIMIT,
+    EnumerationLimitError,
+    InfeasibleInstanceError,
+    require_work,
+    subsets_up_to,
+)
+from corelect.instances import random_instance, random_utility, rng_from_seed
+from corelect.model import (
+    AdditiveUtility,
+    ApprovalUtility,
+    Instance,
+    check_axioms,
+    check_submodular,
+)
 from corelect.model import self_bounding_constant
 from corelect.serialize import save_instance
 from corelect.solvers import solve_global
 from corelect.verifiers import (
+    _restrained_work,
     check_core,
     check_endowment_core,
     check_pb_core,
     check_restrained_core,
+    check_restrained_ejr,
 )
 
 from oracles import oracle_global, oracle_restrained_core
@@ -84,7 +99,14 @@ def _budget_instance(n, m, calls):
         ("check_endowment_core", 1 << 24),
         (
             "check_restrained_core",
-            (1 << 3) + sum(subsets_up_to(40, 6 - kp) * subsets_up_to(40, kp) for kp in (2, 4, 6)),
+            # per k', each hatW of size h <= 6 - k', and its W' of size <= k'
+            # among the 40 - h candidates outside it
+            (1 << 3)
+            + sum(
+                math.comb(40, h) * (1 + subsets_up_to(40 - h, kp))
+                for kp in (2, 4, 6)
+                for h in range(7 - kp)
+            ),
         ),
         ("solve_global", 1 << 24),
     ],
@@ -169,3 +191,36 @@ def test_global_past_the_old_candidate_cap_matches_the_oracle():
     assert result.committee.members == members
     assert result.score.value == value
 
+
+
+def _restrained_draws():
+    """(instance, committee) pairs of small fuzz instances, approval ones
+    included so restrained EJR runs too."""
+    for seed in range(60):
+        inst = random_instance(seed + 12_000, n_max=4, m_max=6, k_max=3)
+        try:
+            yield inst, solve_global(inst, "snw").committee.members
+        except InfeasibleInstanceError:
+            continue
+
+
+@pytest.mark.parametrize("mode", ["subset_of_W", "any_hatW"])
+def test_restrained_work_estimate_bounds_the_steps_taken(mode):
+    checked = 0
+    for inst, W in _restrained_draws():
+        pool = len(W) if mode == "subset_of_W" else inst.m
+        estimate = _restrained_work(inst.n, inst.m, inst.k, pool)
+        reports = [check_restrained_core(inst, W, 1, mode=mode)]
+        if all(isinstance(u, ApprovalUtility) for u in inst.utilities):
+            reports.append(check_restrained_ejr(inst, W, mode=mode))
+        for report in reports:
+            stats = report.stats
+            assert estimate >= (1 << inst.n) + stats["hatw_sets"] + stats["wprime_sets"]
+            checked += 1
+    assert checked >= 60
+
+
+def test_restrained_work_estimate_admits_four_voters_over_fourteen_candidates():
+    # n = 4, m = 14, k = 7 in any_hatW mode builds 548,442 table entries;
+    # counting every W' over all 14 candidates estimated 1,166,572 steps
+    assert _restrained_work(4, 14, 7, 14) == 556_512 <= WORK_LIMIT
