@@ -21,11 +21,16 @@ utility must obey -- monotonicity and the unit-Lipschitz bound -- can be
 checked exhaustively at desk scale with ``check_axioms``.
 
 The exhaustive checks (``check_axioms``, ``self_bounding_constant`` and
-the exact sampling expectations in ``corelect.sampling``) evaluate each
-subset once, into an integer table indexed by bitmask: values over one
-common denominator, with a second integer column for the sqrt part of
-Quad values.  Every comparison is then an integer sign test, and only
-the returned value is built as a Fraction or Quad.
+the exact sampling checks in ``corelect.sampling``) evaluate each subset
+once, into an integer table indexed by bitmask: values over one common
+denominator, with a second integer column for the sqrt part of Quad
+values.  Every comparison is then an integer sign test, and only the
+returned value is built as a Fraction or Quad.  There is one table per
+oracle and universe, shared across these calls: the most recent table is
+kept, so a sweep that follows another on the same oracle object and
+universe evaluates no subset twice and reuses beta* and the sampling
+expectations.  Only that one table is kept, so the memory held between
+calls is at most one table (about 48 MB at m = 20).
 """
 
 from __future__ import annotations
@@ -426,47 +431,82 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
         yield frozenset(c for c, bit in zip(universe, mask) if bit)
 
 
-def _masks(m: int, sizes=None):
-    """Bitmasks over m bits by size, then in the lexicographic order of
-    ``itertools.combinations`` (bit i standing for the i-th member)."""
+def _masks(m: int, sizes):
+    """Bitmasks over m bits of the given sizes, by size, then in the
+    lexicographic order of ``itertools.combinations`` (bit i standing for
+    the i-th member)."""
     bits = [1 << i for i in range(m)]
     return itertools.chain.from_iterable(
-        map(sum, itertools.combinations(bits, size))
-        for size in (range(m + 1) if sizes is None else sizes)
+        map(sum, itertools.combinations(bits, size)) for size in sizes
     )
 
 
 class _SubsetTable:
     """u over the subsets of a sorted, distinct universe, one evaluation
-    per subset of each size layer filled (every layer by default).
+    per subset of each size layer filled.
 
     Bit i of a mask stands for ``universe[i]``, and u(mask) equals
     (rat[mask] + irr[mask] * sqrt(radicand)) / den with integers only;
     ``irr`` stays all zeros, and ``radicand`` 1, while every value is
     rational.  A Quad value a + b*sqrt(d) has radicand d.num * d.den, so
     sqrt(d) = sqrt(radicand) / d.den.  Evaluations that raised
-    ``MalformedUtilityError`` are kept in ``errors`` (in evaluation order)
-    and raised again by ``require`` when a sweep reaches them.
+    ``MalformedUtilityError`` are kept in ``errors``, in the order that
+    filling every layer from size 0 up evaluates them, and raised again by
+    ``require`` when a sweep reaches them.
+
+    There is one table per oracle and universe: ``of`` returns it to every
+    exhaustive sweep, and each sweep fills only the layers it still lacks,
+    so no subset is evaluated twice.  beta* (``beta_star``) and the
+    sampling expectation for each alpha (``expectations``, valid for the
+    current ``den``) are kept on it.  Only the most recent table is kept
+    between calls, so the memory held is one table, not one per oracle.
+    The oracle is matched by identity: oracles are immutable, and a
+    ``key()`` would cost a hash on every call.
     """
 
-    __slots__ = ("u", "universe", "rat", "irr", "den", "radicand", "field", "errors", "_factor")
+    __slots__ = (
+        "u", "universe", "rat", "irr", "den", "radicand", "field", "errors", "layers",
+        "beta_star", "expectations", "_factor",
+    )
 
-    def __init__(self, u: UtilityFunction, universe: Sequence[int], sizes=None):
+    _recent = None  # the one table kept between calls
+
+    def __init__(self, u: UtilityFunction, universe: Sequence[int]):
         self.u = u
-        self.universe = universe
+        self.universe = tuple(universe)
         self.rat = [0] * (1 << len(universe))
         self.irr = [0] * len(self.rat)
         self.den = 1
         self.radicand = 1
         self.field = None  # the d of u's Quad values
         self.errors = {}
+        self.layers = set()  # the sizes filled so far
+        self.beta_star = None
+        self.expectations = {}  # alpha -> (a, b, den), see sampling._expectation
         self._factor = {1: 1}  # denominator q -> den // q
-        self.fill(range(len(universe) + 1) if sizes is None else sizes)
+
+    @classmethod
+    def of(cls, u: UtilityFunction, universe: Sequence[int], sizes=None) -> "_SubsetTable":
+        """The table of u over ``universe`` with the given size layers
+        (every layer by default) filled: the kept table if it is of this
+        oracle object and universe, otherwise a new one that replaces it."""
+        universe = tuple(universe)
+        table = cls._recent
+        if table is None or table.u is not u or table.universe != universe:
+            table = cls._recent = None  # frees the kept table before the new one is built
+            table = cls._recent = cls(u, universe)
+        table.fill(range(len(universe) + 1) if sizes is None else sizes)
+        return table
 
     def fill(self, sizes):
-        """Evaluate u on every subset of each of the given sizes: a rational
-        oracle's ``numerator`` over its fixed ``scale``, else ``value``."""
-        rat, irr, factor = self.rat, self.irr, self._factor
+        """Evaluate u on every subset of each of the given sizes that is not
+        filled yet: a rational oracle's ``numerator`` over its fixed
+        ``scale``, else ``value``."""
+        sizes = [size for size in sizes if size not in self.layers]
+        if not sizes:
+            return
+        self.layers.update(sizes)
+        rat, irr, factor, errors = self.rat, self.irr, self._factor, self.errors
         subsets = itertools.chain.from_iterable(
             itertools.combinations(self.universe, size) for size in sizes
         )
@@ -478,20 +518,26 @@ class _SubsetTable:
                 try:
                     rat[mask] = numerator(frozenset(members)) * f
                 except MalformedUtilityError as exc:
-                    self.errors[mask] = exc
-            return
-        value = self.u.value
-        for mask, members in zip(masks, subsets):
-            try:
-                v = value(frozenset(members))
-            except MalformedUtilityError as exc:
-                self.errors[mask] = exc
-                continue
-            if isinstance(v, Quad):
-                q = v.b.denominator * self._radical(v.d)
-                irr[mask] = v.b.numerator * (factor.get(q) or self._grow(q))
-                v = v.a
-            rat[mask] = v.numerator * (factor.get(v.denominator) or self._grow(v.denominator))
+                    errors[mask] = exc
+        else:
+            value = self.u.value
+            for mask, members in zip(masks, subsets):
+                try:
+                    v = value(frozenset(members))
+                except MalformedUtilityError as exc:
+                    errors[mask] = exc
+                    continue
+                if isinstance(v, Quad):
+                    q = v.b.denominator * self._radical(v.d)
+                    irr[mask] = v.b.numerator * (factor.get(q) or self._grow(q))
+                    v = v.a
+                rat[mask] = v.numerator * (factor.get(v.denominator) or self._grow(v.denominator))
+        if errors:
+            # layers may arrive in any order; keep the errors in size, then
+            # combinations order, so every call raises the same one first
+            bits = range(len(self.universe))
+            order = sorted(errors, key=lambda x: (x.bit_count(), [i for i in bits if x >> i & 1]))
+            self.errors = {mask: errors[mask] for mask in order}
 
     def _radical(self, d: Fraction) -> int:
         """d.den, so that b*sqrt(d) = (b / d.den) * sqrt(radicand)."""
@@ -512,6 +558,7 @@ class _SubsetTable:
                 column[:] = [x * grow for x in column]
             for key in factor:
                 factor[key] *= grow
+            self.expectations.clear()  # each holds the old den
         factor[q] = self.den // q
         return factor[q]
 
@@ -574,7 +621,7 @@ def _axiom_scan(u: UtilityFunction, universe: Sequence[int]):
     table is filled one size layer ahead of the scan, so a stop saves the
     evaluations of every layer the scan does not reach."""
     m = len(universe)
-    table = _SubsetTable(u, universe, (0,))
+    table = _SubsetTable.of(u, universe, (0,))
     rat, irr = table.rat, table.irr
     members = list(zip((1 << i for i in range(m)), universe))
 
@@ -632,12 +679,19 @@ def self_bounding_constant(u: UtilityFunction, universe: Sequence[int]) -> Exact
     """
     universe = sorted(set(universe))
     require_work(1 << len(universe), f"beta* of {len(universe)} candidates")
-    return _self_bounding(_SubsetTable(u, universe))
+    return _self_bounding(_SubsetTable.of(u, universe))
 
 
 def _self_bounding(table: _SubsetTable) -> ExactValue:
-    """beta* over a full table: each ratio sum_j (u(T) - u(T - {j})) / u(T)
-    is compared with the best so far by cross-multiplication."""
+    """beta* over a full table, computed once per table."""
+    if table.beta_star is None:
+        table.beta_star = _beta_star(table)
+    return table.beta_star
+
+
+def _beta_star(table: _SubsetTable) -> ExactValue:
+    """Each ratio sum_j (u(T) - u(T - {j})) / u(T) is compared with the
+    best so far by cross-multiplication."""
     table.require()
     rat, irr, n = table.rat, table.irr, table.radicand
     bits = [1 << i for i in range(len(table.universe))]

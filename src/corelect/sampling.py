@@ -8,6 +8,7 @@ comparisons against the exact rational probability, never floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,27 +40,35 @@ def _parse_alpha(alpha) -> Fraction:
 
 
 def _exact_table(u: UtilityFunction, T: list, alpha: Fraction, every_subset=False):
-    """The table of u over the subsets of T that an alpha-sample takes with
-    positive probability (all of them for ``every_subset``, as beta* needs)."""
+    """The shared table of u over T, filled at least on the subsets that an
+    alpha-sample takes with positive probability (all of them for
+    ``every_subset``, as beta* needs)."""
     if len(T) > EXACT_SIZE_CAP:
         raise EnumerationLimitError(f"|T| = {len(T)} exceeds the exact cap {EXACT_SIZE_CAP}")
     sizes = None
     if not every_subset and alpha in (0, 1):
         sizes = (len(T) if alpha else 0,)
-    return _SubsetTable(u, T, sizes)
+    return _SubsetTable.of(u, T, sizes)
 
 
 def _expectation(table: _SubsetTable, alpha: Fraction) -> tuple:
     """E[u(O)] over ``table`` as (a, b, den), meaning (a + b*sqrt(n)) / den:
-    the sum of p^|O| (q-p)^(m-|O|) u(O) / q^m for alpha = p/q."""
-    table.require()
+    the sum of p^|O| (q-p)^(m-|O|) u(O) / q^m for alpha = p/q.  Computed
+    once per alpha and table den; den is q^m * table.den."""
+    found = table.expectations.get(alpha)
+    if found is not None:
+        return found
     p, q, m = alpha.numerator, alpha.denominator, len(table.universe)
     weight = [p**k * (q - p) ** (m - k) for k in range(m + 1)]
+    # only the subsets O can take: a table shared with other sweeps may
+    # hold failed evaluations of sizes of weight 0
+    table.require([mask for mask in table.errors if weight[mask.bit_count()]])
 
     def weighted(column):
         return sum(weight[mask.bit_count()] * v for mask, v in enumerate(column))
 
-    return weighted(table.rat), weighted(table.irr), q**m * table.den
+    found = table.expectations[alpha] = (weighted(table.rat), weighted(table.irr), q**m * table.den)
+    return found
 
 
 def exact_sample_expectation(u: UtilityFunction, T: Iterable[int], alpha) -> ExactValue:
@@ -97,9 +106,12 @@ def verify_sampling_bound(u: UtilityFunction, T: Iterable[int], alpha, beta: int
     return int_sign(a * q - scale * rat, b * q - scale * irr, table.radicand) >= 0
 
 
-def _bernoulli_mask(rng, p: Fraction, count: int):
-    """Exact Bernoulli(p) draws via integer comparison."""
-    draws = rng.integers(0, p.denominator, size=count)
+def _bernoulli_mask(rng, p: Fraction, shape):
+    """Exact Bernoulli(p) draws of the given shape via integer comparison.
+
+    A (trials, m) matrix consumes the generator's stream exactly as
+    ``trials`` draws of m in a row do, and its rows equal those draws."""
+    draws = rng.integers(0, p.denominator, size=shape)
     return draws < p.numerator
 
 
@@ -170,11 +182,10 @@ def mc_lower_tail(
     rng = rng_from_seed(seed)
     if exact:
         return _exact_tail(table, alpha, delta, trials, seed, beta, rng)
-    samples = []
-    for _ in range(trials):
-        mask = _bernoulli_mask(rng, alpha, len(T))
-        O = frozenset(c for c, keep in zip(T, mask) if keep)
-        samples.append(u.value(O))
+    samples = [
+        u.value(frozenset(itertools.compress(T, row)))
+        for row in _bernoulli_mask(rng, alpha, (trials, len(T)))
+    ]
     mu0 = sum(samples, Fraction(0)) / trials
     mean = float(mu0)
     var = sum((float(v) - mean) ** 2 for v in samples) / max(1, trials - 1)
@@ -188,8 +199,7 @@ def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
     """The lower tail with mu0 exact: each trial's sample is looked up in
     the table by its mask, and hits are counted in integers."""
     bits = np.array([1 << i for i in range(len(table.universe))], dtype=np.int64)
-    draws = [_bernoulli_mask(rng, alpha, len(bits)) for _ in range(trials)]
-    counts = Counter((np.array(draws) @ bits).tolist())
+    counts = Counter((_bernoulli_mask(rng, alpha, (trials, len(bits))) @ bits).tolist())
     table.require(counts)
     a, b, den = _expectation(table, alpha)
     # u(O) <= (1 - e/f) mu0  <=>  (rat + irr r) f den / den(u) <= (f - e)(a + b r)
@@ -336,9 +346,8 @@ def endow2_reduction_experiment(
     t_list = sorted(t_prime)
     current = {i: instance.utility(i, W) for i in S}
     hits_s = hits_c = hits_joint = 0
-    for _ in range(trials):
-        mask = _bernoulli_mask(rng, p_include, len(t_list))
-        O = frozenset(c for c, keep in zip(t_list, mask) if keep)
+    for row in _bernoulli_mask(rng, p_include, (trials, len(t_list))):
+        O = frozenset(itertools.compress(t_list, row))
         s_prime = sum(1 for i in S if instance.utility(i, O) > current[i])
         ev_s = Fraction(s_prime) >= q * len(S)
         ev_c = instance.cost(O) <= cost_cap

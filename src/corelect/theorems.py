@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InfeasibleInstanceError
+from .exactnum import Quad
 from .instances import (
     ENDOW2_ETA,
     ENDOW2_KAPPA,
@@ -349,6 +350,19 @@ def lb00_two_voter_deviation(instance, counts):
     return None
 
 
+def _note_value(x) -> str:
+    """An exact value as a note prints it: a rational as itself, a Quad
+    as "a + b*sqrt(d)" (a left out when 0) with its decimal value beside
+    it.  JSON output escapes non-ASCII, so the notation stays ASCII."""
+    if not isinstance(x, Quad):
+        return str(x)
+    if not x.a:
+        exact = f"{x.b}*sqrt({x.d})"
+    else:
+        exact = f"{x.a} {'+' if x.b > 0 else '-'} {abs(x.b)}*sqrt({x.d})"
+    return f"{exact} (~{float(x):.6g})"
+
+
 def run_lb00(beta: int = 6, rs=(2, 3), seed0: int = 6000) -> SuiteResult:
     """Exponential lower bound: axioms hold, the exponent is at most beta,
     and every committee of size 3r admits the two-voter deviation with
@@ -393,8 +407,8 @@ def run_lb00(beta: int = 6, rs=(2, 3), seed0: int = 6000) -> SuiteResult:
             g = min(slacked)
             worst_gamma = g if worst_gamma is None else min(worst_gamma, g)
         result.notes.append(
-            f"r={r}: every size-3r committee blocked at gamma <= {worst_gamma} "
-            f"(+1 slack included); ratio bound without slack {ratio_bound}"
+            f"r={r}: every size-3r committee blocked at gamma <= {_note_value(worst_gamma)} "
+            f"(+1 slack included); ratio bound without slack {_note_value(ratio_bound)}"
         )
         if worst_gamma is not None and worst_gamma < 1:
             result.notes.append(

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelect.errors import EnumerationLimitError, MalformedUtilityError
-from corelect.exactnum import Quad
+from corelect.exactnum import Quad, exact_ceil
 from corelect.instances import gen_lb00, gen_xos_example, random_utility, rng_from_seed
 from corelect.model import (
     AdditiveUtility,
@@ -21,8 +21,9 @@ from corelect.model import (
     gain_threshold,
     self_bounding_constant,
 )
+from corelect.sampling import exact_sample_expectation, mc_lower_tail, verify_sampling_bound
 
-from oracles import naive_value
+from oracles import naive_value, oracle_sample_expectation
 
 
 def test_evaluate_approval_intersection():
@@ -479,6 +480,157 @@ def test_axiom_scan_evaluates_no_layer_past_its_early_break():
     assert _witness(rep.lipschitz_witness) == (frozenset({0}), 0)
     assert _witness(rep.monotone_witness) == (frozenset({0, 1}), 1)
     assert len(calls) == 1 + 12 + 66 and len(set(calls)) == len(calls)
+
+
+def _growing(universe):
+    """u(T) = |T| / (|T| + 2), read by value: each size layer brings a new
+    denominator, so a subset table's common denominator grows with the
+    layers it fills."""
+    return _QuadTable({S: Fraction(len(S), len(S) + 2) for S in _power_set(universe)})
+
+
+def _sweep_calls(u, universe, beta):
+    """The exhaustive sweeps of one oracle, by name, each returning a
+    comparable result; mean0 and tail1 fill one size layer only."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+
+    def axioms():
+        rep = check_axioms(u, universe)
+        return rep.monotone, _witness(rep.monotone_witness), rep.lipschitz, rep.checked
+
+    return {
+        "axioms": axioms,
+        "beta*": lambda: repr(self_bounding_constant(u, universe)),
+        "bound": lambda: verify_sampling_bound(u, universe, half, beta),
+        "tail": lambda: mc_lower_tail(u, universe, third, half, 40, seed=5).to_json(),
+        "mean0": lambda: repr(exact_sample_expectation(u, universe, 0)),
+        "tail1": lambda: mc_lower_tail(u, universe, 1, half, 40, seed=5, beta=beta).to_json(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["xos", "lb00", "growing"])
+def test_shared_table_gives_fresh_results_in_every_call_order(kind):
+    import itertools
+
+    from oracles import oracle_axioms, oracle_self_bounding_constant
+
+    if kind == "xos":
+        universe = list(range(5))
+        make = lambda: random_utility("xos", universe, rng_from_seed(11))  # noqa: E731
+    elif kind == "lb00":
+        universe, lb = list(range(7)), gen_lb00(5, 2).utilities[1]
+        make = lambda: type(lb)(lb.beta, lb.r, lb.role, lb.party_of)  # noqa: E731
+    else:
+        universe = list(range(4))
+        make = lambda: _growing(universe)  # noqa: E731
+    bstar = oracle_self_bounding_constant(make(), universe)
+    beta = max(1, exact_ceil(bstar))
+    # each sweep alone, on an oracle object no other call has seen
+    names = _sweep_calls(None, (), 1)
+    fresh = {name: _sweep_calls(make(), universe, beta)[name]() for name in names}
+    assert fresh["beta*"] == repr(bstar)
+    mono_w, _, checked = oracle_axioms(make(), universe)
+    assert fresh["axioms"] == (mono_w is None, mono_w, True, checked)
+    for order in itertools.permutations(["axioms", "beta*", "bound", "tail"]):
+        calls = _sweep_calls(make(), universe, beta)
+        for name in ("mean0", "tail1", *order, "tail1", "mean0"):
+            assert calls[name]() == fresh[name], (order, name)
+
+
+def test_sweeps_of_one_oracle_evaluate_each_subset_once():
+    evaluated = []
+
+    class Counted(AdditiveUtility):
+        def numerator(self, T):
+            evaluated.append(T)
+            return super().numerator(T)
+
+    u = Counted({0: Fraction(1, 2), 1: Fraction(1, 3), 2: 1, 3: Fraction(3, 4), 4: 0})
+    calls = _sweep_calls(u, range(5), 1)
+    for name in ("axioms", "beta*", "bound", "tail", "mean0", "tail1"):
+        calls[name]()
+    assert len(evaluated) == len(set(evaluated)) == 2**5
+
+
+def test_only_the_most_recent_subset_table_is_kept():
+    import gc
+    import weakref
+
+    first = AdditiveUtility({c: Fraction(1, 2) for c in range(6)})
+    ref = weakref.ref(first)
+    self_bounding_constant(first, range(6))
+    del first
+    gc.collect()
+    assert ref() is not None  # its table is kept for a next sweep of it
+    self_bounding_constant(AdditiveUtility({0: 1}), range(6))
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_kept_subset_table_is_freed_before_the_next_is_built():
+    # two equal oracle objects, so two tables of one size: while the second
+    # is built, the first is gone, and not even its two columns of 2^12
+    # entries are held beside it
+    import tracemalloc
+
+    first, second = (random_utility("additive", range(12), rng_from_seed(1)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        self_bounding_constant(first, range(12))
+        kept = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        self_bounding_constant(second, range(12))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < kept + 8 * 2**12, (peak, kept)
+
+
+def test_shared_table_raises_the_same_error_on_every_call():
+    # {1} and the whole set have no entry; an alpha = 1 sample needs only
+    # the whole set, every other sweep meets {1} first
+    entries = {S: Fraction(len(S), 3) for S in _power_set([0, 1, 2]) if S}
+    del entries[frozenset({1})], entries[frozenset({0, 1, 2})]
+
+    def sweeps(u):
+        return {
+            "whole": lambda: exact_sample_expectation(u, [0, 1, 2], 1),
+            "axioms": lambda: check_axioms(u, [0, 1, 2]),
+            "beta*": lambda: self_bounding_constant(u, [0, 1, 2]),
+            "mean": lambda: exact_sample_expectation(u, [0, 1, 2], Fraction(1, 2)),
+            "mean0": lambda: exact_sample_expectation(u, [0, 1, 2], 0),
+        }
+
+    def outcome(call):
+        try:
+            return repr(call())
+        except MalformedUtilityError as exc:
+            return str(exc)
+
+    fresh = {name: outcome(sweeps(TableUtility(entries))[name]) for name in sweeps(None)}
+    assert fresh["whole"].endswith("[0, 1, 2]") and fresh["beta*"].endswith("[1]")
+    assert fresh["mean0"] == repr(Fraction(0))
+    calls = sweeps(TableUtility(entries))
+    for name in ("whole", "axioms", "beta*", "mean", "mean0", "whole", "beta*", "axioms"):
+        assert outcome(calls[name]) == fresh[name], name
+
+
+def test_expectations_kept_on_a_table_follow_its_growing_denominator():
+    # alpha = 0 and 1 fill one layer each (den 3); the full fill at
+    # alpha = 1/2 then grows den to 30, which each kept expectation must follow
+    universe, half = range(4), Fraction(1, 2)
+    u = _growing(universe)
+    assert exact_sample_expectation(u, universe, 0) == 0
+    assert exact_sample_expectation(u, universe, 1) == Fraction(2, 3)
+    assert verify_sampling_bound(u, universe, half, 1)
+    assert exact_sample_expectation(u, universe, half) == oracle_sample_expectation(
+        u, universe, half
+    )
+    assert verify_sampling_bound(u, universe, 1, 1) and verify_sampling_bound(u, universe, 0, 1)
+    tail = mc_lower_tail(u, universe, 1, half, 40, seed=5, beta=1)
+    assert tail.mu0 == Fraction(2, 3) and tail.empirical == 0
+    assert exact_sample_expectation(u, universe, 1) == Fraction(2, 3)
 
 
 def test_subset_table_reads_a_rational_oracle_by_numerator():

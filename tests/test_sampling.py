@@ -143,6 +143,23 @@ def test_tail_is_seed_deterministic():
     assert a.empirical != c.empirical or a.seed != c.seed
 
 
+@pytest.mark.parametrize(
+    "m, p",
+    [(7, Fraction(1, 3)), (1, Fraction(1, 2)), (5, Fraction(2**32, 2**33 + 1)), (16, Fraction(1))],
+)
+def test_bernoulli_matrix_rows_equal_draws_one_row_at_a_time(m, p):
+    # one (trials, m) draw consumes the Philox stream exactly as trials
+    # draws of m do, for odd m and for a denominator above 2^32 too
+    from corelect.sampling import _bernoulli_mask
+
+    by_row, at_once = rng_from_seed(17), rng_from_seed(17)
+    rows = [_bernoulli_mask(by_row, p, m) for _ in range(25)]
+    matrix = _bernoulli_mask(at_once, p, (25, m))
+    assert matrix.shape == (25, m)
+    assert all((row == drawn).all() for row, drawn in zip(rows, matrix))
+    assert by_row.integers(0, 2**62) == at_once.integers(0, 2**62)
+
+
 def _reduction_instance(m=30, weight=Fraction(1, 3)):
     candidates = list(range(m + 2))
     sizes = {c: 1 for c in candidates}

@@ -67,16 +67,21 @@ def test_lb1_lemma_deviations_small():
 def test_lb00_small_r():
     r = run_lb00(beta=6, rs=(2,))
     assert r.passed
-    assert any("32/27" not in n or True for n in r.notes)
+    assert r.notes[0].endswith("ratio bound without slack 32/27")
 
 
 def test_lb00_odd_beta_compares_in_the_utilities_field(tmp_path):
     # the ratio bound 1/(2z) is a Quad over (3/4)^beta, as the utilities
     # are; a Quad over (4/3)^beta cannot be compared with them
-    for beta in (5, 7):
-        rep = run_lb00(beta=beta, rs=(2,))
+    reports = {beta: run_lb00(beta=beta, rs=(2,)) for beta in (5, 7)}
+    for rep in reports.values():
         assert rep.passed and rep.total == 143
-    assert run_lb00(beta=6, rs=(2,)).notes[0].endswith("ratio bound without slack 32/27")
+    # odd-beta notes print each Quad as a + b*sqrt(d) with its decimal value
+    assert reports[5].notes[0] == (
+        "r=2: every size-3r committee blocked at gamma <= -31744/28310591"
+        " + 33554432/84931773*sqrt(243/1024) (~0.191335) (+1 slack included);"
+        " ratio bound without slack 512/243*sqrt(243/1024) (~1.0264)"
+    )
     out = tmp_path / "lb00.json"
     assert run(["theorem-suite", "--name", "lb00", "--beta", "5", "--out", str(out)]) == 0
 
