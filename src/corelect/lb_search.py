@@ -2,14 +2,31 @@
 
 The four-voter, six-party instance is symmetric under permuting
 candidates within a party, so committees are enumerated as party-count
-vectors (with dummies filling to k).  Two exact reductions keep the
+vectors (with dummies filling to k).  Three exact reductions keep the
 search sound:
 
 * only maximal-dummy committees need checking: shrinking the dummy part
   only removes planner options, so a failing maximal-dummy committee
   forces every smaller-dummy variant to fail too;
 * the planner's sub-committee hatW matters only through its non-dummy
-  party counts (dummies consume neither the packing cap nor utility).
+  party counts (dummies consume neither the packing cap nor utility);
+* blocking is downward-closed in the counts: if coalition S blocks the
+  class c + e_p (one more seat for party p), it blocks c.  Proof: the
+  planner replies under c (every h <= c within S's seat limit) are among
+  those under c + e_p; each reply's caps ``pool - h`` and budget
+  min(k', cap - sum h) depend on h alone; the targets ceil(gamma (u_v + 1))
+  do not grow when a count falls (for gamma > 0 they rise with u_v, and
+  for gamma <= 0 all are <= 0, so every class is blocked); so the cover
+  that met S's residual targets after a reply under c + e_p also meets
+  the smaller ones under c.  The skip of a coalition with a target above
+  3 * pool is monotone the same way.
+
+The scan uses the third reduction on runs: the classes that share the
+counts c0..c4 and differ in the last count b = 0..top, which are
+consecutive in scan order.  The class at b = top decides a blocked run
+in one evaluation; a run whose last class passes is bisected on b for
+its first passing class, which is the class a one-by-one scan would
+stop at.
 
 Deciding "can the coalition reach its utility targets given hatW" is a
 capacitated b-edge-cover question on K4 (each party is approved by
@@ -327,20 +344,27 @@ def _compositions_count(total, parts, cap):
     return result
 
 
-def _class_iter(pool, cap, k):
-    """Party-count vectors with sum <= min(cap, k), each count <= pool."""
-    limit = min(cap, k)
+def _class_runs(pool, cap, k):
+    """The scan's runs in lexicographic order: (c0..c4, top) for every
+    prefix with sum <= min(cap, k) and each count <= pool, standing for
+    the classes prefix + (b,), b = 0..top."""
 
-    def rec(idx, remaining):
-        if idx == 5:
-            for c in range(min(pool, remaining) + 1):
-                yield (c,)
+    def rec(prefix, remaining):
+        if len(prefix) == 5:
+            yield prefix, min(pool, remaining)
             return
         for c in range(min(pool, remaining) + 1):
-            for rest in rec(idx + 1, remaining - c):
-                yield (c,) + rest
+            yield from rec(prefix + (c,), remaining - c)
 
-    yield from rec(0, limit)
+    yield from rec((), min(cap, k))
+
+
+def _class_iter(pool, cap, k):
+    """Party-count vectors with sum <= min(cap, k), each count <= pool, in
+    lexicographic order: the runs of ``_class_runs`` expanded."""
+    for prefix, top in _class_runs(pool, cap, k):
+        for b in range(top + 1):
+            yield prefix + (b,)
 
 
 def _blocking_coalition_exists(counts, pool, cap, k, needs):
@@ -392,6 +416,27 @@ def _first_refuting_reply(layers, targets, hat_limit, kprime, cap):
     return None
 
 
+def _first_passing(prefix, size, pool, cap, k, gamma, deadline):
+    """The least b < size whose class prefix + (b,) passes, or size when
+    all of them are blocked; None when the monotonic clock is past
+    ``deadline`` before an evaluation.  Passing is upward-closed in b
+    (module docstring), so the class at b = size - 1 is evaluated first
+    and a blocked one decides the run; otherwise the first passing b is
+    bisected for."""
+    lo, hi, b = 0, size, size - 1  # blocked below lo, passing from hi on
+    while lo < hi:
+        if time.monotonic() > deadline:
+            return None
+        counts = prefix + (b,)
+        needs = _targets(_utilities(counts), gamma)
+        if _blocking_coalition_exists(counts, pool, cap, k, needs)[0]:
+            lo = b + 1
+        else:
+            hi = b
+        b = (lo + hi) // 2
+    return lo
+
+
 def lb1_emptiness_search(
     r: int,
     gamma=LB1_GAMMA,
@@ -410,6 +455,11 @@ def lb1_emptiness_search(
     passing committees exist (the asymptotic emptiness has an o(1)
     allowance); a found one is reported as a counterexample candidate
     and can be certified with ``verify_passing_class``.
+
+    The scan decides whole runs (module docstring), in the order and
+    with the outcome of a one-class-at-a-time scan; the class cap ends a
+    run where it falls.  The wall clock is read before each evaluation,
+    and a stop on it counts only the runs already decided.
     """
     k, cap, pool = lb1_geometry(r, pool_size)
     gamma = parse_rational(gamma)
@@ -421,23 +471,26 @@ def lb1_emptiness_search(
     )
     start = time.monotonic()
     checked = 0
-    for counts in _class_iter(pool, cap, k):
-        if time.monotonic() - start > time_cap_s or (
-            class_cap is not None and checked >= class_cap
-        ):
-            report.notes.append(
-                f"stopped after {checked} of {classes_total} classes; "
-                "no stability claim is made for the unchecked remainder"
-            )
-            break
-        needs = _targets(_utilities(counts), gamma)
-        blocked, S = _blocking_coalition_exists(counts, pool, cap, k, needs)
-        checked += 1
-        if not blocked:
+    for prefix, top in _class_runs(pool, cap, k):
+        size = top + 1
+        if class_cap is not None:
+            size = max(0, min(size, class_cap - checked))
+        first = _first_passing(prefix, size, pool, cap, k, gamma, start + time_cap_s)
+        if first is not None and first < size:
+            checked += first + 1
+            counts = prefix + (first,)
             report.result = "counterexample-candidate"
             report.passing_class = counts
             report.notes.append(
                 f"counts {counts} pass the {gamma}-restrained core at r={r}"
+            )
+            break
+        if first is not None:
+            checked += size
+        if first is None or size <= top:
+            report.notes.append(
+                f"stopped after {checked} of {classes_total} classes; "
+                "no stability claim is made for the unchecked remainder"
             )
             break
     else:

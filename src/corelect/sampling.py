@@ -115,6 +115,17 @@ def _bernoulli_mask(rng, p: Fraction, shape):
     return draws < p.numerator
 
 
+# rows per Monte-Carlo block: memory stays bounded whatever the trial count
+MC_BLOCK_ROWS = 1 << 15
+
+
+def _bernoulli_blocks(rng, p: Fraction, trials: int, m: int):
+    """The (trials, m) matrix of ``_bernoulli_mask`` in blocks of at most
+    ``MC_BLOCK_ROWS`` rows; the rows and the stream consumed are the same."""
+    for done in range(0, trials, MC_BLOCK_ROWS):
+        yield _bernoulli_mask(rng, p, (min(MC_BLOCK_ROWS, trials - done), m))
+
+
 @dataclass
 class TailReport:
     mu0: object
@@ -184,7 +195,8 @@ def mc_lower_tail(
         return _exact_tail(table, alpha, delta, trials, seed, beta, rng)
     samples = [
         u.value(frozenset(itertools.compress(T, row)))
-        for row in _bernoulli_mask(rng, alpha, (trials, len(T)))
+        for block in _bernoulli_blocks(rng, alpha, trials, len(T))
+        for row in block
     ]
     mu0 = sum(samples, Fraction(0)) / trials
     mean = float(mu0)
@@ -199,7 +211,9 @@ def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
     """The lower tail with mu0 exact: each trial's sample is looked up in
     the table by its mask, and hits are counted in integers."""
     bits = np.array([1 << i for i in range(len(table.universe))], dtype=np.int64)
-    counts = Counter((_bernoulli_mask(rng, alpha, (trials, len(bits))) @ bits).tolist())
+    counts = Counter()
+    for block in _bernoulli_blocks(rng, alpha, trials, len(bits)):
+        counts.update((block @ bits).tolist())
     table.require(counts)
     a, b, den = _expectation(table, alpha)
     # u(O) <= (1 - e/f) mu0  <=>  (rat + irr r) f den / den(u) <= (f - e)(a + b r)
@@ -346,14 +360,15 @@ def endow2_reduction_experiment(
     t_list = sorted(t_prime)
     current = {i: instance.utility(i, W) for i in S}
     hits_s = hits_c = hits_joint = 0
-    for row in _bernoulli_mask(rng, p_include, (trials, len(t_list))):
-        O = frozenset(itertools.compress(t_list, row))
-        s_prime = sum(1 for i in S if instance.utility(i, O) > current[i])
-        ev_s = Fraction(s_prime) >= q * len(S)
-        ev_c = instance.cost(O) <= cost_cap
-        hits_s += ev_s
-        hits_c += ev_c
-        hits_joint += ev_s and ev_c
+    for block in _bernoulli_blocks(rng, p_include, trials, len(t_list)):
+        for row in block:
+            O = frozenset(itertools.compress(t_list, row))
+            s_prime = sum(1 for i in S if instance.utility(i, O) > current[i])
+            ev_s = Fraction(s_prime) >= q * len(S)
+            ev_c = instance.cost(O) <= cost_cap
+            hits_s += ev_s
+            hits_c += ev_c
+            hits_joint += ev_s and ev_c
     report.freq_coalition_event = Fraction(hits_s, trials)
     report.freq_cost_event = Fraction(hits_c, trials)
     report.freq_joint_event = Fraction(hits_joint, trials)

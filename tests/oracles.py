@@ -453,3 +453,40 @@ def oracle_blocking_coalition(counts, pool, cap, k, gamma):
             else:
                 return S
     return None
+
+
+def oracle_emptiness_scan(r, gamma, class_cap, pool_size=None):
+    """``lb1_emptiness_search``'s report, minus ``elapsed_s``, from a walk of
+    the classes one at a time in ``_class_iter`` order, each decided by
+    ``oracle_blocking_coalition``: stop before a class once ``class_cap``
+    classes are checked, and at the first class that passes."""
+    from corelect.instances import lb1_geometry
+    from corelect.lb_search import _class_iter
+
+    k, cap, pool = lb1_geometry(r, pool_size)
+    gamma = Fraction(gamma)
+    classes = list(_class_iter(pool, cap, k))
+    report = {
+        "result": "confirmed-empty",
+        "gamma": int(gamma) if gamma.denominator == 1 else f"{gamma.numerator}/{gamma.denominator}",
+        "r": r,
+        "classes_total": len(classes),
+        "classes_checked": 0,
+        "passing_class": None,
+        "notes": [],
+    }
+    for counts in classes:
+        if class_cap is not None and report["classes_checked"] >= class_cap:
+            report["result"] = "cap-exceeded"
+            report["notes"].append(
+                f"stopped after {report['classes_checked']} of {len(classes)} classes; "
+                "no stability claim is made for the unchecked remainder"
+            )
+            break
+        report["classes_checked"] += 1
+        if oracle_blocking_coalition(counts, pool, cap, k, gamma) is None:
+            report["result"] = "counterexample-candidate"
+            report["passing_class"] = list(counts)
+            report["notes"].append(f"counts {counts} pass the {gamma}-restrained core at r={r}")
+            break
+    return report

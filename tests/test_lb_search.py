@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ import corelect.lb_search as lb_search
 from corelect.lb_search import (
     _blocking_coalition_exists,
     _class_iter,
+    _class_runs,
     _cover_feasible,
     _cover_feasible_second_opinion,
     _min_cover,
@@ -22,10 +25,12 @@ from corelect.lb_search import (
     lb1_emptiness_search,
     verify_passing_class,
 )
+import oracles
 from oracles import (
     K4_EDGES,
     oracle_blocking_coalition,
     oracle_cover_feasible,
+    oracle_emptiness_scan,
     oracle_hat_iter,
     oracle_min_cover,
 )
@@ -293,3 +298,103 @@ def test_layered_check_matches_naive_loop_when_caps_bind(gamma, monkeypatch):
             S = _layered_check(counts, gamma, pool=6)
         assert S == oracle_blocking_coalition(counts, 6, 30, 32, gamma), counts
     assert calls
+
+
+def _report(r, gamma, class_cap, pool_size=None, **kwargs):
+    payload = lb1_emptiness_search(
+        r, gamma=gamma, class_cap=class_cap, pool_size=pool_size, **kwargs
+    ).to_json()
+    payload.pop("elapsed_s")
+    return payload
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+@pytest.mark.parametrize(
+    "gamma", [Fraction(1, 2), Fraction(1), Fraction(16, 15), Fraction(6, 5), Fraction(101, 100)]
+)
+def test_run_scan_reports_match_a_class_by_class_scan(pool, gamma, monkeypatch):
+    # the oracle walk is naive; memoizing its per-class verdict keeps the
+    # several class caps below to one walk of each (pool, gamma)
+    monkeypatch.setattr(
+        oracles,
+        "oracle_blocking_coalition",
+        functools.lru_cache(maxsize=None)(oracle_blocking_coalition),
+    )
+    full = oracle_emptiness_scan(5, gamma, None, pool)
+    assert _report(5, gamma, None, pool) == full
+    first_run = pool + 1  # the run of prefix (0, 0, 0, 0, 0)
+    caps = {1, first_run, first_run + 1}
+    found = full["classes_checked"]
+    if full["passing_class"] is None or found == full["classes_total"]:
+        # (a cap at classes_total past a passing class scans as no cap)
+        caps.add(full["classes_total"])
+    if full["passing_class"] is not None:
+        caps |= {found - 1, found, found + 1}  # a cap just before, at and past the passing class
+        *prefix, b = full["passing_class"]
+        if (pool, gamma) in ((2, Fraction(16, 15)), (3, Fraction(6, 5))):
+            assert b < min(pool, 30 - sum(prefix))  # a passing class inside its run
+    for cap in sorted(caps):
+        assert _report(5, gamma, cap, pool) == oracle_emptiness_scan(5, gamma, cap, pool), cap
+    if gamma == Fraction(1, 2):
+        assert full["result"] == "confirmed-empty"
+    else:
+        assert full["result"] == "counterexample-candidate"
+
+
+def test_a_time_stop_counts_only_decided_runs(monkeypatch):
+    # a fake clock ticks once per reading: the search reads it at the start,
+    # before each evaluation and at the end, so a time cap of T + 1/2
+    # allows exactly T evaluations
+    def run(time_cap_s):
+        clock = itertools.count()
+        monkeypatch.setattr(lb_search, "time", types.SimpleNamespace(monotonic=clock.__next__))
+        report = lb1_emptiness_search(5, Fraction(16, 15), time_cap_s, pool_size=2)
+        return report, next(clock) - 2
+
+    full, evaluations = run(math.inf)
+    assert full.result == "counterexample-candidate" and full.classes_checked == 485
+    lengths = [top + 1 for _, top in _class_runs(2, 30, 32)]
+    boundaries = set(itertools.accumulate(lengths, initial=0))
+    assert evaluations < len(boundaries) + math.ceil(math.log2(3))  # one per run, then bisect
+    for allowed in (0, 1, 2, 3, evaluations - 2, evaluations - 1):
+        report, _ = run(allowed + 0.5)
+        assert report.result == "cap-exceeded"
+        assert report.classes_checked in boundaries and report.classes_checked < 485
+        assert report.notes == [
+            f"stopped after {report.classes_checked} of 729 classes; "
+            "no stability claim is made for the unchecked remainder"
+        ]
+    assert run(3.5)[0].classes_checked == 3 + 3 + 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda pool: st.tuples(
+            st.just(pool), st.tuples(*[st.integers(0, pool)] * 6), st.integers(0, 5)
+        )
+    ),
+    st.fractions(min_value=-1, max_value=3, max_denominator=20),
+)
+def test_blocking_is_downward_closed_in_the_counts(case, gamma):
+    pool, counts, p = case
+    if counts[p] == pool:
+        counts = counts[:p] + (pool - 1,) + counts[p + 1:]
+    more = counts[:p] + (counts[p] + 1,) + counts[p + 1:]
+    if oracle_blocking_coalition(more, pool, 30, 32, gamma) is not None:
+        assert oracle_blocking_coalition(counts, pool, 30, 32, gamma) is not None
+    if gamma <= 0:
+        assert oracle_blocking_coalition(more, pool, 30, 32, gamma) is not None
+
+
+@pytest.mark.parametrize("pool, cap, k", [(1, 30, 32), (2, 30, 32), (3, 5, 32), (4, 30, 4)])
+def test_class_iter_is_the_lexicographic_filter_of_the_product(pool, cap, k):
+    limit = min(cap, k)
+    product = itertools.product(range(pool + 1), repeat=6)
+    assert list(_class_iter(pool, cap, k)) == [c for c in product if sum(c) <= limit]
+
+
+def test_class_iter_prefix_at_the_r5_geometry():
+    product = itertools.product(range(31), repeat=6)
+    expected = itertools.islice((c for c in product if sum(c) <= 30), 20_000)
+    assert list(itertools.islice(_class_iter(30, 30, 32), 20_000)) == list(expected)

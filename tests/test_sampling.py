@@ -160,6 +160,44 @@ def test_bernoulli_matrix_rows_equal_draws_one_row_at_a_time(m, p):
     assert by_row.integers(0, 2**62) == at_once.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("m, p", [(7, Fraction(1, 3)), (0, Fraction(1, 2)), (16, Fraction(1))])
+def test_bernoulli_blocks_are_the_one_matrix_in_slices(m, p, monkeypatch):
+    import corelect.sampling as sampling
+
+    monkeypatch.setattr(sampling, "MC_BLOCK_ROWS", 8)
+    by_block, at_once = rng_from_seed(23), rng_from_seed(23)
+    blocks = list(sampling._bernoulli_blocks(by_block, p, 8 * 3 + 5, m))
+    assert [len(block) for block in blocks] == [8, 8, 8, 5]
+    matrix = sampling._bernoulli_mask(at_once, p, (8 * 3 + 5, m))
+    assert all((block == matrix[8 * i:8 * i + len(block)]).all() for i, block in enumerate(blocks))
+    assert by_block.integers(0, 2**62) == at_once.integers(0, 2**62)
+
+
+def test_monte_carlo_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # 1,003 trials: not a multiple of the 64-row blocks; the default block
+    # size holds them in one matrix, as every trial count did before blocks
+    import corelect.sampling as sampling
+
+    def reports():
+        inst = _reduction_instance()
+        exact = AdditiveUtility({c: Fraction(c + 1, 10) for c in range(10)})
+        estimated = AdditiveUtility({c: Fraction(1, 2) for c in range(20)})
+        half = Fraction(1, 2)
+        return [
+            mc_lower_tail(exact, range(10), half, half, 1003, seed=4, beta=1).to_json(),
+            mc_lower_tail(estimated, range(20), half, half, 1003, seed=4, beta=1).to_json(),
+            endow2_reduction_experiment(
+                inst, W=frozenset({30, 31}), S=[0, 1], T=frozenset(range(30)),
+                kappa=Fraction(2), eta=Fraction(5, 2), trials=1003, seed=7, gamma=2,
+            ).to_json(),
+        ]
+
+    assert sampling.MC_BLOCK_ROWS >= 1003
+    one_matrix = reports()
+    monkeypatch.setattr(sampling, "MC_BLOCK_ROWS", 64)
+    assert reports() == one_matrix
+
+
 def _reduction_instance(m=30, weight=Fraction(1, 3)):
     candidates = list(range(m + 2))
     sizes = {c: 1 for c in candidates}
