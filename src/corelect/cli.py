@@ -31,7 +31,7 @@ from .instances import (
     gen_xos_example,
 )
 from .intervals import exp_upper
-from .lb_search import LB1_CLASS_CAP, lb1_emptiness_search
+from .lb_search import LB1_CLASS_CAP, lb1_emptiness_search, verify_passing_class
 from .model import check_axioms, self_bounding_constant
 from .sampling import endow2_reduction_experiment, mc_lower_tail, verify_sampling_bound
 from .serialize import (
@@ -75,6 +75,14 @@ def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         h.update(fh.read())
     return "sha256:" + h.hexdigest()
+
+
+def _refuse(args, flags, what: str) -> None:
+    """Refuse the first of ``flags`` that was given, since ``what`` would
+    ignore it; each of them defaults to None or False."""
+    for flag in flags:
+        if getattr(args, flag) not in (None, False):
+            raise FormatError(f"{what} does not take --{flag.replace('_', '-')}")
 
 
 class _Runner:
@@ -145,6 +153,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.method == "global":
+        _refuse(args, ("epsilon", "start", "seed"), "solve --method global")
     runner = _Runner("solve", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
@@ -173,6 +183,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.notion != "core":
+        _refuse(args, ("min_coalition",), f"verify --notion {args.notion}")
+    if args.notion not in ("endowment", "pb-core"):
+        _refuse(args, ("auto_lift",), f"verify --notion {args.notion}")
     runner = _Runner("verify", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
@@ -200,6 +214,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_utility(args) -> int:
+    if args.sample_budget is None:
+        _refuse(args, ("seed",), "check-utility without --sample-budget")
     runner = _Runner("check-utility", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
@@ -315,15 +331,9 @@ def _suite_kwargs(args) -> dict:
     if params is None:
         options = sorted(SUITE_PARAMS) + sorted(CLI_SUITE_PARAMS)
         raise FormatError(f"unknown suite {args.name!r}; options: {options}")
-    kwargs = {}
-    for flag in _SUITE_FLAGS:
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in params:
-            option = "--" + flag.replace("_", "-")
-            raise FormatError(f"suite {args.name!r} does not take {option}")
-        kwargs[params[flag]] = value
+    _refuse(args, [flag for flag in _SUITE_FLAGS if flag not in params], f"suite {args.name!r}")
+    kwargs = {param: getattr(args, flag) for flag, param in params.items()}
+    kwargs = {param: value for param, value in kwargs.items() if value is not None}
     for flag, default in _SUITE_DEFAULTS.get(args.name, {}).items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
@@ -354,19 +364,9 @@ def _cmd_theorem_suite(args) -> int:
             by_class = rep.classes_checked >= args.class_cap
             payload["stopped_by"] = "class-cap" if by_class else "time-cap"
         if rep.result == "counterexample-candidate":
-            from .lb_search import verify_passing_class
-
             cert = verify_passing_class(r, rep.passing_class)
             payload["counterexample_verified"] = cert["passes"]
-            payload["certificates"] = [
-                {
-                    "coalition": list(c["coalition"]),
-                    "reply": list(c["reply"]),
-                    "residual_targets": c["residual_targets"],
-                    "budget": c["budget"],
-                }
-                for c in cert.get("certificates", [])
-            ]
+            payload["certificates"] = cert["certificates"]
         status = EXIT_PASS if rep.result != "counterexample-candidate" else EXIT_FAIL
         return runner.emit(payload, args.out, status)
     suite = THEOREM_SUITES[args.name](**kwargs)

@@ -9,7 +9,6 @@ deterministic with lexicographic tie-breaking by candidate id.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -17,7 +16,9 @@ from .errors import (
     EnumerationLimitError,
     MatroidAxiomViolation,
     NotABasisError,
+    canonical,
     require_work,
+    subsets,
 )
 
 
@@ -240,20 +241,13 @@ def is_q_completable(
     if not universe:
         raise ValueError("general families need a candidate universe for completion search")
     if isinstance(P, ExplicitFamily):
-        best = None
-        for member in P.sets:
-            if hatW <= member and len(member - hatW) <= q:
-                witness = member - hatW
-                key = (len(witness), tuple(sorted(witness)))
-                if best is None or key < best[0]:
-                    best = (key, witness)
-        return (True, best[1]) if best else (False, None)
-    pool = sorted(set(universe) - hatW)
-    extras = itertools.chain.from_iterable(itertools.combinations(pool, s) for s in range(q + 1))
+        extras = [s - hatW for s in P.sets if hatW <= s and len(s) - len(hatW) <= q]
+        return (True, min(extras, key=canonical)) if extras else (False, None)
+    extras = subsets(set(universe) - hatW, range(q + 1))
     for count, extra in enumerate(extras, 1):
         require_work(count, "the completability search")
-        if P.contains(hatW | frozenset(extra)):
-            return True, frozenset(extra)
+        if P.contains(hatW | extra):
+            return True, extra
     return False, None
 
 
@@ -266,12 +260,7 @@ def verify_matroid_axioms(P, universe: Sequence[int]):
     universe = sorted(set(universe))
     if len(universe) > 12:
         raise EnumerationLimitError(f"universe of {len(universe)} exceeds matroid-check cap")
-    indep = []
-    for size in range(len(universe) + 1):
-        for T in itertools.combinations(universe, size):
-            T = frozenset(T)
-            if P.independent(T):
-                indep.append(T)
+    indep = [T for T in subsets(universe, range(len(universe) + 1)) if P.independent(T)]
     indep_set = set(indep)
     if frozenset() not in indep_set:
         return False, "empty set not independent"

@@ -1,6 +1,8 @@
-"""Exception types shared across the library, and the one work limit
-every exhaustive search is held to."""
+"""Exception types shared across the library, the one work limit every
+exhaustive search is held to, and the canonical subset order every
+enumeration follows."""
 
+import itertools
 import math
 
 # the most steps (subsets, committees or table entries) any exhaustive
@@ -21,8 +23,23 @@ class EnumerationLimitError(CorelectError):
     message states the estimated steps."""
 
 
+def canonical(T) -> tuple:
+    """The sort key of the canonical subset order: size, then sorted ids."""
+    T = sorted(T)
+    return len(T), T
+
+
+def subsets(pool, sizes):
+    """The subsets of ``pool`` of the given sizes, as frozensets in the
+    canonical order: the sizes as given, then lexicographic in sorted ids."""
+    pool = sorted(pool)
+    for size in sizes:
+        yield from map(frozenset, itertools.combinations(pool, size))
+
+
 def subsets_up_to(m: int, size: int) -> int:
-    """The number of subsets of an m-set with at most ``size`` members."""
+    """The number of subsets of an m-set with at most ``size`` members,
+    which ``subsets(pool, range(size + 1))`` yields."""
     return sum(math.comb(m, s) for s in range(min(size, m) + 1))
 
 

@@ -350,7 +350,11 @@ def gen_lb00(beta: int, r: int) -> Instance:
     )
 
 
-def gen_tight_2alpha(alpha, eps, search_cap: int = 10_000) -> Instance:
+# the largest n or y gen_tight_2alpha builds
+TIGHT_2ALPHA_CAP = 10_000
+
+
+def gen_tight_2alpha(alpha, eps) -> Instance:
     """Approval instance whose committee C1 + C3 is a swap-local optimum of
     the interpolated rule yet large coalitions gain a 2-alpha factor.
 
@@ -365,18 +369,16 @@ def gen_tight_2alpha(alpha, eps, search_cap: int = 10_000) -> Instance:
     if eps <= 0:
         raise ParameterError("eps must be positive")
 
-    def minimal_integer(strict_lower, multiple_of_alpha):
-        v = 1
-        while v <= search_cap:
-            if Fraction(v) > strict_lower and (
-                not multiple_of_alpha or (alpha * v).denominator == 1
-            ):
-                return v
-            v += 1
-        raise ParameterError("no admissible integer below the search cap")
+    def minimal_integer(strict_lower):
+        # alpha*v is integral exactly when alpha's denominator divides v
+        q = alpha.denominator
+        v = q * (strict_lower // q + 1)
+        if v > TIGHT_2ALPHA_CAP:
+            raise ParameterError("no admissible integer below the search cap")
+        return v
 
-    n = minimal_integer(2 * (1 - alpha) / (eps * alpha), True)
-    y = minimal_integer(2 * (2 - alpha) / eps, True)
+    n = minimal_integer(2 * (1 - alpha) / (eps * alpha))
+    y = minimal_integer(2 * (2 - alpha) / eps)
     n1 = int(alpha * n)
     n2 = n - n1
     block2 = int(alpha * y)

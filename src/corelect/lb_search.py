@@ -77,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import parse_rational
+from .exactnum import parse_rational, rational_to_json
 from .instances import LB1_GAMMA, LB1_PARTIES, LB1_VOTERS, lb1_geometry
 
 # the scan's default stop: a class count, so its outcome does not depend on
@@ -240,8 +240,6 @@ class EmptinessReport:
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "result": self.result,
             "gamma": rational_to_json(self.gamma),

@@ -41,8 +41,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import WORK_LIMIT, InfeasibleInstanceError, MalformedUtilityError, require_work
-from .exactnum import ExactValue, Quad, int_sign, parse_rational
+import numpy as np
+
+from .constraints import CardinalityFamily
+from .errors import (
+    WORK_LIMIT,
+    InfeasibleInstanceError,
+    MalformedUtilityError,
+    canonical,
+    require_work,
+    subsets,
+)
+from .exactnum import ExactValue, Quad, int_sign, parse_rational, rational_to_json
 
 
 def _as_frozen(T: Iterable[int]) -> frozenset:
@@ -146,8 +156,6 @@ class AdditiveUtility(RationalUtility):
         return ("additive", tuple(sorted(self.weights.items())))
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "kind": "additive",
             "weights": [[c, rational_to_json(w)] for c, w in sorted(self.weights.items())],
@@ -199,8 +207,6 @@ class CoverageUtility(RationalUtility):
         )
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "kind": "coverage",
             "covers": [[c, sorted(es)] for c, es in sorted(self.covers.items())],
@@ -247,8 +253,6 @@ class XOSUtility(RationalUtility):
         return ("xos", tuple(tuple(sorted(cl.items())) for cl in self.clauses))
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "kind": "xos",
             "clauses": [
@@ -289,13 +293,11 @@ class TableUtility(RationalUtility):
         return ("table", tuple(sorted((tuple(sorted(s)), v) for s, v in self.entries.items())))
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "kind": "table",
             "entries": [
                 [sorted(s), rational_to_json(v)]
-                for s, v in sorted(self.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+                for s, v in sorted(self.entries.items(), key=lambda kv: canonical(kv[0]))
             ],
         }
 
@@ -415,15 +417,7 @@ class AxiomReport:
         return self.monotone and self.lipschitz
 
 
-def _subset_iter(universe: Sequence[int]):
-    universe = sorted(universe)
-    for size in range(len(universe) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(universe, size))
-
-
 def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
-    import numpy as np
-
     rng = np.random.Generator(np.random.Philox(key=seed))
     universe = sorted(universe)
     for _ in range(budget):
@@ -432,9 +426,8 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
 
 
 def _masks(m: int, sizes):
-    """Bitmasks over m bits of the given sizes, by size, then in the
-    lexicographic order of ``itertools.combinations`` (bit i standing for
-    the i-th member)."""
+    """Bitmasks over m bits of the given sizes, in the order in which
+    ``subsets`` yields their members (bit i standing for the i-th member)."""
     bits = [1 << i for i in range(m)]
     return itertools.chain.from_iterable(
         map(sum, itertools.combinations(bits, size)) for size in sizes
@@ -507,23 +500,21 @@ class _SubsetTable:
             return
         self.layers.update(sizes)
         rat, irr, factor, errors = self.rat, self.irr, self._factor, self.errors
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(self.universe, size) for size in sizes
-        )
+        members = subsets(self.universe, sizes)
         masks = _masks(len(self.universe), sizes)
         if isinstance(self.u, RationalUtility):
             numerator, scale = self.u.numerator, self.u.scale
             f = factor.get(scale) or self._grow(scale)
-            for mask, members in zip(masks, subsets):
+            for mask, T in zip(masks, members):
                 try:
-                    rat[mask] = numerator(frozenset(members)) * f
+                    rat[mask] = numerator(T) * f
                 except MalformedUtilityError as exc:
                     errors[mask] = exc
         else:
             value = self.u.value
-            for mask, members in zip(masks, subsets):
+            for mask, T in zip(masks, members):
                 try:
-                    v = value(frozenset(members))
+                    v = value(T)
                 except MalformedUtilityError as exc:
                     errors[mask] = exc
                     continue
@@ -533,10 +524,10 @@ class _SubsetTable:
                     v = v.a
                 rat[mask] = v.numerator * (factor.get(v.denominator) or self._grow(v.denominator))
         if errors:
-            # layers may arrive in any order; keep the errors in size, then
-            # combinations order, so every call raises the same one first
+            # layers may arrive in any order; keep the errors in canonical
+            # order, so every call raises the same one first
             bits = range(len(self.universe))
-            order = sorted(errors, key=lambda x: (x.bit_count(), [i for i in bits if x >> i & 1]))
+            order = sorted(errors, key=lambda x: canonical(i for i in bits if x >> i & 1))
             self.errors = {mask: errors[mask] for mask in order}
 
     def _radical(self, d: Fraction) -> int:
@@ -733,11 +724,11 @@ def check_submodular(u: UtilityFunction, universe: Sequence[int]):
     """
     universe = sorted(set(universe))
     require_work(4 ** len(universe), f"the submodularity check of {len(universe)} candidates")
-    subsets = list(_subset_iter(universe))
-    values = {T: u.value(T) for T in subsets}
-    for T2 in subsets:
+    family = list(subsets(universe, range(len(universe) + 1)))
+    values = {T: u.value(T) for T in family}
+    for T2 in family:
         v2 = values[T2]
-        for T1 in subsets:
+        for T1 in family:
             if not T1 <= T2:
                 continue
             v1 = values[T1]
@@ -829,8 +820,6 @@ class Instance:
                     raise ValueError(f"candidate {c} needs a positive size")
             self.budget = parse_rational(budget)
         if feasibility is None and k_mode:
-            from .constraints import CardinalityFamily
-
             feasibility = CardinalityFamily(self.k)
         self.feasibility = feasibility
         if validate not in ("check", "trust", "auto"):

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EnumerationLimitError
-from .exactnum import ExactValue, int_sign, parse_rational
+from .exactnum import ExactValue, int_sign, parse_rational, rational_to_json
 from .instances import rng_from_seed
 from .model import (
     UtilityFunction,
@@ -141,8 +141,6 @@ class TailReport:
     mu0_ci: object = None  # 3-sigma half-width when mu0 is estimated
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         return {
             "mu0": str(self.mu0),
             "mu0_exact": self.mu0_exact,
@@ -169,9 +167,11 @@ def mc_lower_tail(
 ) -> TailReport:
     """Empirical Pr[u(O) <= (1-delta) mu0] against exp(-delta^2 mu0 / (2 beta)).
 
-    mu0 is computed exactly when |T| <= 16 (otherwise estimated from the
-    same trial stream).  The comparison verdict allows a three-sigma
-    binomial slack; runs with fewer than 30 trials are inconclusive.
+    mu0 is computed exactly when |T| <= 16.  Otherwise it is estimated
+    from the same trial stream, which is drawn twice, once for mu0 and once
+    for the spread and the hits, so memory stays one block of trials.  The
+    comparison verdict allows a three-sigma binomial slack; runs with fewer
+    than 30 trials are inconclusive.
     """
     T = sorted(set(T))
     alpha = _parse_alpha(alpha)
@@ -193,17 +193,25 @@ def mc_lower_tail(
     rng = rng_from_seed(seed)
     if exact:
         return _exact_tail(table, alpha, delta, trials, seed, beta, rng)
-    samples = [
-        u.value(frozenset(itertools.compress(T, row)))
-        for block in _bernoulli_blocks(rng, alpha, trials, len(T))
-        for row in block
-    ]
-    mu0 = sum(samples, Fraction(0)) / trials
+
+    def samples(stream):
+        for block in _bernoulli_blocks(stream, alpha, trials, len(T)):
+            for row in block:
+                yield u.value(frozenset(itertools.compress(T, row)))
+
+    mu0 = sum(samples(rng), Fraction(0)) / trials
     mean = float(mu0)
-    var = sum((float(v) - mean) ** 2 for v in samples) / max(1, trials - 1)
-    mu0_ci = 3 * math.sqrt(var / trials)
     threshold = (1 - delta) * mu0
-    hits = sum(1 for v in samples if v <= threshold)
+    hits = 0
+
+    def squared_deviations():
+        nonlocal hits
+        for v in samples(rng_from_seed(seed)):
+            hits += v <= threshold
+            yield (float(v) - mean) ** 2
+
+    var = sum(squared_deviations()) / max(1, trials - 1)
+    mu0_ci = 3 * math.sqrt(var / trials)
     return _tail_report(mu0, False, threshold, hits, delta, trials, seed, beta, mu0_ci)
 
 
@@ -268,8 +276,6 @@ class ReductionReport:
     params: dict = field(default_factory=dict)
 
     def to_json(self):
-        from .exactnum import rational_to_json
-
         out = {
             "premises_ok": self.premises_ok,
             "premise_failures": list(self.premise_failures),

@@ -5,20 +5,25 @@ snw(W)  = sum_i ln(1 + u_i(W)); stored as the order-isomorphic exact
           comparable prod_i (1 + u_i(W)), never as a float.
 gpav(W) = sum_i Phi(u_i(W)) with Phi(x) = H(floor x) + (x - floor x)/ceil x.
 
-Marginals for pav/gpav are exact score differences; snw marginals are
-ratios of comparables, so sign and ordering comparisons stay exact.
+Each rule is one per-voter term: 1 + u for snw, H(u) for pav and Phi(u)
+for gpav.  snw multiplies its terms, pav and gpav add theirs.  Marginals
+for pav/gpav are exact term differences; snw marginals are ratios of
+terms, so sign and ordering comparisons stay exact.
 
 ``score`` works on the voters' integer forms u_i = t_i / D_i whenever
 every oracle has one: snw is prod(D_i + t_i) / prod(D_i), built as one
 Fraction, and pav/gpav split each t_i by D_i into floor and remainder.
-Instances with an ``LB00Utility`` voter take the exact Fraction/Quad path.
+Instances with an ``LB00Utility`` voter take the exact Fraction/Quad path
+over the terms, which ``marginal_add`` and ``marginal_remove`` share.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from .errors import RuleMismatchError
@@ -51,6 +56,29 @@ def phi(x: ExactValue) -> ExactValue:
     return harmonic(fl) + frac / (fl + 1)
 
 
+def _pav_term(x: ExactValue) -> Fraction:
+    if not is_integral(x):
+        raise RuleMismatchError("pav requires integer utilities")
+    return harmonic(int(x))
+
+
+# each rule's per-voter term of u_i(W), and how the terms combine
+_TERMS = {"pav": _pav_term, "snw": lambda x: 1 + x, "gpav": phi}
+
+
+def _term(rule: str):
+    if rule not in RULES:
+        raise RuleMismatchError(f"unknown rule {rule!r}")
+    return _TERMS[rule]
+
+
+def _combine(rule: str, terms) -> ExactValue:
+    """snw's product of its terms, or pav's and gpav's sum."""
+    if rule == "snw":
+        return reduce(operator.mul, terms, Fraction(1))
+    return sum(terms, Fraction(0))
+
+
 @dataclass(frozen=True)
 class Score:
     """Exact comparable score; snw holds the product prod(1 + u_i)."""
@@ -80,8 +108,6 @@ class Score:
 
     def ln_float(self) -> float:
         """Display-only decimal value (snw: natural log of the comparable)."""
-        import math
-
         if self.rule == "snw":
             try:
                 return math.log(float(self.value))
@@ -97,28 +123,11 @@ def _voter_values(instance, W):
 
 def score(rule: str, instance, W: Iterable[int]) -> Score:
     """Exact score of committee W under the given rule."""
-    if rule not in RULES:
-        raise RuleMismatchError(f"unknown rule {rule!r}")
+    term = _term(rule)
     voters = instance.utilities
     if all(isinstance(u, RationalUtility) for u in voters):
         return _integer_score(rule, voters, frozenset(W))
-    values = _voter_values(instance, W)
-    if rule == "pav":
-        total = Fraction(0)
-        for v in values:
-            if not is_integral(v):
-                raise RuleMismatchError("pav requires integer utilities")
-            total += harmonic(int(v))
-        return Score("pav", total)
-    if rule == "snw":
-        comparable: ExactValue = Fraction(1)
-        for v in values:
-            comparable = comparable * (1 + v)
-        return Score("snw", comparable)
-    total = Fraction(0)
-    for v in values:
-        total = phi(v) + total
-    return Score("gpav", total)
+    return Score(rule, _combine(rule, map(term, _voter_values(instance, W))))
 
 
 def _integer_score(rule, voters, W) -> Score:
@@ -157,23 +166,11 @@ class Marginals:
 
 
 def _marginals(rule, instance, before, after):
-    if rule not in RULES:
-        raise RuleMismatchError(f"unknown rule {rule!r}")
-    vb = _voter_values(instance, before)
-    va = _voter_values(instance, after)
-    if rule == "snw":
-        per = tuple((1 + a) / (1 + b) for a, b in zip(va, vb))
-        total: ExactValue = Fraction(1)
-        for f in per:
-            total = total * f
-        return Marginals("snw", per, total)
-    scorer = (lambda v: harmonic(int(v))) if rule == "pav" else phi
-    if rule == "pav":
-        for v in va + vb:
-            if not is_integral(v):
-                raise RuleMismatchError("pav requires integer utilities")
-    per = tuple(scorer(a) - scorer(b) for a, b in zip(va, vb))
-    return Marginals(rule, per, sum(per, Fraction(0)))
+    term = _term(rule)
+    change = operator.truediv if rule == "snw" else operator.sub
+    pairs = zip(_voter_values(instance, after), _voter_values(instance, before))
+    per = tuple(change(term(a), term(b)) for a, b in pairs)
+    return Marginals(rule, per, _combine(rule, per))
 
 
 def marginal_add(rule: str, instance, W: Iterable[int], c: int) -> Marginals:

@@ -10,7 +10,6 @@ the lexicographically smallest sorted id sequence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -22,7 +21,9 @@ from .errors import (
     InfeasibleInstanceError,
     NotABasisError,
     UnsupportedConstraintError,
+    canonical,
     require_work,
+    subsets,
     subsets_up_to,
 )
 from .intervals import certified_log_gt
@@ -52,17 +53,14 @@ class SolveResult:
 def _enumerate_family(instance: Instance):
     P = instance.feasibility
     if P.kind == "explicit":
-        for member in sorted(P.sets, key=lambda s: (len(s), sorted(s))):
+        for member in sorted(P.sets, key=canonical):
             if len(member) <= instance.k:
                 yield member
         return
     require_work(subsets_up_to(instance.m, instance.k), "Global's committee enumeration")
-    cands = sorted(instance.candidates)
-    for size in range(instance.k + 1):
-        for T in itertools.combinations(cands, size):
-            T = frozenset(T)
-            if is_feasible(P, T):
-                yield T
+    for T in subsets(instance.candidates, range(instance.k + 1)):
+        if is_feasible(P, T):
+            yield T
 
 
 def solve_global(instance: Instance, rule: str) -> SolveResult:

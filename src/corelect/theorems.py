@@ -9,8 +9,11 @@ shared by the test suite and the command-line runner.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .constraints import is_feasible
 from .errors import InfeasibleInstanceError
 from .exactnum import Quad
 from .instances import (
@@ -36,7 +39,13 @@ from .instances import (
 )
 from .intervals import certified_log_gt, certified_log_le, exp_upper
 from .lb_search import _compositions
-from .model import Instance, check_axioms, gain_threshold, self_bounding_constant
+from .model import (
+    AdditiveUtility,
+    Instance,
+    check_axioms,
+    gain_threshold,
+    self_bounding_constant,
+)
 from .sampling import mc_lower_tail, verify_sampling_bound
 from .scoring import delta_star, marginal_add, marginal_remove
 from .solvers import SolverConfig, solve_global, solve_local
@@ -157,8 +166,6 @@ def run_tight_upper(
 
 def tight_lower_instance(alpha=Fraction(1, 2), eps=Fraction(1, 2)):
     """The committee C1 + C3 and the explicit large-coalition deviation."""
-    import math
-
     inst = gen_tight_2alpha(alpha, eps)
     meta = inst.meta
     W = meta["local_optimum"]
@@ -283,8 +290,6 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
     undersupplying its weakest voter (below 9r/8) or its second voter
     (below 21r/8) is beaten by the constructed deviation with the full
     16/15 multiplicative margin."""
-    from .constraints import is_feasible
-
     result = SuiteResult("lb1-lemma-deviations")
     inst = gen_lb_16_15(r)
     meta = inst.meta
@@ -633,8 +638,6 @@ def run_sampling_bound(per_kind: int = 500, seed0: int = 8000) -> SuiteResult:
 
 def run_tail(trials: int = 100_000, seed: int = 8100) -> SuiteResult:
     """Monte-Carlo lower-tail frequency respects the Chernoff-style bound."""
-    from .model import AdditiveUtility
-
     result = SuiteResult("tail")
     u = AdditiveUtility({c: Fraction(1) for c in range(14)})
     T = list(range(14))

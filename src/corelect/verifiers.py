@@ -1,17 +1,21 @@
 """Brute-force decision procedures for the five stability notions.
 
-Each checker enumerates deterministically (sizes ascending, candidate ids
-ascending), decides with exact arithmetic, and returns a report whose
-failure witness replays through the definitional predicates in this
-module.  Witnesses are canonical: the first blocking object in
-enumeration order.
+Each checker enumerates in the canonical subset order (``errors.subsets``:
+sizes ascending, then candidate ids), decides with exact arithmetic, and
+returns a report whose failure witness replays through the definitional
+predicates in this module.  Witnesses are canonical: the first blocking
+object in enumeration order.
 
-The committee-size notions compare the deviating committee's size against
-the coalition's proportional endowment |S|*k/n without rounding (for
-integer |T| this coincides with the floored endowment used by the
-restrained notions; the report notes the convention).  Empty coalitions
-and empty deviations never block; a degenerate empty deviation that would
-tie on utility is flagged instead.
+The three enumerating notions (core, pb-core and endowment core) are
+each one pair: ``coalition(T)``, every voter the deviation T satisfies,
+and ``affordable(T, S)``, Cost(T)*theta*n <= |S|*b.  The core is its
+unit-size case (Cost(T) = |T|, b = k, theta = 1), compared against the
+proportional endowment |S|*k/n without rounding (for integer |T| this
+coincides with the floored endowment used by the restrained notions).
+The checker scans T and the ``blocks_*`` predicate tests one (S, T),
+both through the same pair.  Empty coalitions and empty deviations never
+block; an empty deviation that ties with zero-utility voters in the
+endowment core is flagged instead.
 
 The restrained core and restrained EJR share one engine: coalition S,
 with endowment k' = floor(|S| k / n), blocks W when for EVERY
@@ -28,18 +32,15 @@ predicates all run through it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .constraints import is_feasible, is_q_completable
-from .errors import RuleMismatchError, require_work, subsets_up_to
+from .errors import RuleMismatchError, canonical, require_work, subsets, subsets_up_to
 from .exactnum import parse_rational, rational_to_json
 from .model import ApprovalUtility, Instance, exact_measure, gain_threshold
-
-NOTIONS = ("core", "restrained_core", "restrained_ejr", "endowment_core", "pb_core")
 
 
 @dataclass
@@ -73,124 +74,104 @@ class VerificationReport:
                 w["completions"] = [
                     {"hatW": sorted(h), "Wprime": sorted(p)}
                     for h, p in sorted(
-                        self.witness["completions"].items(),
-                        key=lambda kv: (len(kv[0]), sorted(kv[0])),
+                        self.witness["completions"].items(), key=lambda kv: canonical(kv[0])
                     )
                 ]
             out["witness"] = w
         return out
 
 
-def _subsets_by_size(pool: Iterable[int], max_size: int):
-    pool = sorted(pool)
-    for size in range(max_size + 1):
-        yield from (frozenset(c) for c in itertools.combinations(pool, size))
+def _at_least_one(value, name: str) -> Fraction:
+    value = parse_rational(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# definitional predicates (used by the checkers and for witness replay)
+# enumerating notions: one (coalition, affordable) pair each
 # ---------------------------------------------------------------------------
 
 
-def _gain_coalition(instance, W, gamma):
-    """T -> the voters i with u_i(T) >= gamma * (u_i(W) + 1)."""
+def _affordable(instance, theta=1):
+    """(T, S) -> Cost(T)*theta*n <= |S|*b; a committee-size instance has
+    unit sizes and b = k."""
+    cost, b = (len, instance.k) if instance.is_k_mode else (instance.cost, instance.budget)
+    return lambda T, S: cost(T) * theta * instance.n <= len(S) * b
+
+
+def _gain_notion(instance, W, gamma):
+    """The gamma-core and the pb-core: T satisfies the voters with
+    u_i(T) >= gamma * (u_i(W) + 1)."""
     tests = [gain_threshold(u, W, gamma) for u in instance.utilities]
-    return lambda T: frozenset(i for i, (measure, bar) in enumerate(tests) if measure(T) >= bar)
+
+    def coalition(T):
+        return frozenset(i for i, (measure, bar) in enumerate(tests) if measure(T) >= bar)
+
+    return coalition, _affordable(instance)
 
 
-def blocks_core(instance, W, gamma, S, T, min_coalition=None) -> bool:
-    """Does (S, T) block W in the gamma-approximate core sense?"""
-    W, T, S = frozenset(W), frozenset(T), frozenset(S)
-    gamma = parse_rational(gamma)
-    if not S or not T:
-        return False
-    if min_coalition is not None and len(S) < min_coalition:
-        return False
-    if len(T) * instance.n > len(S) * instance.k:
-        return False
-    return S <= _gain_coalition(instance, W, gamma)(T)
-
-
-def blocks_pb_core(instance, W, gamma, S, T) -> bool:
-    W, T, S = frozenset(W), frozenset(T), frozenset(S)
-    gamma = parse_rational(gamma)
-    if not S or not T:
-        return False
-    if instance.cost(T) * instance.n > len(S) * instance.budget:
-        return False
-    return S <= _gain_coalition(instance, W, gamma)(T)
-
-
-def blocks_endowment(instance, W, theta, S, T) -> bool:
-    """Endowment blocking demands a strict gain for every member.
+def _endowment_notion(instance, W, theta):
+    """The theta-endowment core: T satisfies the voters with
+    u_i(T) > u_i(W), within a budget scaled down by theta.
 
     The printed definition compares with >=, but that reading is
     degenerate (any committee ties with itself and the empty deviation
     ties with zero-utility voters); equality-only deviations are
     reported as flags, never as blocks.
     """
-    W, T, S = frozenset(W), frozenset(T), frozenset(S)
-    theta = parse_rational(theta)
+    measures = [exact_measure(u) for u in instance.utilities]
+    current = [measure(W) for measure in measures]
+
+    def coalition(T):
+        return frozenset(i for i, measure in enumerate(measures) if measure(T) > current[i])
+
+    return coalition, _affordable(instance, theta)
+
+
+def _blocks(notion, instance, W, param, S, T) -> bool:
+    param, S, T = parse_rational(param), frozenset(S), frozenset(T)
     if not S or not T:
         return False
-    if instance.cost(T) * theta * instance.n > len(S) * instance.budget:
+    coalition, affordable = notion(instance, frozenset(W), param)
+    return affordable(T, S) and S <= coalition(T)
+
+
+def blocks_core(instance, W, gamma, S, T, min_coalition=None) -> bool:
+    """Does (S, T) block W in the gamma-approximate core sense?"""
+    S = frozenset(S)
+    if min_coalition is not None and len(S) < min_coalition:
         return False
-    measures = (exact_measure(instance.utilities[i]) for i in S)
-    return all(measure(T) > measure(W) for measure in measures)
+    return _blocks(_gain_notion, instance, W, gamma, S, T)
 
 
-# ---------------------------------------------------------------------------
-# checkers
-# ---------------------------------------------------------------------------
+def blocks_pb_core(instance, W, gamma, S, T) -> bool:
+    return _blocks(_gain_notion, instance, W, gamma, S, T)
 
 
-def _max_deviation_size(instance, notion) -> int:
-    """The largest deviation size, once the scan over every deviation up
-    to it fits the work limit; called before any oracle call."""
+def blocks_endowment(instance, W, theta, S, T) -> bool:
+    """Endowment blocking demands a strict gain for every member."""
+    return _blocks(_endowment_notion, instance, W, theta, S, T)
+
+
+def _enumerating_check(instance, W, name, param, notion, min_coalition=None):
+    """The scan over nonempty deviations T of size <= k (every size in
+    budget mode), whose steps are checked against the work limit before
+    any oracle call: the witness is the first T whose coalition (of at
+    least ``min_coalition`` voters) affords it."""
     max_size = instance.k if instance.is_k_mode else instance.m
-    require_work(subsets_up_to(instance.m, max_size), f"the {notion} check's deviations")
-    return max_size
-
-
-def _enumerating_core_check(
-    instance, notion, param, max_size, coalition, endowment_ok, min_coalition=None
-):
-    """Shared scan over deviations T of size <= ``max_size``: the best
-    coalition is ``coalition(T)``, every voter T satisfies."""
-    degenerate = None
-    enumerated = 0
-    for T in _subsets_by_size(instance.candidates, max_size):
-        S_T = coalition(T)
-        if not T:
-            if S_T and endowment_ok(T, S_T):
-                degenerate = S_T
-            continue
+    require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
+    coalition, affordable = notion(instance, frozenset(W), param)
+    witness, enumerated = None, 0
+    for T in subsets(instance.candidates, range(1, max_size + 1)):
         enumerated += 1
-        if not S_T:
-            continue
-        if min_coalition is not None and len(S_T) < min_coalition:
-            continue
-        if endowment_ok(T, S_T):
-            report = VerificationReport(
-                notion=notion,
-                gamma_or_theta=param,
-                verdict=False,
-                witness={"S": S_T, "T": T},
-                stats={"committees_enumerated": enumerated},
-            )
-            if degenerate:
-                report.flags.append("degenerate-empty-deviation")
-            return report
-    report = VerificationReport(
-        notion=notion,
-        gamma_or_theta=param,
-        verdict=True,
-        stats={"committees_enumerated": enumerated},
-    )
-    if degenerate is not None:
-        report.flags.append("degenerate-empty-deviation")
-        report.stats["degenerate_S"] = sorted(degenerate)
-    if min_coalition is not None:
+        S = coalition(T)
+        if S and (min_coalition is None or len(S) >= min_coalition) and affordable(T, S):
+            witness = {"S": S, "T": T}
+            break
+    stats = {"committees_enumerated": enumerated}
+    report = VerificationReport(name, param, witness is None, witness, stats)
+    if witness is None and min_coalition is not None:
         report.flags.append(f"coalitions-restricted-to-size>={min_coalition}")
     return report
 
@@ -201,18 +182,8 @@ def check_core(
     """gamma-approximate core: no (S, T) with |T| <= (|S|/n)k and
     u_i(T) >= gamma*(u_i(W)+1) for all of S.  Exact comparisons."""
     instance.require_k_mode("check_core")
-    gamma = parse_rational(gamma)
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    return _enumerating_core_check(
-        instance,
-        "core",
-        gamma,
-        _max_deviation_size(instance, "core"),
-        coalition=_gain_coalition(instance, frozenset(W), gamma),
-        endowment_ok=lambda T, S: len(T) * instance.n <= len(S) * instance.k,
-        min_coalition=min_coalition,
-    )
+    gamma = _at_least_one(gamma, "gamma")
+    return _enumerating_check(instance, W, "core", gamma, _gain_notion, min_coalition)
 
 
 def _budget_mode(instance: Instance, auto_lift: bool, op: str) -> Instance:
@@ -237,18 +208,8 @@ def check_pb_core(
     """Budget-mode core: Cost(T) <= (|S|/n) b instead of the size bound."""
     lifted = instance.is_k_mode
     instance = _budget_mode(instance, auto_lift, "check_pb_core")
-    gamma = parse_rational(gamma)
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    report = _enumerating_core_check(
-        instance,
-        "pb_core",
-        gamma,
-        _max_deviation_size(instance, "pb_core"),
-        coalition=_gain_coalition(instance, frozenset(W), gamma),
-        endowment_ok=lambda T, S: instance.cost(T) * instance.n
-        <= len(S) * instance.budget,
-    )
+    gamma = _at_least_one(gamma, "gamma")
+    report = _enumerating_check(instance, W, "pb_core", gamma, _gain_notion)
     if lifted:
         report.flags.append("auto-lifted-unit-sizes")
     return report
@@ -261,28 +222,13 @@ def check_endowment_core(
     by theta and members need only match their current utility."""
     lifted = instance.is_k_mode
     instance = _budget_mode(instance, auto_lift, "check_endowment_core")
-    theta = parse_rational(theta)
-    if theta < 1:
-        raise ValueError("theta must be at least 1")
-    max_size = _max_deviation_size(instance, "endowment_core")
+    theta = _at_least_one(theta, "theta")
     W = frozenset(W)
-    measures = [exact_measure(u) for u in instance.utilities]
-    current = [measure(W) for measure in measures]
-    report = _enumerating_core_check(
-        instance,
-        "endowment_core",
-        theta,
-        max_size,
-        coalition=lambda T: frozenset(
-            i for i, measure in enumerate(measures) if measure(T) > current[i]
-        ),
-        endowment_ok=lambda T, S: instance.cost(T) * theta * instance.n
-        <= len(S) * instance.budget,
-    )
+    report = _enumerating_check(instance, W, "endowment_core", theta, _endowment_notion)
     # the empty deviation ties exactly with zero-utility voters; that is
     # an equality artifact of the printed >= definition, flagged not blocked
-    zero_S = sorted(i for i in range(instance.n) if current[i] == 0)
-    if zero_S and "degenerate-empty-deviation" not in report.flags:
+    zero_S = [i for i, u in enumerate(instance.utilities) if exact_measure(u)(W) == 0]
+    if zero_S:
         report.flags.append("degenerate-empty-deviation")
         report.stats["degenerate_S"] = zero_S
     if lifted:
@@ -367,10 +313,10 @@ def _completion_tables(instance, W, kprime, mode) -> list:
     P, candidates = instance.feasibility, instance.candidates
     pool = W if mode == "subset_of_W" else candidates
     tables = []
-    for hatW in _subsets_by_size(pool, instance.k - kprime):
+    for hatW in subsets(pool, range(instance.k - kprime + 1)):
         if is_q_completable(P, hatW, kprime, candidates)[0]:
             rest = set(candidates) - hatW
-            pairs = ((wprime, hatW | wprime) for wprime in _subsets_by_size(rest, kprime))
+            pairs = ((wprime, hatW | wprime) for wprime in subsets(rest, range(kprime + 1)))
             tables.append((hatW, [(wprime, T) for wprime, T in pairs if is_feasible(P, T)]))
     return tables
 
@@ -453,9 +399,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     tables_of: dict = {}
     memo: dict = {}
     witness = None
-    for S in itertools.chain.from_iterable(
-        itertools.combinations(range(n), size) for size in range(1, n + 1)
-    ):
+    for S in subsets(range(n), range(1, n + 1)):
         coalitions += 1
         req = requirement(S)
         if req is None:
@@ -471,7 +415,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
             memo[key], seen = _complete(instance, tables_of[kprime], kprime, req, meets)
             visited += seen
         if memo[key] is not None:
-            witness = {"S": frozenset(S), "completions": memo[key]}
+            witness = {"S": S, "completions": memo[key]}
             break
     wprime_sets = visited if count_visited else entries
     stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}
@@ -509,9 +453,7 @@ def check_restrained_core(
     hatW -> W' certificate map of the first blocking coalition.
     """
     instance.require_k_mode("check_restrained_core")
-    gamma = parse_rational(gamma)
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    gamma = _at_least_one(gamma, "gamma")
     flags = ["floored-endowment"]
     if instance.feasibility.kind == "cardinality":
         flags.insert(0, "unconstrained-reduces-to-core")

@@ -480,3 +480,28 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
         "stats": stats,
         "verdict": "pass",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["solve", "--method", "global", "--rule", "snw", "--seed", "7"], "--seed"),
+        (["solve", "--method", "global", "--rule", "snw", "--start", "0,1"], "--start"),
+        (["solve", "--method", "global", "--rule", "pav", "--epsilon", "1/2"], "--epsilon"),
+        (["verify", "--notion", "pb-core", "--committee", "0", "--min-coalition", "2"],
+         "--min-coalition"),
+        (["verify", "--notion", "restrained-core", "--committee", "0", "--min-coalition", "2"],
+         "--min-coalition"),
+        (["verify", "--notion", "core", "--committee", "0", "--auto-lift"], "--auto-lift"),
+        (["verify", "--notion", "ejr", "--committee", "0", "--auto-lift"], "--auto-lift"),
+        (["check-utility", "--seed", "4"], "--seed"),
+    ],
+)
+def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, argv, option):
+    inst_path = tmp_path / "xos.json"
+    run(["gen", "--name", "xos", "--params", "k=3", "--out", str(inst_path)])
+    out = tmp_path / "out.json"
+    target = ["--out" if argv[0] == "solve" else "--report", str(out)]
+    assert run([*argv, "--in", str(inst_path), *target]) == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()

@@ -323,3 +323,24 @@ def test_reduction_is_seed_deterministic():
     a = endow2_reduction_experiment(inst, seed=7, **kwargs)
     b = endow2_reduction_experiment(inst, seed=7, **kwargs)
     assert a.to_json() == b.to_json()
+
+
+def test_estimated_tail_memory_does_not_grow_with_trials(monkeypatch):
+    # |T| = 20 takes the estimated-mu0 path; with small blocks, two trial
+    # counts four times apart peak at the same memory
+    import tracemalloc
+
+    from corelect import sampling
+
+    monkeypatch.setattr(sampling, "MC_BLOCK_ROWS", 512)
+    u = AdditiveUtility({c: Fraction(1, 1 + c % 3) for c in range(20)})
+    T = list(range(20))
+    mc_lower_tail(u, T, Fraction(1, 2), Fraction(1, 2), 64, 3, beta=1)  # warm caches
+    peaks = []
+    for trials in (4096, 16384):
+        tracemalloc.start()
+        report = mc_lower_tail(u, T, Fraction(1, 2), Fraction(1, 2), trials, 3, beta=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert not report.mu0_exact and report.trials == trials
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
