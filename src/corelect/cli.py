@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import CorelectError, EnumerationLimitError
+from .errors import WORK_LIMIT, CorelectError, EnumerationLimitError
 from .exactnum import parse_rational, rational_to_json
 from .instances import (
     ENDOW2_ETA,
@@ -85,6 +87,17 @@ def _refuse(args, flags, what: str) -> None:
             raise FormatError(f"{what} does not take --{flag.replace('_', '-')}")
 
 
+def _take(args, table, name, defaults, what: str) -> None:
+    """Refuse the first flag of ``table`` that was given although entry
+    ``name`` does not read it, then set each flag still None to its entry
+    in ``defaults``, so the manifest records what ran."""
+    flags = dict.fromkeys(itertools.chain(*table.values()))
+    _refuse(args, [flag for flag in flags if flag not in table[name]], what)
+    for flag, default in defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
 class _Runner:
     """Collects manifest data and writes canonical report artifacts."""
 
@@ -125,31 +138,38 @@ class _Runner:
         return exit_status
 
 
+# each generator's --params keys, and the instance it builds from them
+GENERATORS = {
+    "xos": (("k",), lambda p: gen_xos_example(int(p["k"]))),
+    "rest1": (("q", "voters"), lambda p: gen_rest1(int(p["q"]), int(p.get("voters", 1)))),
+    "lb16-15": (("r", "pool"), lambda p: gen_lb_16_15(int(p["r"]), p.get("pool"))),
+    "lb00": (("beta", "r"), lambda p: gen_lb00(int(p["beta"]), int(p["r"]))),
+    "tight2a": (
+        ("alpha", "eps"),
+        lambda p: gen_tight_2alpha(parse_rational(p["alpha"]), parse_rational(p["eps"])),
+    ),
+}
+
+
 def _cmd_gen(args) -> int:
     runner = _Runner("gen", args)
+    keys, build = GENERATORS[args.name]
     params = {}
     for item in args.params or []:
         key, _, value = item.partition("=")
         if not value:
             raise FormatError(f"--params entries look like key=value, got {item!r}")
-        params[key.replace("-", "_")] = value
-    name = args.name
-    if name == "xos":
-        inst = gen_xos_example(int(params["k"]))
-    elif name == "rest1":
-        inst = gen_rest1(int(params["q"]), int(params.get("voters", 1)))
-    elif name == "lb16-15":
-        inst = gen_lb_16_15(int(params["r"]), params.get("pool"))
-    elif name == "lb00":
-        inst = gen_lb00(int(params["beta"]), int(params["r"]))
-    elif name == "tight2a":
-        inst = gen_tight_2alpha(
-            parse_rational(params["alpha"]), parse_rational(params["eps"])
-        )
-    else:
-        raise FormatError(f"unknown generator {name!r}")
-    payload = instance_to_json(inst)
-    return runner.emit(payload, args.out, EXIT_PASS, seed=None)
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise FormatError(f"generator {args.name!r} takes no key {key!r}; keys: {list(keys)}")
+        params[key] = value
+    payload = instance_to_json(build(params))
+    # the manifest records the file name only, so the file's bytes do not
+    # depend on the directory it is written to
+    path = args.out
+    if path:
+        args.out = os.path.basename(path)
+    return runner.emit(payload, path, EXIT_PASS, seed=None)
 
 
 def _cmd_solve(args) -> int:
@@ -182,11 +202,20 @@ def _cmd_solve(args) -> int:
     return runner.emit(payload, args.out, EXIT_PASS, seed=args.seed)
 
 
+# the optional verify flags each notion reads, and the defaults of the
+# flags that default to None
+VERIFY_FLAGS = {
+    "core": ("gamma", "min_coalition"),
+    "restrained-core": ("gamma", "mode"),
+    "ejr": ("mode",),
+    "endowment": ("gamma", "auto_lift"),
+    "pb-core": ("gamma", "auto_lift"),
+}
+_VERIFY_DEFAULTS = {"gamma": "1", "mode": "subsetW"}
+
+
 def _cmd_verify(args) -> int:
-    if args.notion != "core":
-        _refuse(args, ("min_coalition",), f"verify --notion {args.notion}")
-    if args.notion not in ("endowment", "pb-core"):
-        _refuse(args, ("auto_lift",), f"verify --notion {args.notion}")
+    _take(args, VERIFY_FLAGS, args.notion, _VERIFY_DEFAULTS, f"verify --notion {args.notion}")
     runner = _Runner("verify", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
@@ -214,11 +243,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_utility(args) -> int:
-    if args.sample_budget is None:
-        _refuse(args, ("seed",), "check-utility without --sample-budget")
     runner = _Runner("check-utility", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
+    # check_axioms' own test: every subset is scanned when they fit the work limit
+    if 1 << inst.m <= WORK_LIMIT:
+        _refuse(args, ("sample_budget", "seed"), f"the exhaustive check of {inst.m} candidates")
+    else:
+        _refuse(args, ("self_bounding",), f"the sampled check of {inst.m} candidates")
+        if args.sample_budget is None:
+            _refuse(args, ("seed",), "check-utility without --sample-budget")
     voters = [args.voter] if args.voter is not None else list(range(inst.n))
     entries = []
     all_ok = True
@@ -236,7 +270,7 @@ def _cmd_check_utility(args) -> int:
             entry["monotone_witness"] = rep.monotone_witness.as_json()
         if rep.lipschitz_witness:
             entry["lipschitz_witness"] = rep.lipschitz_witness.as_json()
-        if args.self_bounding and rep.exhaustive:
+        if args.self_bounding:
             entry["self_bounding_constant"] = str(
                 self_bounding_constant(u, inst.candidates)
             )
@@ -246,7 +280,26 @@ def _cmd_check_utility(args) -> int:
     return runner.emit({"utilities": entries}, args.report, status, seed=args.seed)
 
 
+# the optional experiment flags each kind reads, and the defaults of the
+# flags that default to None
+EXPERIMENT_FLAGS = {
+    "sampling-bound": ("voter", "set", "alpha", "beta"),
+    "lower-tail": ("voter", "set", "alpha", "beta", "delta", "trials", "seed"),
+    "endow2": (
+        "committee", "coalition", "deviation", "kappa", "eta", "trials", "seed",
+        "gamma_param", "q", "beta",
+    ),
+}
+_EXPERIMENT_DEFAULTS = {
+    "voter": 0, "alpha": "1/2", "delta": "1/2", "trials": 10_000, "committee": "",
+    "coalition": "", "deviation": "", "kappa": ENDOW2_KAPPA, "eta": ENDOW2_ETA,
+    "gamma_param": "2", "q": "1/2",
+}
+
+
 def _cmd_experiment(args) -> int:
+    what = f"experiment --kind {args.kind}"
+    _take(args, EXPERIMENT_FLAGS, args.kind, _EXPERIMENT_DEFAULTS, what)
     runner = _Runner("experiment", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
@@ -314,7 +367,6 @@ CLI_SUITE_PARAMS = {
     "endow2-value": {"beta": "beta", "kappa": "kappa", "eta": "eta"},
     "lb1-emptiness": {"r": "r", "time_cap": "time_cap_s", "class_cap": "class_cap"},
 }
-_SUITE_FLAGS = ("seeds", "r", "beta", "kappa", "eta", "time_cap", "class_cap")  # default None
 # the defaults of the flags a suite takes, set once the flags are checked, so
 # the manifest records them.  A wall-clock stop applies only when --time-cap
 # is given.
@@ -327,17 +379,13 @@ _SUITE_DEFAULTS = {
 def _suite_kwargs(args) -> dict:
     """Map the suite flags given to suite parameters, refusing a flag the
     suite does not take, then resolve the defaults of the rest."""
-    params = {**SUITE_PARAMS, **CLI_SUITE_PARAMS}.get(args.name)
-    if params is None:
+    table = {**SUITE_PARAMS, **CLI_SUITE_PARAMS}
+    if args.name not in table:
         options = sorted(SUITE_PARAMS) + sorted(CLI_SUITE_PARAMS)
         raise FormatError(f"unknown suite {args.name!r}; options: {options}")
-    _refuse(args, [flag for flag in _SUITE_FLAGS if flag not in params], f"suite {args.name!r}")
-    kwargs = {param: getattr(args, flag) for flag, param in params.items()}
-    kwargs = {param: value for param, value in kwargs.items() if value is not None}
-    for flag, default in _SUITE_DEFAULTS.get(args.name, {}).items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-    return kwargs
+    _take(args, table, args.name, _SUITE_DEFAULTS.get(args.name, {}), f"suite {args.name!r}")
+    kwargs = {param: getattr(args, flag) for flag, param in table[args.name].items()}
+    return {param: value for param, value in kwargs.items() if value is not None}
 
 
 def _cmd_theorem_suite(args) -> int:
@@ -383,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument("--name", required=True, choices=["xos", "rest1", "lb16-15", "lb00", "tight2a"])
+    p.add_argument("--name", required=True, choices=list(GENERATORS))
     p.add_argument("--params", nargs="*", metavar="key=value")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -404,8 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["core", "restrained-core", "ejr", "endowment", "pb-core"],
     )
-    p.add_argument("--gamma", default="1", metavar="p/q|e^B")
-    p.add_argument("--mode", default="subsetW", choices=["subsetW", "anyW"])
+    p.add_argument("--gamma", default=None, metavar="p/q|e^B", help="default 1; not with ejr")
+    p.add_argument(
+        "--mode", default=None, choices=["subsetW", "anyW"],
+        help="restrained-core and ejr only (default subsetW)",
+    )
     p.add_argument("--committee", required=True, metavar="ids")
     p.add_argument("--min-coalition", default=None, metavar="p/q")
     p.add_argument("--auto-lift", action="store_true")
@@ -425,20 +476,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="sampling experiments")
     p.add_argument("--kind", required=True, choices=["sampling-bound", "lower-tail", "endow2"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--voter", type=int, default=0)
+    # each kind reads only its own flags (EXPERIMENT_FLAGS); defaults in _EXPERIMENT_DEFAULTS
+    p.add_argument("--voter", type=int, default=None)
     p.add_argument("--set", default=None, metavar="ids")
-    p.add_argument("--alpha", default="1/2", metavar="p/q")
-    p.add_argument("--delta", default="1/2", metavar="p/q")
+    p.add_argument("--alpha", default=None, metavar="p/q")
+    p.add_argument("--delta", default=None, metavar="p/q")
     p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--committee", default="", metavar="ids")
-    p.add_argument("--coalition", default="", metavar="ids")
-    p.add_argument("--deviation", default="", metavar="ids")
-    p.add_argument("--kappa", default=ENDOW2_KAPPA)
-    p.add_argument("--eta", default=ENDOW2_ETA)
-    p.add_argument("--gamma-param", default="2", dest="gamma_param")
-    p.add_argument("--q", default="1/2")
+    p.add_argument("--committee", default=None, metavar="ids")
+    p.add_argument("--coalition", default=None, metavar="ids")
+    p.add_argument("--deviation", default=None, metavar="ids")
+    p.add_argument("--kappa", default=None)
+    p.add_argument("--eta", default=None)
+    p.add_argument("--gamma-param", default=None, dest="gamma_param")
+    p.add_argument("--q", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
 from mpmath import iv
 
 from .constraints import (
@@ -24,7 +23,7 @@ from .constraints import (
 )
 from .errors import OutOfRegionError, ParameterError
 from .exactnum import parse_rational
-from .intervals import PRECISIONS, endpoint_fraction
+from .intervals import PRECISIONS, endpoint_fraction, precision
 from .model import (
     AdditiveUtility,
     ApprovalUtility,
@@ -32,17 +31,14 @@ from .model import (
     Instance,
     LB00Utility,
     XOSUtility,
+    floored_endowment,
+    rng_from_seed,
 )
 
 
 def _attach_meta(instance: Instance, meta: dict) -> Instance:
     instance.meta = meta
     return instance
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Named, versioned, splittable PRNG (Philox counter-based)."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def _lb1_burn_and_gain(instance: Instance, voters) -> tuple:
     every deviator approves."""
     meta = instance.meta
     names = {LB1_VOTERS[i] for i in voters}
-    hat_size = instance.k - (len(voters) * instance.k) // 4
+    hat_size = instance.k - floored_endowment(len(voters), instance.k, instance.n)
     burnt = [c for p in LB1_PARTIES if not names & set(p) for c in sorted(meta["parties"][p])]
     hatW = frozenset(burnt[:hat_size])
     gain_party = next(p for p in LB1_PARTIES if names <= set(p))
@@ -457,10 +453,8 @@ def endow2_bound(beta: int, kappa, eta) -> BoundInterval:
         raise ParameterError("kappa must exceed 1")
     if eta <= 2:
         raise ParameterError("eta must exceed 2")
-    for prec in PRECISIONS:
-        old = iv.prec
-        try:
-            iv.prec = prec
+    for bits in PRECISIONS:
+        with precision(bits):
             K = iv.mpf(kappa.numerator) / iv.mpf(kappa.denominator)
             H = iv.mpf(eta.numerator) / iv.mpf(eta.denominator)
             A = iv.exp(-((H - 2) ** 2) / (2 * (H - 1)))
@@ -475,16 +469,10 @@ def endow2_bound(beta: int, kappa, eta) -> BoundInterval:
                 if denom.b <= 0:
                     raise ParameterError("inner denominator is non-positive")
                 continue
-            inner = 32 * K / denom
-            c = H * beta * iv.exp(beta * iv.log(inner))
-            lo_t, hi_t = c._mpi_
-            return BoundInterval(
-                lo=endpoint_fraction(lo_t),
-                hi=endpoint_fraction(hi_t),
-                feasible_q=True,
-            )
-        finally:
-            iv.prec = old
+            lo_t, hi_t = (H * beta * iv.exp(beta * iv.log(32 * K / denom)))._mpi_
+        return BoundInterval(
+            lo=endpoint_fraction(lo_t), hi=endpoint_fraction(hi_t), feasible_q=True
+        )
     raise ParameterError("could not certify the bound at maximum precision")
 
 

@@ -8,6 +8,7 @@ Exact ties must be resolved by the caller before asking for a certificate.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import iv
@@ -19,6 +20,17 @@ PRECISIONS = (128, 256, 512, 1024, 2048)
 
 class IntervalStraddle(CorelectError):
     """The interval comparison failed to separate at maximum precision."""
+
+
+@contextmanager
+def precision(bits: int):
+    """Run a block at ``bits`` of interval precision, then restore the old one."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
 
 
 def iv_fraction(x):
@@ -37,12 +49,8 @@ def endpoint_fraction(endpoint) -> Fraction:
 def exp_upper(B) -> Fraction:
     """e^B rounded up to 10 decimal places: a rational over-approximation,
     sound for pass-direction checks only (passing is monotone in gamma)."""
-    old = iv.prec
-    try:
-        iv.prec = 256
+    with precision(256):
         hi = endpoint_fraction(iv.exp(iv.mpf(B))._mpi_[1])
-    finally:
-        iv.prec = old
     scale = 10**10
     return Fraction(math.ceil(hi * scale), scale)
 
@@ -53,18 +61,14 @@ def certify_less(lhs_builder, rhs_builder) -> bool:
     The builders are re-invoked at escalating precision; they must return
     iv quantities built from iv operations only.
     """
-    for prec in PRECISIONS:
-        old = iv.prec
-        try:
-            iv.prec = prec
+    for bits in PRECISIONS:
+        with precision(bits):
             lhs = lhs_builder()
             rhs = rhs_builder()
             if lhs.b < rhs.a:
                 return True
             if rhs.b < lhs.a:
                 return False
-        finally:
-            iv.prec = old
     raise IntervalStraddle("intervals did not separate at maximum precision")
 
 

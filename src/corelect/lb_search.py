@@ -71,6 +71,7 @@ scale).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -79,6 +80,7 @@ from fractions import Fraction
 
 from .exactnum import parse_rational, rational_to_json
 from .instances import LB1_GAMMA, LB1_PARTIES, LB1_VOTERS, lb1_geometry
+from .model import floored_endowment
 
 # the scan's default stop: a class count, so its outcome does not depend on
 # the host; 40,000 classes reach r = 5's passing class 32,679
@@ -219,7 +221,8 @@ class _ReplyLayers(dict):
 
     def caps(self, h):
         """Units of each party left in the pool after reply h."""
-        return tuple(self.pool - c for c in h)
+        pool = self.pool
+        return tuple([pool - c for c in h])
 
     def walk(self, limit):
         """(seats used, layer) for the replies using at most ``limit``
@@ -288,13 +291,34 @@ def _cover_feasible_second_opinion(needs, caps, budget):
     return rec(0, needs, tuple(caps), budget)
 
 
+def _coalition_queries(layers, S, needs, kprime, hat_limit, cap):
+    """(reply, residual targets, caps, budget) for every planner reply of
+    coalition S, in the scan's layer order; voters outside S need 0."""
+    wants = [(needs[v], v in S) for v in range(4)]
+    for t, layer in layers.walk(hat_limit):
+        budget = min(kprime, cap - t)
+        for hatw, hat_util, _ in layer:
+            residual = tuple([n - u if member else 0 for (n, member), u in zip(wants, hat_util)])
+            yield hatw, residual, layers.caps(hatw), budget
+
+
+def _second_opinion(query, expected):
+    """Raise unless the second-opinion allocator answers ``expected``."""
+    if _cover_feasible_second_opinion(*query[1:]) != expected:
+        raise RuntimeError(f"the two cover allocators disagree on {query}")
+
+
 def verify_passing_class(r: int, counts, gamma=LB1_GAMMA, pool_size=None) -> dict:
     """Independently certify that a committee class passes the restrained core.
 
-    For each of the 15 coalitions, finds a planner reply with no valid
-    completion and re-verifies that impossibility with the second-opinion
-    allocator.  Returns {"passes": bool, "certificates": [...]}; a failed
-    certificate search reports the blocking coalition instead.
+    For each of the 15 coalitions, finds with ``_cover_feasible`` the first
+    planner reply, in the scan's layer order, after which no completion
+    covers the coalition's residual targets, and has the second-opinion
+    allocator confirm that impossibility.  A coalition with no such reply
+    blocks; the second opinion then confirms a cover after every one of
+    its replies.  A disagreement between the allocators raises.  Returns
+    {"passes": bool, "certificates": [...]}; a blocked class reports the
+    blocking coalition instead.
     """
     k, cap, pool = lb1_geometry(r, pool_size)
     gamma = parse_rational(gamma)
@@ -304,29 +328,23 @@ def verify_passing_class(r: int, counts, gamma=LB1_GAMMA, pool_size=None) -> dic
     certificates = []
     layers = _ReplyLayers(counts, pool)
     for S in COALITIONS:
-        kprime = (len(S) * k) // 4
-        refuting = None
-        replies = (
-            (min(kprime, cap - t), reply)
-            for t, layer in layers.walk(k - kprime)
-            for reply in layer
+        kprime = floored_endowment(len(S), k, 4)
+        queries = functools.partial(
+            _coalition_queries, layers, S, needs_full, kprime, k - kprime, cap
         )
-        for budget, (hatw, hat_util, _) in replies:
-            caps = layers.caps(hatw)
-            residual = tuple(
-                needs_full[v] - hat_util[v] if v in S else 0 for v in range(4)
-            )
-            if not _cover_feasible_second_opinion(residual, caps, budget):
-                refuting = {
-                    "coalition": S,
-                    "reply": hatw,
-                    "residual_targets": [residual[v] for v in S],
-                    "budget": budget,
-                }
-                break
+        refuting = next((q for q in queries() if not _cover_feasible(*q[1:])), None)
         if refuting is None:
+            for query in queries():
+                _second_opinion(query, True)
             return {"passes": False, "blocking_coalition": S, "certificates": certificates}
-        certificates.append(refuting)
+        _second_opinion(refuting, False)
+        hatw, residual, _, budget = refuting
+        certificates.append({
+            "coalition": S,
+            "reply": hatw,
+            "residual_targets": [residual[v] for v in S],
+            "budget": budget,
+        })
     return {"passes": True, "utilities": list(utils), "targets": list(needs_full),
             "certificates": certificates}
 
@@ -377,7 +395,7 @@ def _blocking_coalition_exists(counts, pool, cap, k, needs):
         targets = tuple((v, needs[v]) for v in S)
         if any(n > 3 * pool for _, n in targets):
             continue  # unreachable target even with every approved candidate
-        kprime = (len(S) * k) // 4
+        kprime = floored_endowment(len(S), k, 4)
         if _first_refuting_reply(layers, targets, k - kprime, kprime, cap) is None:
             return True, S
     return False, None

@@ -68,6 +68,17 @@ def _scaled(weights: dict, D: int) -> dict:
     return {key: w.numerator * (D // w.denominator) for key, w in weights.items()}
 
 
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """Named, versioned, splittable PRNG (Philox counter-based)."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def floored_endowment(size: int, k: int, n: int) -> int:
+    """k' = floor(size * k / n): the seats a coalition of ``size`` of the n
+    voters may claim from a committee of k."""
+    return size * k // n
+
+
 class UtilityFunction:
     """Base class for voter utility oracles.  Immutable after construction."""
 
@@ -418,7 +429,7 @@ class AxiomReport:
 
 
 def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = rng_from_seed(seed)
     universe = sorted(universe)
     for _ in range(budget):
         mask = rng.integers(0, 2, size=len(universe))

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .constraints import extend_to_basis, is_basis, is_feasible
 from .errors import (
     InfeasibleInstanceError,
@@ -27,7 +25,7 @@ from .errors import (
     subsets_up_to,
 )
 from .intervals import certified_log_gt
-from .model import Committee, Instance
+from .model import Committee, Instance, rng_from_seed
 from .scoring import Score, score
 
 
@@ -69,22 +67,18 @@ def solve_global(instance: Instance, rule: str) -> SolveResult:
     A non-explicit family is enumerated as every committee of size <= k,
     and refused up front when those exceed the work limit."""
     instance.require_k_mode("solve_global")
-    best = None  # (score, sorted-id tuple, members)
+    best = best_T = None
     count = 0
     for T in _enumerate_family(instance):
         count += 1
         s = score(rule, instance, T)
-        key = tuple(sorted(T))
-        if best is None or s > best[0]:
-            best = (s, key, T)
-        elif s == best[0]:
-            # score tie: prefer the larger committee, then the
-            # lexicographically smallest sorted id sequence
-            if len(key) > len(best[1]) or (len(key) == len(best[1]) and key < best[1]):
-                best = (s, key, T)
+        # committees arrive in the canonical order, so among score ties the
+        # first of the largest size is the lexicographically smallest one
+        if best is None or s > best or (s == best and len(T) > len(best_T)):
+            best, best_T = s, T
     if best is None:
         raise InfeasibleInstanceError("the feasibility family is empty")
-    return SolveResult(instance.committee(best[2]), best[0], iterations=count)
+    return SolveResult(instance.committee(best_T), best, iterations=count)
 
 
 def _strict_improvement(rule, new: Score, old: Score, epsilon: Fraction, n: int, k: int) -> bool:
@@ -105,7 +99,7 @@ def _greedy_start(instance: Instance, seed: Optional[int]) -> frozenset:
     M = instance.feasibility
     order = sorted(instance.candidates)
     if seed is not None:
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = rng_from_seed(seed)
         order = [order[i] for i in rng.permutation(len(order))]
     current: set = set()
     for c in order:

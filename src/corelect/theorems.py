@@ -43,6 +43,7 @@ from .model import (
     AdditiveUtility,
     Instance,
     check_axioms,
+    floored_endowment,
     gain_threshold,
     self_bounding_constant,
 )
@@ -295,6 +296,7 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
     meta = inst.meta
     rng = rng_from_seed(seed0)
     cap = meta["cap"]
+    kp_single, kp_pair = (floored_endowment(size, inst.k, inst.n) for size in (1, 2))
     produced_single = produced_pair = 0
     while produced_single < trials or produced_pair < trials:
         counts = {p: int(rng.integers(0, cap + 1)) for p in LB1_PARTIES}
@@ -315,8 +317,8 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
             dev = lb1_undersupplied_voter_deviation(inst, W)
             ok = (
                 is_feasible(inst.feasibility, dev["T"])
-                and len(dev["hatW"]) <= inst.k - inst.k // 4
-                and len(dev["Wprime"]) <= inst.k // 4
+                and len(dev["hatW"]) <= inst.k - kp_single
+                and len(dev["Wprime"]) <= kp_single
                 and dev["new_utility"] >= Fraction(6, 5) * r
                 and Fraction(6, 5) * r >= LB1_GAMMA * LB1_SINGLE_FLOOR * r
                 and dev["new_utility"] >= LB1_GAMMA * dev["old_utility"]
@@ -328,8 +330,8 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
             room = Fraction(14, 5) * r  # 2.8r
             ok = (
                 is_feasible(inst.feasibility, dev["T"])
-                and len(dev["hatW"]) <= inst.k - (2 * inst.k) // 4
-                and len(dev["Wprime"]) <= (2 * inst.k) // 4
+                and len(dev["hatW"]) <= inst.k - kp_pair
+                and len(dev["Wprime"]) <= kp_pair
                 and min(dev["new"]) >= room
                 and room >= LB1_GAMMA * LB1_PAIR_FLOOR * r
                 and all(nv >= LB1_GAMMA * ov for nv, ov in zip(dev["new"], dev["old"]))

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 from .constraints import is_feasible, is_q_completable
 from .errors import RuleMismatchError, canonical, require_work, subsets, subsets_up_to
 from .exactnum import parse_rational, rational_to_json
-from .model import ApprovalUtility, Instance, exact_measure, gain_threshold
+from .model import ApprovalUtility, Instance, exact_measure, floored_endowment, gain_threshold
 
 
 @dataclass
@@ -154,12 +154,11 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
     return _blocks(_endowment_notion, instance, W, theta, S, T)
 
 
-def _enumerating_check(instance, W, name, param, notion, min_coalition=None):
-    """The scan over nonempty deviations T of size <= k (every size in
-    budget mode), whose steps are checked against the work limit before
-    any oracle call: the witness is the first T whose coalition (of at
-    least ``min_coalition`` voters) affords it."""
-    max_size = instance.k if instance.is_k_mode else instance.m
+def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition=None):
+    """The scan over nonempty deviations T of size <= ``max_size``, whose
+    steps are checked against the work limit before any oracle call: the
+    witness is the first T whose coalition (of at least ``min_coalition``
+    voters) affords it."""
     require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
     coalition, affordable = notion(instance, frozenset(W), param)
     witness, enumerated = None, 0
@@ -183,33 +182,20 @@ def check_core(
     u_i(T) >= gamma*(u_i(W)+1) for all of S.  Exact comparisons."""
     instance.require_k_mode("check_core")
     gamma = _at_least_one(gamma, "gamma")
-    return _enumerating_check(instance, W, "core", gamma, _gain_notion, min_coalition)
-
-
-def _budget_mode(instance: Instance, auto_lift: bool, op: str) -> Instance:
-    """A budget-mode instance as is; a k-mode one, with ``auto_lift``,
-    lifted to unit sizes and budget k."""
-    if not auto_lift:
-        instance.require_budget_mode(op)
-    if not instance.is_k_mode:
-        return instance
-    return Instance(
-        candidates=instance.candidates,
-        utilities=instance.utilities,
-        sizes={c: 1 for c in instance.candidates},
-        budget=instance.k,
-        validate="trust",
-    )
+    return _enumerating_check(instance, W, "core", gamma, _gain_notion, instance.k, min_coalition)
 
 
 def check_pb_core(
     instance: Instance, W: Iterable[int], gamma, auto_lift: bool = False
 ) -> VerificationReport:
-    """Budget-mode core: Cost(T) <= (|S|/n) b instead of the size bound."""
+    """Budget-mode core: Cost(T) <= (|S|/n) b instead of the size bound.
+    With ``auto_lift`` a committee-size instance is read as unit sizes
+    and budget k, so deviations of every size are scanned."""
+    if not auto_lift:
+        instance.require_budget_mode("check_pb_core")
     lifted = instance.is_k_mode
-    instance = _budget_mode(instance, auto_lift, "check_pb_core")
     gamma = _at_least_one(gamma, "gamma")
-    report = _enumerating_check(instance, W, "pb_core", gamma, _gain_notion)
+    report = _enumerating_check(instance, W, "pb_core", gamma, _gain_notion, instance.m)
     if lifted:
         report.flags.append("auto-lifted-unit-sizes")
     return report
@@ -219,12 +205,16 @@ def check_endowment_core(
     instance: Instance, W: Iterable[int], theta, auto_lift: bool = False
 ) -> VerificationReport:
     """theta-approximate endowment core: coalition budgets are scaled down
-    by theta and members need only match their current utility."""
+    by theta and members need only match their current utility; with
+    ``auto_lift``, as for the pb-core."""
+    if not auto_lift:
+        instance.require_budget_mode("check_endowment_core")
     lifted = instance.is_k_mode
-    instance = _budget_mode(instance, auto_lift, "check_endowment_core")
     theta = _at_least_one(theta, "theta")
     W = frozenset(W)
-    report = _enumerating_check(instance, W, "endowment_core", theta, _endowment_notion)
+    report = _enumerating_check(
+        instance, W, "endowment_core", theta, _endowment_notion, instance.m
+    )
     # the empty deviation ties exactly with zero-utility voters; that is
     # an equality artifact of the printed >= definition, flagged not blocked
     zero_S = [i for i, u in enumerate(instance.utilities) if exact_measure(u)(W) == 0]
@@ -359,7 +349,7 @@ def _blocks_restrained(instance, W, S, mode, cert, test):
     req = requirement(S)
     if req is None:
         return False, None
-    kprime = (len(S) * instance.k) // instance.n
+    kprime = floored_endowment(len(S), instance.k, instance.n)
     tables = _completion_tables(instance, W, kprime, mode)
     completions, _ = _complete(instance, tables, kprime, req, meets, cert)
     return completions is not None, completions
@@ -371,7 +361,7 @@ def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
     from the pool and, for each, every W' of size <= k' drawn from the
     m - h candidates outside it."""
     work = 1 << n
-    for kp in {(size * k) // n for size in range(1, n + 1)}:
+    for kp in {floored_endowment(size, k, n) for size in range(1, n + 1)}:
         hat_sizes = range(min(k - kp, pool) + 1)
         work += sum(math.comb(pool, h) * (1 + subsets_up_to(m - h, kp)) for h in hat_sizes)
     return work
@@ -404,7 +394,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         req = requirement(S)
         if req is None:
             continue
-        kprime = (len(S) * k) // n
+        kprime = floored_endowment(len(S), k, n)
         key = (kprime, req)
         if key not in memo:
             if kprime not in tables_of:

@@ -406,6 +406,8 @@ def _experiment_instance(tmp_path, kind):
         save_instance(inst, path)
         return path, ["--committee", "6,7", "--coalition", "0,1", "--deviation", "0,1,2,3,4,5"]
     run(["gen", "--name", "xos", "--params", "k=2", "--out", str(path)])
+    if kind == "sampling-bound":
+        return path, ["--alpha", "1/2"]
     return path, ["--alpha", "1/2", "--delta", "1/2", "--trials", "50"]
 
 
@@ -426,10 +428,10 @@ def test_experiment_rejects_beta_zero(tmp_path, capsys, kind):
 @pytest.mark.parametrize("alpha", ["3/2", "-1/2"])
 @pytest.mark.parametrize("kind", ["sampling-bound", "lower-tail"])
 def test_experiment_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, kind, alpha):
-    inst_path, _ = _experiment_instance(tmp_path, kind)
+    inst_path, extra = _experiment_instance(tmp_path, kind)
     report = tmp_path / "report.json"
-    argv = ["experiment", "--kind", kind, "--in", str(inst_path), "--delta", "1/2"]
-    assert run([*argv, f"--alpha={alpha}", "--trials", "50", "--report", str(report)]) == 2
+    argv = ["experiment", "--kind", kind, "--in", str(inst_path), *extra]
+    assert run([*argv, f"--alpha={alpha}", "--report", str(report)]) == 2
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
 
@@ -495,6 +497,26 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
         (["verify", "--notion", "core", "--committee", "0", "--auto-lift"], "--auto-lift"),
         (["verify", "--notion", "ejr", "--committee", "0", "--auto-lift"], "--auto-lift"),
         (["check-utility", "--seed", "4"], "--seed"),
+        (["verify", "--notion", "ejr", "--committee", "0", "--gamma", "7"], "--gamma"),
+        (["verify", "--notion", "core", "--committee", "0", "--mode", "anyW"], "--mode"),
+        (["verify", "--notion", "endowment", "--committee", "0", "--mode", "subsetW"], "--mode"),
+        (["verify", "--notion", "pb-core", "--committee", "0", "--mode", "anyW"], "--mode"),
+        # the xos instance's candidates fit the exhaustive scan
+        (["check-utility", "--sample-budget", "5"], "--sample-budget"),
+        (["experiment", "--kind", "sampling-bound", "--delta", "1/3"], "--delta"),
+        (["experiment", "--kind", "sampling-bound", "--trials", "50"], "--trials"),
+        (["experiment", "--kind", "sampling-bound", "--seed", "3"], "--seed"),
+        (["experiment", "--kind", "lower-tail", "--committee", "0"], "--committee"),
+        (["experiment", "--kind", "lower-tail", "--coalition", "0"], "--coalition"),
+        (["experiment", "--kind", "lower-tail", "--deviation", "0"], "--deviation"),
+        (["experiment", "--kind", "lower-tail", "--kappa", "2"], "--kappa"),
+        (["experiment", "--kind", "sampling-bound", "--eta", "12"], "--eta"),
+        (["experiment", "--kind", "lower-tail", "--gamma-param", "3"], "--gamma-param"),
+        (["experiment", "--kind", "sampling-bound", "--q", "1/3"], "--q"),
+        (["experiment", "--kind", "endow2", "--voter", "1"], "--voter"),
+        (["experiment", "--kind", "endow2", "--set", "0,1"], "--set"),
+        (["experiment", "--kind", "endow2", "--alpha", "1/3"], "--alpha"),
+        (["experiment", "--kind", "endow2", "--delta", "1/3"], "--delta"),
     ],
 )
 def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, argv, option):
@@ -505,3 +527,40 @@ def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, argv, opti
     assert run([*argv, "--in", str(inst_path), *target]) == 2
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sampled_check_utility_refuses_self_bounding(tmp_path, capsys):
+    # 21 candidates are past the exhaustive scan, so the axioms are sampled
+    from corelect.model import ApprovalUtility, Instance
+    from corelect.serialize import save_instance
+
+    inst_path = tmp_path / "wide.json"
+    inst = Instance(range(21), [ApprovalUtility({0, 5})], k=2, validate="trust")
+    save_instance(inst, inst_path)
+    out = tmp_path / "out.json"
+    argv = ["check-utility", "--in", str(inst_path), "--sample-budget", "8", "--report", str(out)]
+    assert run([*argv, "--self-bounding"]) == 2
+    assert "--self-bounding" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([*argv, "--seed", "2"]) == 0
+    assert _read(out)["utilities"][0]["exhaustive"] is False
+
+
+def test_gen_refuses_a_params_key_its_generator_does_not_read(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert run(["gen", "--name", "rest1", "--params", "q=2", "bogus=1", "--out", str(out)]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["gen", "--name", "rest1", "--params", "q=2", "voters=2", "--out", str(out)]) == 0
+
+
+def test_gen_writes_the_same_bytes_into_any_directory(tmp_path, monkeypatch):
+    # a frozen clock makes the manifest's wall-clock field equal too
+    monkeypatch.setattr("corelect.cli.time.monotonic", lambda: 0.0)
+    paths = [tmp_path / d / "inst.json" for d in ("a", "b/c")]
+    for path in paths:
+        path.parent.mkdir(parents=True)
+        assert run(["gen", "--name", "xos", "--params", "k=3", "--out", str(path)]) == 0
+    first, second = (path.read_bytes() for path in paths)
+    assert first == second
+    assert json.loads(first)["manifest"]["flags"]["out"] == "inst.json"

@@ -200,6 +200,32 @@ def test_all_dummy_class_is_blocked():
     assert cert["blocking_coalition"] == (0, 1, 2, 3)
 
 
+def test_r10_class_is_certified_and_each_residual_re_refuted():
+    # pool 60 at r = 10: every certificate's residual, with the caps left
+    # after its reply, is beyond any cover within its budget
+    cert = verify_passing_class(10, (2, 15, 9, 21, 4, 9))
+    assert cert["passes"]
+    assert [c["coalition"] for c in cert["certificates"]] == list(lb_search.COALITIONS)
+    for c in cert["certificates"]:
+        needs = [0] * 4
+        for v, target in zip(c["coalition"], c["residual_targets"]):
+            needs[v] = target
+        caps = tuple(60 - h for h in c["reply"])
+        assert not oracle_cover_feasible(needs, caps, c["budget"]), c
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 8, 5, 5, 12), (0, 0, 0, 0, 0, 0)])
+def test_certifier_raises_when_the_allocators_disagree(monkeypatch, counts):
+    # a passing class meets a refuting reply, a blocked one a coalition that
+    # every reply leaves coverable: the flipped second opinion contradicts both
+    flipped = lb_search._cover_feasible_second_opinion
+    monkeypatch.setattr(
+        lb_search, "_cover_feasible_second_opinion", lambda *query: not flipped(*query)
+    )
+    with pytest.raises(RuntimeError, match="disagree"):
+        verify_passing_class(5, counts)
+
+
 def test_search_verdict_matches_certifier_on_prefix():
     # every class the search scans and rejects must also fail the certifier
     report = lb1_emptiness_search(5, time_cap_s=60, class_cap=200)

@@ -568,6 +568,26 @@ def test_pb_core_unit_sizes_matches_core():
         assert pb.verdict == plain.verdict
 
 
+def test_auto_lift_reports_match_the_unit_size_budget_instance():
+    # a k-mode instance read as unit sizes and budget k gives the report of
+    # that budget instance built explicitly, apart from the lift's flag
+    for seed in range(40):
+        inst = random_instance(seed + 700, n_max=4, m_max=6, k_max=3)
+        unit = Instance(
+            inst.candidates, inst.utilities, sizes={c: 1 for c in inst.candidates},
+            budget=inst.k, validate="trust",
+        )
+        for W in (frozenset(), frozenset(sorted(inst.candidates)[: inst.k])):
+            for check, param in (
+                (check_pb_core, Fraction(1)), (check_pb_core, Fraction(3, 2)),
+                (check_endowment_core, Fraction(1)), (check_endowment_core, Fraction(2)),
+            ):
+                lifted = check(inst, W, param, auto_lift=True).to_json()
+                assert "auto-lifted-unit-sizes" in lifted["flags"]
+                lifted["flags"].remove("auto-lifted-unit-sizes")
+                assert lifted == check(unit, W, param).to_json()
+
+
 def test_pb_core_empty_committee_blocked_at_gamma_one():
     inst = _pb_instance([{0: 1}], [1], 1)
     report = check_pb_core(inst, frozenset(), 1)
