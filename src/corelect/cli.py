@@ -98,6 +98,13 @@ def _take(args, table, name, defaults, what: str) -> None:
             setattr(args, flag, default)
 
 
+def _voter(inst, i: int):
+    """Voter i's utility; an index outside 0..n-1 is a usage error."""
+    if not 0 <= i < inst.n:
+        raise FormatError(f"--voter {i} is out of range: the instance has voters 0..{inst.n - 1}")
+    return inst.utilities[i]
+
+
 class _Runner:
     """Collects manifest data and writes canonical report artifacts."""
 
@@ -257,7 +264,7 @@ def _cmd_check_utility(args) -> int:
     entries = []
     all_ok = True
     for i in voters:
-        u = inst.utilities[i]
+        u = _voter(inst, i)
         rep = check_axioms(u, inst.candidates, sample_budget=args.sample_budget, seed=args.seed or 0)
         entry = {
             "voter": i,
@@ -305,18 +312,15 @@ def _cmd_experiment(args) -> int:
     inst = load_instance(args.infile)
     seed = args.seed if args.seed is not None else 0
     if args.kind == "sampling-bound":
-        u = inst.utilities[args.voter]
+        u = _voter(inst, args.voter)
         T = sorted(_ids(args.set)) if args.set else sorted(inst.candidates)
         beta = 1 if args.beta is None else args.beta
         ok = verify_sampling_bound(u, T, parse_rational(args.alpha), beta=beta)
-        return runner.emit(
-            {"kind": "sampling-bound", "holds": ok},
-            args.report,
-            EXIT_PASS if ok else EXIT_FAIL,
-            seed=seed,
-        )
+        # exact enumeration: no draw, so no seed
+        status = EXIT_PASS if ok else EXIT_FAIL
+        return runner.emit({"kind": "sampling-bound", "holds": ok}, args.report, status)
     if args.kind == "lower-tail":
-        u = inst.utilities[args.voter]
+        u = _voter(inst, args.voter)
         T = sorted(_ids(args.set)) if args.set else sorted(inst.candidates)
         rep = mc_lower_tail(
             u,
@@ -407,6 +411,8 @@ def _cmd_theorem_suite(args) -> int:
         time_cap = math.inf if args.time_cap is None else args.time_cap
         rep = lb1_emptiness_search(r, time_cap_s=time_cap, class_cap=args.class_cap)
         payload = rep.to_json()
+        # the run time belongs to the manifest's wall clock alone, so reruns match
+        payload.pop("elapsed_s")
         payload["stopped_by"] = None
         if rep.result == "cap-exceeded":
             by_class = rep.classes_checked >= args.class_cap

@@ -22,20 +22,25 @@ checked exhaustively at desk scale with ``check_axioms``.
 
 The exhaustive checks (``check_axioms``, ``self_bounding_constant`` and
 the exact sampling checks in ``corelect.sampling``) evaluate each subset
-once, into an integer table indexed by bitmask: values over one common
-denominator, with a second integer column for the sqrt part of Quad
-values.  Every comparison is then an integer sign test, and only the
-returned value is built as a Fraction or Quad.  There is one table per
-oracle and universe, shared across these calls: the most recent table is
-kept, so a sweep that follows another on the same oracle object and
-universe evaluates no subset twice and reuses beta* and the sampling
+once, into an integer table indexed by bitmask: numpy columns of values
+over one common denominator, with a second column for the sqrt part of
+Quad values, int64 while a checked bound rules out overflow and exact
+Python ints otherwise.  The table is filled one size layer at a time, in
+one vectorised step for the approval, additive, coverage, xos and lb00
+oracles, and the sweeps run on its arrays a layer or a block at a time.
+Every comparison is an integer sign test, and only the returned value is
+built as a Fraction or Quad.  There is one table per oracle and
+universe, shared across these calls: the most recent table is kept, so a
+sweep that follows another on the same oracle object and universe
+evaluates no subset twice and reuses beta* and the sampling
 expectations.  Only that one table is kept, so the memory held between
-calls is at most one table (about 48 MB at m = 20).
+calls is at most one table (16 MB of int64 at m = 20) and the canonical
+mask order of the four most recent universe sizes.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +57,7 @@ from .errors import (
     require_work,
     subsets,
 )
-from .exactnum import ExactValue, Quad, int_sign, parse_rational, rational_to_json
+from .exactnum import ExactValue, Quad, parse_rational, rational_to_json
 
 
 def _as_frozen(T: Iterable[int]) -> frozenset:
@@ -66,6 +71,35 @@ def _common_denominator(weights: Iterable[Fraction]) -> int:
 def _scaled(weights: dict, D: int) -> dict:
     """The same weights as integers over the common denominator D."""
     return {key: w.numerator * (D // w.denominator) for key, w in weights.items()}
+
+
+# masks per block of a layer: a block's (masks x members) matrices hold
+# at most this many entries, 16 KB of int64
+_BLOCK = 2048
+
+
+def _blocks(masks, width: int):
+    """(start, slice) of ``masks`` in consecutive slices of at most
+    ``_BLOCK // width`` rows."""
+    rows = max(1, _BLOCK // max(width, 1))
+    return ((start, masks[start : start + rows]) for start in range(0, len(masks), rows))
+
+
+def _weights(values, bound: int):
+    """Integer weights as int64 when every sum the evaluators form is at
+    most ``bound`` < 2^63, else as exact Python ints."""
+    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def _by_blocks(masks, m: int, width: int, f):
+    """f of the (masks x m) 0/1 member matrix, bit i of each mask in
+    column i, in row blocks whose matrices of ``width`` columns stay
+    within ``_BLOCK`` entries."""
+    parts = []
+    for _, block in _blocks(masks, width):
+        octets = block.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        parts.append(f(np.unpackbits(octets, axis=1, count=m, bitorder="little")))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -130,6 +164,10 @@ class ApprovalUtility(RationalUtility):
     def numerator(self, T):
         return len(self.approved.intersection(T))
 
+    def numerators(self, universe, masks):
+        approved = sum(1 << i for i, c in enumerate(universe) if c in self.approved)
+        return np.bitwise_count(masks & approved).astype(np.int64)
+
     value = RationalUtility.value
 
     def key(self):
@@ -160,6 +198,11 @@ class AdditiveUtility(RationalUtility):
     def numerator(self, T):
         weights = self._int_weights
         return sum(weights[c] for c in _as_frozen(T) if c in weights)
+
+    def numerators(self, universe, masks):
+        w = [self._int_weights.get(c, 0) for c in universe]
+        w = _weights(w, sum(w))
+        return _by_blocks(masks, len(universe), len(universe), lambda members: members @ w)
 
     value = RationalUtility.value
 
@@ -207,6 +250,21 @@ class CoverageUtility(RationalUtility):
             covered |= self.covers.get(c, frozenset())
         weights = self._int_weights
         return sum(weights[e] for e in covered if e in weights)
+
+    def numerators(self, universe, masks):
+        # (member, element) incidence; an element counts once it is covered
+        elements = sorted({e for c in universe for e in self.covers.get(c, ())})
+        incidence = np.array(
+            [[e in self.covers.get(c, ()) for e in elements] for c in universe], dtype=np.int64
+        ).reshape(len(universe), len(elements))
+        w = [self._int_weights.get(e, 0) for e in elements]
+        w = _weights(w, sum(w))
+
+        def covered_weight(members):
+            return (members @ incidence > 0) @ w
+
+        width = max(len(universe), len(elements))
+        return _by_blocks(masks, len(universe), width, covered_weight)
 
     value = RationalUtility.value
 
@@ -257,6 +315,13 @@ class XOSUtility(RationalUtility):
             if s > best:
                 best = s
         return best
+
+    def numerators(self, universe, masks):
+        w = [[clause.get(c, 0) for clause in self._int_clauses] for c in universe]
+        bound = max(map(sum, zip(*w)), default=0)  # the largest clause total
+        w = _weights(w, bound).reshape(len(universe), len(self._int_clauses))
+        width = max(len(universe), len(self._int_clauses))
+        return _by_blocks(masks, len(universe), width, lambda members: (members @ w).max(axis=1))
 
     value = RationalUtility.value
 
@@ -347,18 +412,44 @@ class LB00Utility(UtilityFunction):
         return cp, cq
 
     def value(self, T):
-        counts = self._counts(_as_frozen(T))
-        cached = self._cache.get(counts)
+        return self._value_at(*self._counts(_as_frozen(T)))
+
+    def _value_at(self, cp: int, cq: int) -> ExactValue:
+        """u at cp members of party p and cq of party q."""
+        cached = self._cache.get((cp, cq))
         if cached is not None:
             return cached
-        cp, cq = counts
-        xp = Fraction(cp, self.r)
-        xq = Fraction(cq, self.r)
-        xpb = xp**self.beta
-        xqb = xq**self.beta
-        val = Fraction(self.r, self.beta) * (xpb + self.z * (1 - xpb) * xqb)
-        self._cache[counts] = val
+        xpb = Fraction(cp, self.r) ** self.beta
+        xqb = Fraction(cq, self.r) ** self.beta
+        factor = Fraction(self.r, self.beta)
+        if isinstance(self.z, Quad):
+            # odd beta: z = sqrt(d), so the value is a + b*sqrt(d) term by term
+            b = factor * (1 - xpb) * xqb
+            val = Quad(factor * xpb, b, self.z.d) if b else factor * xpb
+        else:
+            val = factor * (xpb + self.z * (1 - xpb) * xqb)
+        self._cache[cp, cq] = val
         return val
+
+    def count_values(self, universe, masks) -> tuple:
+        """(codes, values): u at masks[i] is values[codes[i]].  A code packs
+        the party-p and party-q counts, so u is evaluated once per count
+        pair present, at most (r + 1)^2 exact values; a code no mask has
+        holds 0."""
+        p, q = self.role
+        p_bits = q_bits = 0
+        for i, c in enumerate(universe):
+            party = self.party_of.get(c)
+            if party == p:
+                p_bits |= 1 << i
+            elif party == q:
+                q_bits |= 1 << i
+        width = q_bits.bit_count() + 1
+        codes = np.bitwise_count(masks & p_bits).astype(np.int64) * width
+        codes += np.bitwise_count(masks & q_bits)
+        hits = np.bincount(codes).tolist()
+        values = [self._value_at(*divmod(code, width)) if n else 0 for code, n in enumerate(hits)]
+        return codes, values
 
     def key(self):
         return (
@@ -436,13 +527,43 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
         yield frozenset(c for c, bit in zip(universe, mask) if bit)
 
 
-def _masks(m: int, sizes):
-    """Bitmasks over m bits of the given sizes, in the order in which
-    ``subsets`` yields their members (bit i standing for the i-th member)."""
-    bits = [1 << i for i in range(m)]
-    return itertools.chain.from_iterable(
-        map(sum, itertools.combinations(bits, size)) for size in sizes
-    )
+@functools.lru_cache(maxsize=4)
+def _layers(m: int) -> tuple:
+    """The bitmasks over m bits of each size 0..m, as read-only int64
+    arrays in the order in which ``subsets`` yields their members (bit i
+    standing for the i-th member).  Kept for the four most recent m."""
+    layers = [np.zeros(1, dtype=np.int64)]
+    for _ in range(m):
+        # a new first member: the subsets holding it come first in each size
+        up = [x << 1 for x in layers] + [np.zeros(0, dtype=np.int64)]
+        layers = [up[0]] + [np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, len(up))]
+    for x in layers:
+        x.flags.writeable = False
+    return tuple(layers)
+
+
+def _layer_method(u: UtilityFunction, name: str):
+    """u's bound vectorised evaluator ``name``, or None when u's class
+    lacks it or overrides the ``numerator`` or ``value`` it stands for."""
+    cls = type(u)
+    owner = next((base for base in cls.__mro__ if name in vars(base)), None)
+    if owner is None or any(
+        getattr(cls, method, None) is not getattr(owner, method, None)
+        for method in ("numerator", "value")
+    ):
+        return None
+    return getattr(u, name)
+
+
+# int64 columns hold magnitudes whose squares stay below this
+_INT64_BOUND = 1 << 63
+
+
+def _positive(x, y, n: int):
+    """x + y*sqrt(n) > 0 elementwise, for integer arrays and a non-square
+    n > 0: with opposite signs the part with the larger square wins."""
+    xx, yyn = x * x, y * y * n
+    return (x > 0) & ((y >= 0) | (xx > yyn)) | (y > 0) & (yyn > xx)
 
 
 class _SubsetTable:
@@ -453,7 +574,23 @@ class _SubsetTable:
     (rat[mask] + irr[mask] * sqrt(radicand)) / den with integers only;
     ``irr`` stays all zeros, and ``radicand`` 1, while every value is
     rational.  A Quad value a + b*sqrt(d) has radicand d.num * d.den, so
-    sqrt(d) = sqrt(radicand) / d.den.  Evaluations that raised
+    sqrt(d) = sqrt(radicand) / d.den.  ``at`` returns Python ints.
+
+    Storage: ``rat`` and ``irr`` are numpy arrays of 2^m entries.  Their
+    dtype is int64 while the largest magnitudes stored, R in ``rat`` and
+    I in ``irr``, keep (2R + den)^2 and (2I)^2 * radicand below 2^63, and
+    ``object`` (exact Python ints) from the first store or ``_grow`` that
+    breaks that bound.  Under it no sweep overflows: a neighbour
+    difference less den is at most 2R + den, and the sign of d + e*sqrt(n)
+    compares d^2 with e^2 * n.
+
+    Filling: each size layer is evaluated in one vectorised step when u
+    has one: ``numerators`` (approval, additive, coverage, xos) over u's
+    fixed ``scale``, or ``count_values`` (lb00), one exact value per pair
+    of party counts, scattered by count code.  A subclass that overrides
+    ``numerator`` or ``value``, ``TableUtility`` and every other oracle
+    are evaluated subset by subset: a rational oracle's ``numerator``,
+    else ``value``; that path defines the table.  Evaluations that raised
     ``MalformedUtilityError`` are kept in ``errors``, in the order that
     filling every layer from size 0 up evaluates them, and raised again by
     ``require`` when a sweep reaches them.
@@ -470,7 +607,7 @@ class _SubsetTable:
 
     __slots__ = (
         "u", "universe", "rat", "irr", "den", "radicand", "field", "errors", "layers",
-        "beta_star", "expectations", "_factor",
+        "beta_star", "expectations", "_factor", "_peak",
     )
 
     _recent = None  # the one table kept between calls
@@ -478,8 +615,8 @@ class _SubsetTable:
     def __init__(self, u: UtilityFunction, universe: Sequence[int]):
         self.u = u
         self.universe = tuple(universe)
-        self.rat = [0] * (1 << len(universe))
-        self.irr = [0] * len(self.rat)
+        self.rat = np.zeros(1 << len(universe), dtype=np.int64)
+        self.irr = np.zeros(len(self.rat), dtype=np.int64)
         self.den = 1
         self.radicand = 1
         self.field = None  # the d of u's Quad values
@@ -488,6 +625,7 @@ class _SubsetTable:
         self.beta_star = None
         self.expectations = {}  # alpha -> (a, b, den), see sampling._expectation
         self._factor = {1: 1}  # denominator q -> den // q
+        self._peak = [0, 0]  # the largest |rat| and |irr| stored
 
     @classmethod
     def of(cls, u: UtilityFunction, universe: Sequence[int], sizes=None) -> "_SubsetTable":
@@ -504,42 +642,81 @@ class _SubsetTable:
 
     def fill(self, sizes):
         """Evaluate u on every subset of each of the given sizes that is not
-        filled yet: a rational oracle's ``numerator`` over its fixed
-        ``scale``, else ``value``."""
+        filled yet."""
         sizes = [size for size in sizes if size not in self.layers]
         if not sizes:
             return
         self.layers.update(sizes)
-        rat, irr, factor, errors = self.rat, self.irr, self._factor, self.errors
-        members = subsets(self.universe, sizes)
-        masks = _masks(len(self.universe), sizes)
-        if isinstance(self.u, RationalUtility):
-            numerator, scale = self.u.numerator, self.u.scale
-            f = factor.get(scale) or self._grow(scale)
-            for mask, T in zip(masks, members):
-                try:
-                    rat[mask] = numerator(T) * f
-                except MalformedUtilityError as exc:
-                    errors[mask] = exc
-        else:
-            value = self.u.value
-            for mask, T in zip(masks, members):
-                try:
-                    v = value(T)
-                except MalformedUtilityError as exc:
-                    errors[mask] = exc
-                    continue
-                if isinstance(v, Quad):
-                    q = v.b.denominator * self._radical(v.d)
-                    irr[mask] = v.b.numerator * (factor.get(q) or self._grow(q))
-                    v = v.a
-                rat[mask] = v.numerator * (factor.get(v.denominator) or self._grow(v.denominator))
+        layers = _layers(len(self.universe))
+        numerators = _layer_method(self.u, "numerators")
+        count_values = _layer_method(self.u, "count_values")
+        for size in sizes:
+            masks = layers[size]
+            if numerators is not None:
+                self._store_numerators(masks, numerators(self.universe, masks))
+            elif count_values is not None:
+                codes, values = count_values(self.universe, masks)
+                self._store_values(masks, values, codes)
+            else:
+                self._fill_each(size, masks)
+        errors = self.errors
         if errors:
             # layers may arrive in any order; keep the errors in canonical
             # order, so every call raises the same one first
             bits = range(len(self.universe))
             order = sorted(errors, key=lambda x: canonical(i for i in bits if x >> i & 1))
             self.errors = {mask: errors[mask] for mask in order}
+
+    def _fill_each(self, size: int, masks):
+        """One evaluation per subset of the layer."""
+        errors, u = self.errors, self.u
+        rational = isinstance(u, RationalUtility)
+        evaluate = u.numerator if rational else u.value
+        values = []
+        for mask, T in zip(masks.tolist(), subsets(self.universe, (size,))):
+            try:
+                values.append(evaluate(T))
+            except MalformedUtilityError as exc:
+                errors[mask] = exc
+                values.append(0)
+        if rational:
+            self._store_numerators(masks, np.array(values, dtype=object))
+        else:
+            self._store_values(masks, values)
+
+    def _store_numerators(self, masks, numerators):
+        """Store integers over u's ``scale``, rescaled to den."""
+        scale = self.u.scale
+        f = self._factor.get(scale) or self._grow(scale)
+        self._admit(max(int(numerators.max()), -int(numerators.min())) * f)
+        column = numerators.astype(self.rat.dtype, copy=False)
+        column *= f
+        self.rat[masks] = column
+
+    def _store_values(self, masks, values: list, codes=None):
+        """Store exact values at ``masks``, or values[codes[i]] at masks[i]."""
+        rat, irr = self._integers(values)
+        self._admit(max(map(abs, rat)), max(map(abs, irr)))
+        for column, ints in ((self.rat, rat), (self.irr, irr)):
+            ints = np.array(ints, dtype=column.dtype)
+            column[masks] = ints if codes is None else ints[codes]
+
+    def _integers(self, values: list) -> tuple:
+        """Exact values as two lists of integers (rat, irr) over den, which
+        first grows to a multiple of every denominator among them."""
+        parts = []
+        for v in values:
+            if isinstance(v, Quad):
+                parts.append((v.a, v.b.numerator, v.b.denominator * self._radical(v.d)))
+            else:
+                parts.append((v, 0, 1))
+        factor = self._factor
+        for a, _, q in parts:
+            for d in (a.denominator, q):
+                if d not in factor:
+                    self._grow(d)
+        rat = [a.numerator * factor[a.denominator] for a, _, _ in parts]
+        return rat, [b * factor[q] for _, b, q in parts]
 
     def _radical(self, d: Fraction) -> int:
         """d.den, so that b*sqrt(d) = (b / d.den) * sqrt(radicand)."""
@@ -550,14 +727,28 @@ class _SubsetTable:
             raise ValueError("cannot mix radicands")
         return d.denominator
 
+    def _admit(self, rat_peak: int = 0, irr_peak: int = 0):
+        """Record the largest magnitudes about to be stored, and turn the
+        columns into exact Python ints once int64 could overflow."""
+        peak = self._peak
+        peak[0], peak[1] = max(peak[0], rat_peak), max(peak[1], irr_peak)
+        if self.rat.dtype != object and not (
+            (2 * peak[0] + self.den) ** 2 < _INT64_BOUND
+            and (2 * peak[1]) ** 2 * self.radicand < _INT64_BOUND
+        ):
+            self.rat = self.rat.astype(object)
+            self.irr = self.irr.astype(object)
+
     def _grow(self, q: int) -> int:
         """Extend den to a multiple of q, rescaling every stored integer."""
         factor = self._factor
         grow = q // math.gcd(self.den, q)
         if grow > 1:
             self.den *= grow
-            for column in (self.rat, self.irr):
-                column[:] = [x * grow for x in column]
+            self._peak = [x * grow for x in self._peak]
+            self._admit()
+            self.rat *= grow
+            self.irr *= grow
             for key in factor:
                 factor[key] *= grow
             self.expectations.clear()  # each holds the old den
@@ -572,8 +763,8 @@ class _SubsetTable:
                     raise self.errors[mask]
 
     def at(self, mask: int) -> tuple:
-        """(rat, irr) of one subset."""
-        return self.rat[mask], self.irr[mask]
+        """(rat, irr) of one subset, as Python ints."""
+        return int(self.rat[mask]), int(self.irr[mask])
 
     def exact(self, a: int, b: int, den: int) -> ExactValue:
         """(a + b*sqrt(radicand)) / den as a Fraction, or a Quad over u's field."""
@@ -621,38 +812,63 @@ def _axiom_scan(u: UtilityFunction, universe: Sequence[int]):
     """The first monotone and Lipschitz violations, subsets in size then
     lexicographic order and j ascending; stops once both are found.  The
     table is filled one size layer ahead of the scan, so a stop saves the
-    evaluations of every layer the scan does not reach."""
+    evaluations of every layer the scan does not reach.
+
+    A layer is scanned in row blocks of its (T x j) matrix of neighbour
+    differences, T in canonical order; the first violation of a kind is
+    the first true entry of its test matrix in row-major order."""
     m = len(universe)
     table = _SubsetTable.of(u, universe, (0,))
-    rat, irr = table.rat, table.irr
-    members = list(zip((1 << i for i in range(m)), universe))
+    bits = np.array([1 << i for i in range(m)], dtype=np.int64)
 
     def subset(mask):
-        return frozenset(c for bit, c in members if mask & bit)
+        return frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
 
-    mono_w = lip_w = None
+    found = {}  # "mono" / "lip" -> AxiomWitness
     checked = 0
-    for size in range(m + 1):
+    for size, layer in enumerate(_layers(m)):
         if size < m:
             table.fill((size + 1,))
-        den, n = table.den, table.radicand
-        for T in _masks(m, (size,)):
-            checked += 1
-            if table.errors:
-                table.require([T] + [T ^ bit for bit, _ in members])
-            # each test is u(T) - u(x) > c / den, the sign of (d + e sqrt(n)) / den
-            a, b = rat[T], irr[T]
-            for bit, j in members:
-                x = T ^ bit
-                d, e = a - rat[x], b - irr[x]
-                if T & bit:
-                    if lip_w is None and (int_sign(d - den, e, n) if e else d - den) > 0:
-                        lip_w = AxiomWitness(subset(T), j)
-                elif mono_w is None and (int_sign(d, e, n) if e else d) > 0:
-                    mono_w = AxiomWitness(subset(x), j)
-            if mono_w and lip_w:
-                return mono_w, lip_w, checked
-    return mono_w, lip_w, checked
+        rat, irr, den, n = table.rat, table.irr, table.den, table.radicand
+        failed = _first_failed_neighbourhood(table, layer, bits)
+        last = -1  # the position in the layer of the last witness found
+        for start, T in _blocks(layer, m):
+            absent = (T[:, None] & bits) == 0  # j not in T
+            near = T[:, None] ^ bits
+            d = rat[T][:, None] - rat[near]
+            e = None if table.field is None else irr[T][:, None] - irr[near]
+            # u(T) - u(x) > c / den: the sign of (d - c + e sqrt(n)) / den
+            for kind, c, where in (("mono", 0, absent), ("lip", den, ~absent)):
+                if kind in found:
+                    continue
+                hits = where & (d > c if e is None else _positive(d - c, e, n))
+                if hits.any():
+                    row, j = divmod(int(hits.argmax()), m)
+                    x = int(T[row])
+                    last = max(last, start + row)
+                    witness = subset(x) if kind == "lip" else subset(x | 1 << j)
+                    found[kind] = AxiomWitness(witness, universe[j])
+            if len(found) == 2:
+                break
+        if failed is not None and (len(found) < 2 or last >= failed):
+            x = int(layer[failed])
+            table.require([x] + [x ^ bit for bit in bits.tolist()])
+        if len(found) == 2:
+            return found["mono"], found["lip"], checked + last + 1
+        checked += len(layer)
+    return found.get("mono"), found.get("lip"), checked
+
+
+def _first_failed_neighbourhood(table: _SubsetTable, layer, bits):
+    """The position in ``layer`` of the first T with a failed evaluation
+    among T and its neighbours, or None."""
+    if not table.errors:
+        return None
+    failed = np.fromiter(table.errors, dtype=np.int64, count=len(table.errors))
+    hit = np.isin(layer, failed)
+    for bit in bits:
+        hit |= np.isin(layer ^ bit, failed)
+    return int(hit.argmax()) if hit.any() else None
 
 
 def _sampled_axiom_scan(u: UtilityFunction, universe: Sequence[int], subsets):
@@ -691,39 +907,95 @@ def _self_bounding(table: _SubsetTable) -> ExactValue:
     return table.beta_star
 
 
+# beta* reads the table in aligned chunks of 2^8 masks: 2 KB per int64 column
+_CHUNK_BITS = 8
+
+
 def _beta_star(table: _SubsetTable) -> ExactValue:
-    """Each ratio sum_j (u(T) - u(T - {j})) / u(T) is compared with the
-    best so far by cross-multiplication."""
+    """The largest ratio sum_j (u(T) - u(T - {j})) / u(T) over T with
+    u(T) > 0, or 0, decided by integer cross-multiplication.
+
+    The table is read in aligned chunks of 2^k masks, k = min(m, 8): for a
+    bit j below k, T - {j} lies in the same chunk at stride 2^j; for a
+    higher bit, in the chunk 2^j masks back.  The products stay in int64
+    for rational values under a bound, else they are exact Python ints."""
     table.require()
-    rat, irr, n = table.rat, table.irr, table.radicand
-    bits = [1 << i for i in range(len(table.universe))]
-    if table.field is None:
-        # rational values: the sqrt loop below gives the same answer, but
-        # takes 2.2-2.6 times as long on the rational oracles
-        best_a, best_c = 0, 1
-        for T in range(1, len(rat)):
-            c = rat[T]
-            if c > 0:
-                a = T.bit_count() * c - sum(rat[T ^ bit] for bit in bits if T & bit)
-                if a * best_c > best_a * c:
-                    best_a, best_c = a, c
-        return Fraction(best_a, best_c)
-    best = (0, 0, 1, 0)  # (a + b r) / (c + e r) with r = sqrt(n), denominator positive
-    for T in range(1, len(rat)):
-        c, e = rat[T], irr[T]
-        if int_sign(c, e, n) <= 0:
-            continue
-        below = [T ^ bit for bit in bits if T & bit]
-        a = len(below) * c - sum(rat[x] for x in below)
-        b = len(below) * e - sum(irr[x] for x in below)
-        ba, bb, bc, be = best
-        # a/c > ba/bc  <=>  (a + b r)(bc + be r) - (ba + bb r)(c + e r) > 0
-        diff = (a * bc + b * be * n - ba * c - bb * e * n, a * be + b * bc - ba * e - bb * c)
-        if int_sign(*diff, n) > 0:
-            best = (a, b, c, e)
-    a, b, c, e = best
+    m, n = len(table.universe), table.radicand
+    quad = table.field is not None
+    k = min(m, _CHUNK_BITS)
+    size = 1 << k
+    members = np.bitwise_count(np.arange(size, dtype=np.int64)).astype(np.int64)
+    peak = max(table._peak)
+    wide = quad or table.rat.dtype == object or 2 * m * peak * peak >= _INT64_BOUND
+    dtype = object if wide else np.int64
+    # (a, c) or (a, b, c, e): the ratio (a + b r) / (c + e r), r = sqrt(n), c + e r > 0
+    best = [np.array([x], dtype=dtype) for x in ((0, 0, 1, 0) if quad else (0, 1))]
+    for lo in range(0, 1 << m, size):
+        count = members + lo.bit_count()
+        sums, values = [], []
+        for column in (table.rat, table.irr) if quad else (table.rat,):
+            chunk = column[lo : lo + size]
+            below = np.zeros_like(chunk)  # sum over j in T of column[T - {j}]
+            for j in range(m):
+                bit = 1 << j
+                if j < k:
+                    below.reshape(-1, 2, bit)[:, 1] += chunk.reshape(-1, 2, bit)[:, 0]
+                elif lo & bit:
+                    below += column[lo - bit : lo - bit + size]
+            sums.append(count * chunk - below)
+            values.append(chunk)
+        keep = _positive(*values, n) if quad else values[0] > 0
+        if keep.any():
+            entries = [
+                np.concatenate((x, y[keep].astype(dtype))) for x, y in zip(best, sums + values)
+            ]
+            best = _largest_ratio(entries, n) if quad else _largest_ratio(entries)
+    if not quad:
+        a, c = (int(x[0]) for x in best)
+        return Fraction(a, c)
+    a, b, c, e = (int(x[0]) for x in best)
     # rationalize: (a + b r)(c - e r) / (c^2 - e^2 n)
     return table.exact(a * c - b * e * n, b * c - a * e, c * c - e * e * n)
+
+
+def _largest_ratio(entries: list, n: Optional[int] = None) -> list:
+    """The entry, as one-entry columns, with the largest ratio a/c, or
+    (a + b r)/(c + e r) with r = sqrt(n), every denominator positive.
+
+    Each round a pivot is picked and only the entries whose ratio exceeds
+    the pivot's go on, decided by the sign of the cross-multiplied
+    difference in integers; the pivot is the largest float estimate, which
+    only orders the work, so the entry returned is a largest one whatever
+    the estimate's rounding."""
+    while True:
+        i = int(np.argmax(_estimate(entries, n)))
+        pivot = [x[i] for x in entries]
+        if n is None:
+            over = entries[0] * pivot[1] > pivot[0] * entries[1]
+        else:
+            a, b, c, e = entries
+            a2, b2, c2, e2 = pivot
+            # (a + b r)(c2 + e2 r) - (a2 + b2 r)(c + e r) > 0
+            over = _positive(
+                a * c2 + b * e2 * n - a2 * c - b2 * e * n, a * e2 + b * c2 - a2 * e - b2 * c, n
+            )
+        if not over.any():
+            return [x[i : i + 1] for x in entries]
+        entries = [x[over] for x in entries]
+
+
+def _estimate(entries: list, n: Optional[int]):
+    """The ratios of ``_largest_ratio`` in floats, all 0 when an entry
+    overflows a float."""
+    try:
+        parts = [x.astype(float) for x in entries]
+    except OverflowError:
+        return np.zeros(len(entries[0]))
+    with np.errstate(all="ignore"):
+        if n is None:
+            return parts[0] / parts[1]
+        r = math.sqrt(n)
+        return (parts[0] + parts[1] * r) / (parts[2] + parts[3] * r)
 
 
 def check_submodular(u: UtilityFunction, universe: Sequence[int]):

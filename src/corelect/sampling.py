@@ -22,6 +22,7 @@ from .exactnum import ExactValue, int_sign, parse_rational, rational_to_json
 from .instances import rng_from_seed
 from .model import (
     UtilityFunction,
+    _layers,
     _SubsetTable,
     _self_bounding,
     gain_threshold,
@@ -65,9 +66,13 @@ def _expectation(table: _SubsetTable, alpha: Fraction) -> tuple:
     table.require([mask for mask in table.errors if weight[mask.bit_count()]])
 
     def weighted(column):
-        return sum(weight[mask.bit_count()] * v for mask, v in enumerate(column))
+        # a size's sum is exact in int64 too: int64 entries stay below
+        # 2^31.5 in magnitude, and a size has fewer than 2^20 subsets
+        layers = zip(weight, _layers(m))
+        return sum(w * int(column[masks].sum()) for w, masks in layers if w)
 
-    found = table.expectations[alpha] = (weighted(table.rat), weighted(table.irr), q**m * table.den)
+    irr = weighted(table.irr) if table.field is not None else 0
+    found = table.expectations[alpha] = (weighted(table.rat), irr, q**m * table.den)
     return found
 
 
@@ -228,8 +233,9 @@ def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
     e, f = delta.numerator, delta.denominator
     scale = f * (den // table.den)
     hits = 0
-    for mask, count in counts.items():
-        rat, irr = table.at(mask)
+    masks = list(counts)
+    columns = zip(counts.values(), table.rat[masks].tolist(), table.irr[masks].tolist())
+    for count, rat, irr in columns:
         if int_sign(scale * rat - (f - e) * a, scale * irr - (f - e) * b, table.radicand) <= 0:
             hits += count
     mu0 = table.exact(a, b, den)

@@ -236,8 +236,10 @@ def _core_test(instance, W, voters, gamma):
 
     Voters with identical oracles and thresholds form one class, so a
     coalition requires the bitmask of its classes; T meets it when every
-    one of those classes reaches gamma*(u_i(W)+1) at T.  The satisfied
-    classes of each T are computed once.
+    one of those classes reaches gamma*(u_i(W)+1) at T.  A class is tested
+    at T only when a requirement reaches it: the test stops at the first
+    class that fails, and each T keeps the classes it has tested and
+    those that passed.
     """
     class_of, ids, tests = {}, {}, []
     for i in voters:
@@ -248,7 +250,7 @@ def _core_test(instance, W, voters, gamma):
             ids[key] = len(tests)
             tests.append((measure, bar))
         class_of[i] = ids[key]
-    satisfied: dict = {}
+    tested: dict = {}  # T -> (classes tested at T, those satisfied)
 
     def requirement(S):
         mask = 0
@@ -257,14 +259,21 @@ def _core_test(instance, W, voters, gamma):
         return mask
 
     def meets(mask, T):
-        sat = satisfied.get(T)
-        if sat is None:
-            sat = 0
-            for c, (measure, bar) in enumerate(tests):
-                if measure(T) >= bar:
-                    sat |= 1 << c
-            satisfied[T] = sat
-        return sat & mask == mask
+        known, sat = tested.get(T, (0, 0))
+        if mask & known & ~sat:
+            return False
+        todo = mask & ~known
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            known |= bit
+            measure, bar = tests[bit.bit_length() - 1]
+            if measure(T) < bar:
+                tested[T] = known, sat
+                return False
+            sat |= bit
+        tested[T] = known, sat
+        return True
 
     return requirement, meets
 
@@ -295,10 +304,10 @@ def _ejr_test(instance, W, voters):
     return requirement, meets
 
 
-def _completion_tables(instance, W, kprime, mode) -> list:
+def _completion_tables(instance, W, kprime, mode, feasible) -> list:
     """[(hatW, [(W', hatW + W'), ...]), ...]: every k'-completable hatW of
     size <= k - k' (a subset of W, or any committee in ``any_hatW`` mode)
-    with the W' of size <= k' making hatW + W' feasible, both in
+    with the W' of size <= k' making hatW + W' ``feasible``, both in
     enumeration order."""
     P, candidates = instance.feasibility, instance.candidates
     pool = W if mode == "subset_of_W" else candidates
@@ -307,8 +316,14 @@ def _completion_tables(instance, W, kprime, mode) -> list:
         if is_q_completable(P, hatW, kprime, candidates)[0]:
             rest = set(candidates) - hatW
             pairs = ((wprime, hatW | wprime) for wprime in subsets(rest, range(kprime + 1)))
-            tables.append((hatW, [(wprime, T) for wprime, T in pairs if is_feasible(P, T)]))
+            tables.append((hatW, [(wprime, T) for wprime, T in pairs if feasible(T)]))
     return tables
+
+
+def _feasibility(instance):
+    """is_feasible on the instance's family, decided once per committee:
+    one T recurs across the hatW and k' of a check."""
+    return functools.cache(functools.partial(is_feasible, instance.feasibility))
 
 
 def _complete(instance, tables, kprime, req, meets, cert=None):
@@ -350,7 +365,7 @@ def _blocks_restrained(instance, W, S, mode, cert, test):
     if req is None:
         return False, None
     kprime = floored_endowment(len(S), instance.k, instance.n)
-    tables = _completion_tables(instance, W, kprime, mode)
+    tables = _completion_tables(instance, W, kprime, mode, _feasibility(instance))
     completions, _ = _complete(instance, tables, kprime, req, meets, cert)
     return completions is not None, completions
 
@@ -386,6 +401,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")
     coalitions = hatw_sets = entries = visited = 0
+    feasible = _feasibility(instance)
     tables_of: dict = {}
     memo: dict = {}
     witness = None
@@ -398,7 +414,9 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         key = (kprime, req)
         if key not in memo:
             if kprime not in tables_of:
-                tables = tables_of[kprime] = _completion_tables(instance, W, kprime, mode)
+                tables = tables_of[kprime] = _completion_tables(
+                    instance, W, kprime, mode, feasible
+                )
                 assert tables, "a feasible W leaves every k' a completable hatW"
                 hatw_sets += len(tables)
                 entries += sum(len(wprimes) for _, wprimes in tables)

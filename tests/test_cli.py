@@ -564,3 +564,48 @@ def test_gen_writes_the_same_bytes_into_any_directory(tmp_path, monkeypatch):
     first, second = (path.read_bytes() for path in paths)
     assert first == second
     assert json.loads(first)["manifest"]["flags"]["out"] == "inst.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-utility"],
+        ["experiment", "--kind", "sampling-bound", "--alpha", "1/2"],
+        ["experiment", "--kind", "lower-tail", "--alpha", "1/2", "--trials", "50"],
+    ],
+)
+@pytest.mark.parametrize("voter", ["9", "-1"])
+def test_a_voter_outside_the_instance_is_refused(tmp_path, capsys, argv, voter):
+    inst_path = tmp_path / "xos.json"
+    run(["gen", "--name", "xos", "--params", "k=2", "--out", str(inst_path)])
+    assert load_instance(inst_path).n == 2
+    report = tmp_path / "report.json"
+    target = ["--in", str(inst_path), "--report", str(report)]
+    assert run([*argv, f"--voter={voter}", *target]) == 2
+    assert f"--voter {voter} is out of range" in capsys.readouterr().err
+    assert not report.exists()
+    assert run([*argv, "--voter=1", *target]) in (0, 1)
+    assert report.exists()
+
+
+def test_sampling_bound_manifest_records_no_seed(tmp_path):
+    # the bound is checked by exact enumeration and draws nothing
+    inst_path, extra = _experiment_instance(tmp_path, "sampling-bound")
+    report = tmp_path / "report.json"
+    argv = ["experiment", "--kind", "sampling-bound", "--in", str(inst_path), *extra]
+    assert run([*argv, "--report", str(report)]) in (0, 1)
+    assert _read(report)["manifest"]["seed"] is None
+
+
+def test_lb1_emptiness_reruns_differ_only_in_the_wall_clock(tmp_path, monkeypatch):
+    outs = [tmp_path / d / "lb1.json" for d in ("a", "b")]
+    for out in outs:
+        out.parent.mkdir()
+        monkeypatch.chdir(out.parent)  # the manifest records --out as given
+        argv = ["theorem-suite", "--name", "lb1-emptiness", "--class-cap", "2000"]
+        assert run([*argv, "--out", "lb1.json"]) == 0
+    first, second = (_read(out) for out in outs)
+    for payload in (first, second):
+        payload["manifest"].pop("wall_clock_ms")
+    assert first == second
+    assert "elapsed_s" not in first and first["classes_checked"] == 2000

@@ -1,5 +1,7 @@
+import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from corelect.model import (
     ApprovalUtility,
     CoverageUtility,
     Instance,
+    LB00Utility,
+    RationalUtility,
     TableUtility,
     UtilityFunction,
     XOSUtility,
@@ -20,10 +24,11 @@ from corelect.model import (
     evaluate,
     gain_threshold,
     self_bounding_constant,
+    _SubsetTable,
 )
 from corelect.sampling import exact_sample_expectation, mc_lower_tail, verify_sampling_bound
 
-from oracles import naive_value, oracle_sample_expectation
+from oracles import naive_value, oracle_sample_expectation, oracle_self_bounding_constant
 
 
 def test_evaluate_approval_intersection():
@@ -667,3 +672,186 @@ def test_sampling_bound_verdict_turns_on_the_sqrt_part(u1, u01, beta, holds):
     }
     u = _QuadTable(entries)
     assert verify_sampling_bound(u, [0, 1], Fraction(1, 2), beta) is holds
+
+
+# -- the vectorised table fill against the per-subset path that defines it --
+
+
+def _per_subset_twin(u):
+    """A copy of u whose class overrides its evaluation method, so that a
+    subset table evaluates it one subset at a time."""
+    name = "numerator" if isinstance(u, RationalUtility) else "value"
+    method = getattr(type(u), name)
+    twin = copy.copy(u)
+    twin.__class__ = type("PerSubset", (type(u),), {name: lambda self, T: method(self, T)})
+    return twin
+
+
+# pairwise coprime denominators near 2^20: a few weights over them push a
+# table's integers past the int64 bound
+_WIDE = (1_000_003, 1_000_033, 1_000_037, 1_000_039, 999_983, 999_979)
+
+
+@st.composite
+def _lb00_any_beta(draw):
+    r = draw(st.sampled_from((1, 2, 3)))
+    like = gen_lb00(5, r).utilities[draw(st.integers(0, 5))]
+    beta = draw(st.sampled_from((2, 3, 5, 6, 7, 9)))
+    u = LB00Utility(beta, r, like.role, like.party_of)
+    return u, sorted(draw(st.sets(st.integers(0, 6 * r - 1), max_size=7)))
+
+
+@st.composite
+def _wide_weights(draw):
+    universe = draw(_universes(max_size=6).filter(bool))
+
+    def weight():
+        return Fraction(draw(st.integers(0, 2**19)), draw(st.sampled_from(_WIDE)))
+
+    kind = draw(st.sampled_from(("additive", "xos", "coverage")))
+    if kind == "additive":
+        return AdditiveUtility({c: weight() for c in universe}), universe
+    if kind == "xos":
+        clauses = [{c: weight() for c in universe} for _ in range(draw(st.integers(1, 3)))]
+        return XOSUtility(clauses), universe
+    covers = {c: [c, c + 1] for c in universe}
+    elements = {e: weight() / 2 for c in universe for e in covers[c]}
+    return CoverageUtility(covers, elements), universe
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except MalformedUtilityError as exc:
+        return "error", str(exc)
+    return type(result).__name__, repr(result)
+
+
+def _sweep_outcomes(u, universe, seed):
+    def axioms():
+        rep = check_axioms(u, universe)
+        return rep.monotone, _witness(rep.monotone_witness), rep.lipschitz, rep.checked
+
+    calls = {"axioms": axioms, "beta*": lambda: self_bounding_constant(u, universe)}
+    for alpha in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3)):
+        calls[f"mean {alpha}"] = lambda a=alpha: exact_sample_expectation(u, universe, a)
+        calls[f"bound {alpha}"] = lambda a=alpha: verify_sampling_bound(u, universe, a, 3)
+        calls[f"tail {alpha}"] = lambda a=alpha: mc_lower_tail(
+            u, universe, a, Fraction(1, 2), 40, seed
+        ).to_json()
+    return {name: _outcome(call) for name, call in calls.items()}
+
+
+def _table_fields(u, universe, order):
+    table = _SubsetTable(u, universe)
+    for size in order:
+        table.fill((size,))
+    columns = (table.rat.tolist(), table.irr.tolist(), table.rat.dtype, table.irr.dtype)
+    errors = [(mask, str(exc)) for mask, exc in table.errors.items()]
+    return columns, table.den, table.radicand, errors
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(_random_kind(), _lb00_any_beta(), _wide_weights()),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2**31),
+)
+def test_vectorised_tables_equal_the_per_subset_path(case, random, seed):
+    u, universe = case
+    order = list(range(len(universe) + 1))
+    random.shuffle(order)
+    twin = _per_subset_twin(u)
+    assert _table_fields(u, universe, order) == _table_fields(twin, universe, order)
+    assert _sweep_outcomes(u, universe, seed) == _sweep_outcomes(twin, universe, seed)
+
+
+def test_the_subset_table_switches_to_exact_ints_past_the_int64_bound():
+    # weights over three coprime denominators near 2^20: den is near 2^60
+    universe = [0, 1, 2]
+    u = AdditiveUtility({c: Fraction(1, d) for c, d in zip(universe, _WIDE)})
+    table = _SubsetTable(u, universe)
+    table.fill(range(4))
+    assert table.rat.dtype == object and table.den == _WIDE[0] * _WIDE[1] * _WIDE[2]
+    assert self_bounding_constant(u, universe) == 1
+    assert self_bounding_constant(AdditiveUtility({0: Fraction(1, 2)}), universe) == 1
+    # one denominator 2^28 fits int64, but eight weights near 1 sum past the bound
+    universe = list(range(8))
+    u = AdditiveUtility({c: Fraction(2**28 - 1, 2**28) for c in universe})
+    table = _SubsetTable(u, universe)
+    table.fill(range(9))
+    assert table.den == 2**28 and table.rat.dtype == object
+    assert self_bounding_constant(u, universe) == 1 and check_axioms(u, universe).ok
+
+
+@pytest.mark.parametrize("vectorised", [True, False])
+def test_a_growing_denominator_crosses_the_int64_bound_mid_fill(vectorised):
+    # lb00 at beta = 9, r = 2: each new pair of party counts brings a larger
+    # denominator, so den outgrows int64 layer by layer
+    like = gen_lb00(5, 2).utilities[0]
+    u = LB00Utility(9, 2, like.role, like.party_of)
+    if not vectorised:
+        u = _per_subset_twin(u)
+    universe = list(range(6))
+    table = _SubsetTable(u, universe)
+    table.fill((0, 1))
+    assert table.rat.dtype == np.int64
+    table.fill(range(7))
+    assert table.rat.dtype == table.irr.dtype == object
+    rep = check_axioms(u, universe)
+    assert (rep.monotone, rep.lipschitz, rep.checked) == (True, True, 2**6)
+    assert self_bounding_constant(u, universe) == oracle_self_bounding_constant(u, universe)
+    half = Fraction(1, 2)
+    assert exact_sample_expectation(u, universe, half) == oracle_sample_expectation(
+        u, universe, half
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_universes(max_size=5).filter(lambda U: len(U) >= 2), st.data())
+def test_table_sweeps_with_missing_entries_match_the_naive_scans(universe, data):
+    # a table oracle is read subset by subset; with entries that may break
+    # either axiom, the sweeps over its table find the naive scans'
+    # witnesses, or name the missing subset those scans meet first
+    from oracles import oracle_axioms
+
+    subsets = [S for S in _power_set(universe) if S]
+    missing = data.draw(st.sets(st.sampled_from(subsets), max_size=3))
+    values = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)])
+    u = TableUtility({S: data.draw(values) for S in subsets if S not in missing})
+
+    def outcome(call):
+        # the naive scans read u.entries, so a missing entry is a KeyError there
+        try:
+            result = call()
+        except MalformedUtilityError as exc:
+            return "error", str(exc)
+        except KeyError as exc:
+            return "error", f"table has no entry for {sorted(exc.args[0])}"
+        return type(result), result
+
+    def library_axioms():
+        rep = check_axioms(u, universe)
+        return _witness(rep.monotone_witness), _witness(rep.lipschitz_witness), rep.checked
+
+    half = Fraction(1, 2)
+    assert outcome(library_axioms) == outcome(lambda: oracle_axioms(u, universe))
+    bstar = outcome(lambda: oracle_self_bounding_constant(u, universe))
+    assert outcome(lambda: self_bounding_constant(u, universe)) == bstar
+    mean = outcome(lambda: oracle_sample_expectation(u, universe, half))
+    assert outcome(lambda: exact_sample_expectation(u, universe, half)) == mean
+    if bstar[0] == "error":
+        # beta* comes first and reads every subset
+        assert outcome(lambda: verify_sampling_bound(u, universe, half, 3)) == bstar
+
+
+def test_beta_star_reads_every_chunk_of_a_wide_table():
+    # 10 members: beta* reads the table in four chunks, and each T - {j}
+    # across a chunk border lies in an earlier chunk
+    universe = list(range(10))
+    like = gen_lb00(5, 2).utilities[1]
+    oracles = [
+        random_utility(kind, universe, rng_from_seed(7)) for kind in ("additive", "xos")
+    ] + [LB00Utility(beta, 2, like.role, like.party_of) for beta in (6, 7)]
+    for u in oracles:
+        _assert_same(self_bounding_constant(u, universe), oracle_self_bounding_constant(u, universe))
