@@ -76,6 +76,8 @@ def _scaled(weights: dict, D: int) -> dict:
 # masks per block of a layer: a block's (masks x members) matrices hold
 # at most this many entries, 16 KB of int64
 _BLOCK = 2048
+# every integer an int64 array holds stays below this in magnitude
+_INT64_BOUND = 1 << 63
 
 
 def _blocks(masks, width: int):
@@ -88,7 +90,7 @@ def _blocks(masks, width: int):
 def _weights(values, bound: int):
     """Integer weights as int64 when every sum the evaluators form is at
     most ``bound`` < 2^63, else as exact Python ints."""
-    return np.array(values, dtype=np.int64 if bound < 1 << 63 else object)
+    return np.array(values, dtype=np.int64 if bound < _INT64_BOUND else object)
 
 
 def _by_blocks(masks, m: int, width: int, f):
@@ -554,9 +556,6 @@ def _layer_method(u: UtilityFunction, name: str):
         return None
     return getattr(u, name)
 
-
-# int64 columns hold magnitudes whose squares stay below this
-_INT64_BOUND = 1 << 63
 
 
 def _positive(x, y, n: int):
