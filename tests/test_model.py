@@ -165,12 +165,15 @@ def test_evaluate_matches_naive_reevaluation():
 
 
 def test_lb00_evaluate_matches_naive():
-    inst = gen_lb00(5, 2)
+    # the same value, type and repr as the naive Quad arithmetic, odd and even beta
     rng = rng_from_seed(42)
-    for _ in range(200):
-        T = frozenset(int(c) for c in rng.permutation(12)[: int(rng.integers(0, 13))])
-        for u in inst.utilities:
-            assert evaluate(u, T) == naive_value(u, T)
+    for beta, r in ((5, 2), (6, 2), (7, 3)):
+        inst = gen_lb00(beta, r)
+        for _ in range(200):
+            size = int(rng.integers(0, 6 * r + 1))
+            T = frozenset(int(c) for c in rng.permutation(6 * r)[:size])
+            for u in inst.utilities:
+                _assert_same(evaluate(u, T), naive_value(u, T))
 
 
 def test_instance_mode_validation():
