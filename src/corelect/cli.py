@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import math
 import os
 import sys
@@ -65,11 +64,17 @@ def parse_gamma(text: str):
     return parse_rational(text), False
 
 
-def _ids(text: str):
+def _ids(inst, flag: str, text: str, voters: bool = False) -> frozenset:
+    """The comma-separated ids given to ``--flag``, candidates of ``inst`` or
+    (``voters``) voter indices; an id outside the instance is a usage error."""
     text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(int(tok) for tok in text.split(","))
+    ids = frozenset(int(tok) for tok in text.split(",")) if text else frozenset()
+    for i in sorted(ids):
+        if voters:
+            _voter(inst, i, flag)
+        elif i not in inst.candidates:
+            raise FormatError(f"--{flag} {i} is not a candidate of the instance")
+    return ids
 
 
 def _sha256(path: str) -> str:
@@ -79,29 +84,50 @@ def _sha256(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _refuse(args, flags, what: str) -> None:
-    """Refuse the first of ``flags`` that was given, since ``what`` would
-    ignore it; each of them defaults to None or False."""
-    for flag in flags:
-        if getattr(args, flag) not in (None, False):
-            raise FormatError(f"{what} does not take --{flag.replace('_', '-')}")
+class Flag:
+    """One flag of a command: the entries that read it, the default its
+    manifest records, and its ``add_argument`` keywords.  An entry is a
+    solve method, verify notion, check-utility mode, experiment kind or
+    theorem suite; a suite flag maps each suite to the parameter it feeds."""
+
+    def __init__(self, readers, default=None, **spec):
+        self.readers, self.default, self.spec = readers, default, spec
 
 
-def _take(args, table, name, defaults, what: str) -> None:
-    """Refuse the first flag of ``table`` that was given although entry
-    ``name`` does not read it, then set each flag still None to its entry
-    in ``defaults``, so the manifest records what ran."""
-    flags = dict.fromkeys(itertools.chain(*table.values()))
-    _refuse(args, [flag for flag in flags if flag not in table[name]], what)
-    for flag, default in defaults.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
+# verify and experiment manifests record every default of their table, read or
+# not (verify --notion ejr records gamma "1", --notion core mode "subsetW");
+# bench/digests.json hashes the verify ones.  ROADMAP item 8 narrows this to the
+# readers in the change that re-records those digests
+_RECORDS_UNREAD_DEFAULTS = ("verify", "experiment")
 
 
-def _voter(inst, i: int):
+def _take(args, table, entry, what: str) -> None:
+    """Refuse the first flag of ``table`` that was given although ``entry``
+    does not read it, and set each flag still None to its recorded default,
+    so the manifest records what ran."""
+    every = args.command in _RECORDS_UNREAD_DEFAULTS
+    for name, flag in table.items():
+        value, reads = getattr(args, name), entry in flag.readers
+        # 0 is a value: only None, or False for a store_true flag, is omitted
+        if not reads and value is not None and value is not False:
+            raise FormatError(f"{what} does not take --{name.replace('_', '-')}")
+        if value is None and (reads or every):
+            setattr(args, name, flag.default)
+
+
+def _add_flags(parser, table) -> None:
+    """Add each flag of ``table``, defaulting to None (False for store_true),
+    so that a flag that was given can be told from one that was not."""
+    for name, flag in table.items():
+        default = "" if flag.default in (None, "") else f"; default {flag.default}"
+        text = f"read by {', '.join(flag.readers)}{default}"
+        parser.add_argument("--" + name.replace("_", "-"), help=text, **flag.spec)
+
+
+def _voter(inst, i: int, flag: str = "voter"):
     """Voter i's utility; an index outside 0..n-1 is a usage error."""
     if not 0 <= i < inst.n:
-        raise FormatError(f"--voter {i} is out of range: the instance has voters 0..{inst.n - 1}")
+        raise FormatError(f"--{flag} {i} is out of range: the instance has voters 0..{inst.n - 1}")
     return inst.utilities[i]
 
 
@@ -179,15 +205,21 @@ def _cmd_gen(args) -> int:
     return runner.emit(payload, path, EXIT_PASS, seed=None)
 
 
+SOLVE_FLAGS = {
+    "epsilon": Flag(("local",), metavar="p/q"),
+    "start": Flag(("local",), metavar="ids"),
+    "seed": Flag(("local",), type=int),
+}
+
+
 def _cmd_solve(args) -> int:
-    if args.method == "global":
-        _refuse(args, ("epsilon", "start", "seed"), "solve --method global")
+    _take(args, SOLVE_FLAGS, args.method, f"solve --method {args.method}")
     runner = _Runner("solve", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
     config = SolverConfig(
         epsilon=parse_rational(args.epsilon) if args.epsilon else Fraction(0),
-        start=_ids(args.start) if args.start else None,
+        start=_ids(inst, "start", args.start) if args.start else None,
         seed=args.seed,
     )
     if args.method == "global":
@@ -209,27 +241,25 @@ def _cmd_solve(args) -> int:
     return runner.emit(payload, args.out, EXIT_PASS, seed=args.seed)
 
 
-# the optional verify flags each notion reads, and the defaults of the
-# flags that default to None
+NOTIONS = ("core", "restrained-core", "ejr", "endowment", "pb-core")
 VERIFY_FLAGS = {
-    "core": ("gamma", "min_coalition"),
-    "restrained-core": ("gamma", "mode"),
-    "ejr": ("mode",),
-    "endowment": ("gamma", "auto_lift"),
-    "pb-core": ("gamma", "auto_lift"),
+    "gamma": Flag(("core", "restrained-core", "endowment", "pb-core"), "1", metavar="p/q|e^B"),
+    "mode": Flag(("restrained-core", "ejr"), "subsetW", choices=["subsetW", "anyW"]),
+    "committee": Flag(NOTIONS, required=True, metavar="ids"),
+    "min_coalition": Flag(("core",), metavar="p/q"),
+    "auto_lift": Flag(("endowment", "pb-core"), action="store_true"),
 }
-_VERIFY_DEFAULTS = {"gamma": "1", "mode": "subsetW"}
 
 
 def _cmd_verify(args) -> int:
-    _take(args, VERIFY_FLAGS, args.notion, _VERIFY_DEFAULTS, f"verify --notion {args.notion}")
+    _take(args, VERIFY_FLAGS, args.notion, f"verify --notion {args.notion}")
     runner = _Runner("verify", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
-    W = _ids(args.committee)
+    W = _ids(inst, "committee", args.committee)
     mode = {"subsetW": "subset_of_W", "anyW": "any_hatW"}[args.mode]
     sugar = False
-    if args.notion in ("core", "restrained-core", "pb-core"):
+    if args.notion in VERIFY_FLAGS["gamma"].readers:
         gamma, sugar = parse_gamma(args.gamma)
     if args.notion == "core":
         min_c = parse_rational(args.min_coalition) if args.min_coalition else None
@@ -239,8 +269,7 @@ def _cmd_verify(args) -> int:
     elif args.notion == "ejr":
         report = check_restrained_ejr(inst, W, mode=mode)
     elif args.notion == "endowment":
-        theta, sugar = parse_gamma(args.gamma)
-        report = check_endowment_core(inst, W, theta, auto_lift=args.auto_lift)
+        report = check_endowment_core(inst, W, gamma, auto_lift=args.auto_lift)
     else:
         report = check_pb_core(inst, W, gamma, auto_lift=args.auto_lift)
     if sugar:
@@ -249,23 +278,27 @@ def _cmd_verify(args) -> int:
     return runner.emit(report.to_json(), args.report, status)
 
 
+CHECK_UTILITY_FLAGS = {
+    "voter": Flag(("exhaustive", "sampled"), type=int),
+    "self_bounding": Flag(("exhaustive",), action="store_true"),
+    "sample_budget": Flag(("sampled",), type=int),
+    "seed": Flag(("sampled",), 0, type=int),
+}
+
+
 def _cmd_check_utility(args) -> int:
     runner = _Runner("check-utility", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
     # check_axioms' own test: every subset is scanned when they fit the work limit
-    if 1 << inst.m <= WORK_LIMIT:
-        _refuse(args, ("sample_budget", "seed"), f"the exhaustive check of {inst.m} candidates")
-    else:
-        _refuse(args, ("self_bounding",), f"the sampled check of {inst.m} candidates")
-        if args.sample_budget is None:
-            _refuse(args, ("seed",), "check-utility without --sample-budget")
+    mode = "exhaustive" if 1 << inst.m <= WORK_LIMIT else "sampled"
+    _take(args, CHECK_UTILITY_FLAGS, mode, f"the {mode} check of {inst.m} candidates")
     voters = [args.voter] if args.voter is not None else list(range(inst.n))
     entries = []
     all_ok = True
     for i in voters:
         u = _voter(inst, i)
-        rep = check_axioms(u, inst.candidates, sample_budget=args.sample_budget, seed=args.seed or 0)
+        rep = check_axioms(u, inst.candidates, sample_budget=args.sample_budget, seed=args.seed)
         entry = {
             "voter": i,
             "kind": u.kind,
@@ -287,41 +320,42 @@ def _cmd_check_utility(args) -> int:
     return runner.emit({"utilities": entries}, args.report, status, seed=args.seed)
 
 
-# the optional experiment flags each kind reads, and the defaults of the
-# flags that default to None
+KINDS = ("sampling-bound", "lower-tail", "endow2")
+_ONE_VOTER = ("sampling-bound", "lower-tail")  # the kinds that test one voter's utility
 EXPERIMENT_FLAGS = {
-    "sampling-bound": ("voter", "set", "alpha", "beta"),
-    "lower-tail": ("voter", "set", "alpha", "beta", "delta", "trials", "seed"),
-    "endow2": (
-        "committee", "coalition", "deviation", "kappa", "eta", "trials", "seed",
-        "gamma_param", "q", "beta",
-    ),
-}
-_EXPERIMENT_DEFAULTS = {
-    "voter": 0, "alpha": "1/2", "delta": "1/2", "trials": 10_000, "committee": "",
-    "coalition": "", "deviation": "", "kappa": ENDOW2_KAPPA, "eta": ENDOW2_ETA,
-    "gamma_param": "2", "q": "1/2",
+    "voter": Flag(_ONE_VOTER, 0, type=int),
+    "set": Flag(_ONE_VOTER, metavar="ids"),
+    "alpha": Flag(_ONE_VOTER, "1/2", metavar="p/q"),
+    "delta": Flag(("lower-tail",), "1/2", metavar="p/q"),
+    "beta": Flag(KINDS, type=int),
+    "trials": Flag(("lower-tail", "endow2"), 10_000, type=int),
+    "seed": Flag(("lower-tail", "endow2"), type=int),
+    "committee": Flag(("endow2",), "", metavar="ids"),
+    "coalition": Flag(("endow2",), "", metavar="ids"),
+    "deviation": Flag(("endow2",), "", metavar="ids"),
+    "kappa": Flag(("endow2",), ENDOW2_KAPPA),
+    "eta": Flag(("endow2",), ENDOW2_ETA),
+    "gamma_param": Flag(("endow2",), "2"),
+    "q": Flag(("endow2",), "1/2"),
 }
 
 
 def _cmd_experiment(args) -> int:
-    what = f"experiment --kind {args.kind}"
-    _take(args, EXPERIMENT_FLAGS, args.kind, _EXPERIMENT_DEFAULTS, what)
+    _take(args, EXPERIMENT_FLAGS, args.kind, f"experiment --kind {args.kind}")
     runner = _Runner("experiment", args)
     runner.hash_input(args.infile)
     inst = load_instance(args.infile)
     seed = args.seed if args.seed is not None else 0
-    if args.kind == "sampling-bound":
+    if args.kind in _ONE_VOTER:
         u = _voter(inst, args.voter)
-        T = sorted(_ids(args.set)) if args.set else sorted(inst.candidates)
+        T = sorted(_ids(inst, "set", args.set)) if args.set else sorted(inst.candidates)
+    if args.kind == "sampling-bound":
         beta = 1 if args.beta is None else args.beta
         ok = verify_sampling_bound(u, T, parse_rational(args.alpha), beta=beta)
         # exact enumeration: no draw, so no seed
         status = EXIT_PASS if ok else EXIT_FAIL
         return runner.emit({"kind": "sampling-bound", "holds": ok}, args.report, status)
     if args.kind == "lower-tail":
-        u = _voter(inst, args.voter)
-        T = sorted(_ids(args.set)) if args.set else sorted(inst.candidates)
         rep = mc_lower_tail(
             u,
             T,
@@ -336,9 +370,9 @@ def _cmd_experiment(args) -> int:
     # endow2 reduction
     rep = endow2_reduction_experiment(
         inst,
-        _ids(args.committee),
-        sorted(_ids(args.coalition)),
-        _ids(args.deviation),
+        _ids(inst, "committee", args.committee),
+        sorted(_ids(inst, "coalition", args.coalition, voters=True)),
+        _ids(inst, "deviation", args.deviation),
         parse_rational(args.kappa),
         parse_rational(args.eta),
         args.trials,
@@ -351,53 +385,36 @@ def _cmd_experiment(args) -> int:
     return runner.emit({"kind": "endow2", **rep.to_json()}, args.report, status, seed=seed)
 
 
-# theorem-suite flags that feed a suite parameter, per suite: flag -> parameter
-SUITE_PARAMS = {
-    "main1": {"seeds": "count"},
-    "matroid": {"seeds": "count"},
-    "ejr": {"seeds": "count"},
-    "tight-upper": {"seeds": "count"},
-    "tight-lower": {},
-    "lb1-points": {"seeds": "per_case", "r": "r"},
-    "lb1-lemma-deviations": {"seeds": "trials", "r": "r"},
-    "lb00": {"beta": "beta"},
-    "lemmas": {"seeds": "count"},
-    "sampling-bound": {"seeds": "per_kind"},
-    "tail": {},
-    "endow2-bound": {},
+SUITE_FLAGS = {
+    "seeds": Flag(
+        {"main1": "count", "matroid": "count", "ejr": "count", "tight-upper": "count",
+         "lb1-points": "per_case", "lb1-lemma-deviations": "trials", "lemmas": "count",
+         "sampling-bound": "per_kind"},
+        type=int,
+    ),
+    "r": Flag({"lb1-points": "r", "lb1-lemma-deviations": "r", "lb1-emptiness": "r"}, type=int),
+    "beta": Flag({"lb00": "beta", "endow2-value": "beta"}, type=int),
+    "kappa": Flag({"endow2-value": "kappa"}, ENDOW2_KAPPA),
+    "eta": Flag({"endow2-value": "eta"}, ENDOW2_ETA),
+    # a wall-clock stop applies only when --time-cap is given
+    "time_cap": Flag({"lb1-emptiness": "time_cap_s"}, type=float),
+    "class_cap": Flag({"lb1-emptiness": "class_cap"}, LB1_CLASS_CAP, type=int),
 }
-# the suites the CLI runs itself: flag -> parameter of endow2_bound / lb1_emptiness_search
-CLI_SUITE_PARAMS = {
-    "endow2-value": {"beta": "beta", "kappa": "kappa", "eta": "eta"},
-    "lb1-emptiness": {"r": "r", "time_cap": "time_cap_s", "class_cap": "class_cap"},
-}
-# the defaults of the flags a suite takes, set once the flags are checked, so
-# the manifest records them.  A wall-clock stop applies only when --time-cap
-# is given.
-_SUITE_DEFAULTS = {
-    "endow2-value": {"kappa": ENDOW2_KAPPA, "eta": ENDOW2_ETA},
-    "lb1-emptiness": {"class_cap": LB1_CLASS_CAP},
-}
-
-
-def _suite_kwargs(args) -> dict:
-    """Map the suite flags given to suite parameters, refusing a flag the
-    suite does not take, then resolve the defaults of the rest."""
-    table = {**SUITE_PARAMS, **CLI_SUITE_PARAMS}
-    if args.name not in table:
-        options = sorted(SUITE_PARAMS) + sorted(CLI_SUITE_PARAMS)
-        raise FormatError(f"unknown suite {args.name!r}; options: {options}")
-    _take(args, table, args.name, _SUITE_DEFAULTS.get(args.name, {}), f"suite {args.name!r}")
-    kwargs = {param: getattr(args, flag) for flag, param in table[args.name].items()}
-    return {param: value for param, value in kwargs.items() if value is not None}
 
 
 def _cmd_theorem_suite(args) -> int:
+    options = sorted(THEOREM_SUITES) + ["endow2-value", "lb1-emptiness"]
+    if args.name not in options:
+        raise FormatError(f"unknown suite {args.name!r}; options: {options}")
+    _take(args, SUITE_FLAGS, args.name, f"suite {args.name!r}")
     runner = _Runner("theorem-suite", args)
-    kwargs = _suite_kwargs(args)
+    kwargs = {
+        flag.readers[args.name]: getattr(args, key)
+        for key, flag in SUITE_FLAGS.items()
+        if args.name in flag.readers and getattr(args, key) is not None
+    }
     if args.name == "endow2-value":
-        beta = 1 if args.beta is None else args.beta
-        interval = endow2_bound(beta, parse_rational(args.kappa), parse_rational(args.eta))
+        interval = endow2_bound(**{"beta": 1, **kwargs})
         payload = {
             "lo": str(interval.lo),
             "hi": str(interval.hi),
@@ -407,9 +424,7 @@ def _cmd_theorem_suite(args) -> int:
         }
         return runner.emit(payload, args.out, EXIT_PASS)
     if args.name == "lb1-emptiness":
-        r = 5 if args.r is None else args.r
-        time_cap = math.inf if args.time_cap is None else args.time_cap
-        rep = lb1_emptiness_search(r, time_cap_s=time_cap, class_cap=args.class_cap)
+        rep = lb1_emptiness_search(**{"r": 5, "time_cap_s": math.inf, **kwargs})
         payload = rep.to_json()
         # the run time belongs to the manifest's wall clock alone, so reruns match
         payload.pop("elapsed_s")
@@ -418,7 +433,7 @@ def _cmd_theorem_suite(args) -> int:
             by_class = rep.classes_checked >= args.class_cap
             payload["stopped_by"] = "class-cap" if by_class else "time-cap"
         if rep.result == "counterexample-candidate":
-            cert = verify_passing_class(r, rep.passing_class)
+            cert = verify_passing_class(rep.r, rep.passing_class)
             payload["counterexample_verified"] = cert["passes"]
             payload["certificates"] = cert["certificates"]
         status = EXIT_PASS if rep.result != "counterexample-candidate" else EXIT_FAIL
@@ -445,76 +460,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run Global or Local on an instance")
     p.add_argument("--rule", required=True, choices=["pav", "snw", "gpav"])
     p.add_argument("--method", required=True, choices=["global", "local"])
-    p.add_argument("--epsilon", default=None, metavar="p/q")
-    p.add_argument("--start", default=None, metavar="ids")
-    p.add_argument("--seed", type=int, default=None)
+    _add_flags(p, SOLVE_FLAGS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a stability notion with witnesses")
-    p.add_argument(
-        "--notion",
-        required=True,
-        choices=["core", "restrained-core", "ejr", "endowment", "pb-core"],
-    )
-    p.add_argument("--gamma", default=None, metavar="p/q|e^B", help="default 1; not with ejr")
-    p.add_argument(
-        "--mode", default=None, choices=["subsetW", "anyW"],
-        help="restrained-core and ejr only (default subsetW)",
-    )
-    p.add_argument("--committee", required=True, metavar="ids")
-    p.add_argument("--min-coalition", default=None, metavar="p/q")
-    p.add_argument("--auto-lift", action="store_true")
+    p.add_argument("--notion", required=True, choices=NOTIONS)
+    _add_flags(p, VERIFY_FLAGS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("check-utility", help="axiom checks for every voter oracle")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--voter", type=int, default=None)
-    p.add_argument("--self-bounding", action="store_true")
-    p.add_argument("--sample-budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_flags(p, CHECK_UTILITY_FLAGS)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_utility)
 
     p = sub.add_parser("experiment", help="sampling experiments")
-    p.add_argument("--kind", required=True, choices=["sampling-bound", "lower-tail", "endow2"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--in", dest="infile", required=True)
-    # each kind reads only its own flags (EXPERIMENT_FLAGS); defaults in _EXPERIMENT_DEFAULTS
-    p.add_argument("--voter", type=int, default=None)
-    p.add_argument("--set", default=None, metavar="ids")
-    p.add_argument("--alpha", default=None, metavar="p/q")
-    p.add_argument("--delta", default=None, metavar="p/q")
-    p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--committee", default=None, metavar="ids")
-    p.add_argument("--coalition", default=None, metavar="ids")
-    p.add_argument("--deviation", default=None, metavar="ids")
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--gamma-param", default=None, dest="gamma_param")
-    p.add_argument("--q", default=None)
+    _add_flags(p, EXPERIMENT_FLAGS)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("theorem-suite", help="run a named property suite")
     p.add_argument("--name", required=True)
-    p.add_argument("--seeds", type=int, default=None, help="number of random cases")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--kappa", default=None, help=f"endow2-value only (default {ENDOW2_KAPPA})")
-    p.add_argument("--eta", default=None, help=f"endow2-value only (default {ENDOW2_ETA})")
-    p.add_argument(
-        "--time-cap", type=float, default=None, dest="time_cap",
-        help="lb1-emptiness only, seconds (default: no wall-clock stop)",
-    )
-    p.add_argument(
-        "--class-cap", type=int, default=None, dest="class_cap",
-        help=f"lb1-emptiness only (default {LB1_CLASS_CAP})",
-    )
+    _add_flags(p, SUITE_FLAGS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theorem_suite)
 
@@ -535,13 +508,10 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except EnumerationLimitError as exc:
         print(f"error: {exc} (reduce the instance)", file=sys.stderr)
         return EXIT_USAGE
-    except CorelectError as exc:
+    except (CorelectError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (KeyError, ValueError) as exc:

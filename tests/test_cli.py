@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corelect.cli import CLI_SUITE_PARAMS, SUITE_PARAMS, parse_gamma, run
+from corelect.cli import SUITE_FLAGS, parse_gamma, run
 from corelect.instances import endow2_bound
 from corelect.lb_search import EmptinessReport, lb1_emptiness_search
 from corelect.theorems import THEOREM_SUITES
@@ -319,6 +319,10 @@ def test_theorem_suite_seeds_feed_the_case_count(tmp_path, name, seeds, cases):
         (["--name", "endow2-value", "--class-cap", "5"], "--class-cap"),
         (["--name", "endow2-value", "--time-cap", "5"], "--time-cap"),
         (["--name", "endow2-value", "--r", "5"], "--r"),
+        # 0 is a value like any other, not an omitted flag
+        (["--name", "tight-lower", "--seeds", "0"], "--seeds"),
+        (["--name", "tail", "--r", "0"], "--r"),
+        (["--name", "endow2-bound", "--time-cap", "0"], "--time-cap"),
     ],
 )
 def test_theorem_suite_rejects_a_flag_the_suite_does_not_take(capsys, argv, option):
@@ -341,17 +345,29 @@ def test_theorem_suite_rejects_a_zero_it_cannot_use(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+def _suite_params(names):
+    """suite -> {flag: parameter} for the suites in ``names``, from SUITE_FLAGS"""
+    params = {name: {} for name in names}
+    for flag, row in SUITE_FLAGS.items():
+        for name, param in row.readers.items():
+            if name in names:
+                params[name][flag] = param
+    return params
+
+
 def test_suite_params_name_real_suite_parameters():
-    assert set(SUITE_PARAMS) == set(THEOREM_SUITES)
-    for name, params in SUITE_PARAMS.items():
+    cli_run = {"endow2-value", "lb1-emptiness"}
+    named = {name for row in SUITE_FLAGS.values() for name in row.readers}
+    assert named - cli_run <= set(THEOREM_SUITES)
+    for name, params in _suite_params(THEOREM_SUITES).items():
         accepted = inspect.signature(THEOREM_SUITES[name]).parameters
         assert set(params.values()) <= set(accepted), name
 
 
 def test_cli_suite_params_name_real_parameters():
     runners = {"endow2-value": endow2_bound, "lb1-emptiness": lb1_emptiness_search}
-    assert set(CLI_SUITE_PARAMS) == set(runners)
-    for name, params in CLI_SUITE_PARAMS.items():
+    for name, params in _suite_params(runners).items():
+        assert params, name
         accepted = inspect.signature(runners[name]).parameters
         assert set(params.values()) <= set(accepted), name
 
@@ -488,6 +504,7 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
     "argv, option",
     [
         (["solve", "--method", "global", "--rule", "snw", "--seed", "7"], "--seed"),
+        (["solve", "--method", "global", "--rule", "snw", "--seed", "0"], "--seed"),
         (["solve", "--method", "global", "--rule", "snw", "--start", "0,1"], "--start"),
         (["solve", "--method", "global", "--rule", "pav", "--epsilon", "1/2"], "--epsilon"),
         (["verify", "--notion", "pb-core", "--committee", "0", "--min-coalition", "2"],
@@ -506,6 +523,7 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
         (["experiment", "--kind", "sampling-bound", "--delta", "1/3"], "--delta"),
         (["experiment", "--kind", "sampling-bound", "--trials", "50"], "--trials"),
         (["experiment", "--kind", "sampling-bound", "--seed", "3"], "--seed"),
+        (["experiment", "--kind", "sampling-bound", "--seed", "0"], "--seed"),
         (["experiment", "--kind", "lower-tail", "--committee", "0"], "--committee"),
         (["experiment", "--kind", "lower-tail", "--coalition", "0"], "--coalition"),
         (["experiment", "--kind", "lower-tail", "--deviation", "0"], "--deviation"),
@@ -544,6 +562,12 @@ def test_sampled_check_utility_refuses_self_bounding(tmp_path, capsys):
     assert not out.exists()
     assert run([*argv, "--seed", "2"]) == 0
     assert _read(out)["utilities"][0]["exhaustive"] is False
+    # without --seed the sample is drawn with seed 0, and the manifest says so
+    assert run(argv) == 0
+    unseeded = _read(out)
+    assert unseeded["manifest"]["seed"] == 0 and unseeded["manifest"]["flags"]["seed"] == 0
+    assert run([*argv, "--seed", "0"]) == 0
+    assert _read(out)["utilities"] == unseeded["utilities"]
 
 
 def test_gen_refuses_a_params_key_its_generator_does_not_read(tmp_path, capsys):
@@ -588,6 +612,42 @@ def test_a_voter_outside_the_instance_is_refused(tmp_path, capsys, argv, voter):
     assert report.exists()
 
 
+_ENDOW2 = ["--committee", "6,7", "--coalition", "0,1", "--deviation", "0,1,2,3,4,5"]
+_ENDOW2 += ["--trials", "50"]
+
+
+@pytest.mark.parametrize(
+    "argv, infile, flag, value",
+    [
+        (["verify", "--notion", "core"], "xos", "--committee", "0,99"),
+        (["verify", "--notion", "restrained-core"], "xos", "--committee", "99"),
+        (["verify", "--notion", "pb-core"], "endow2", "--committee", "-1"),
+        (["verify", "--notion", "endowment"], "endow2", "--committee", "6,8"),
+        (["solve", "--method", "local", "--rule", "snw"], "xos", "--start", "0,99"),
+        (["experiment", "--kind", "sampling-bound"], "xos", "--set", "0,99"),
+        (["experiment", "--kind", "lower-tail", "--trials", "50"], "xos", "--set", "99"),
+        (["experiment", "--kind", "endow2", *_ENDOW2], "endow2", "--committee", "6,99"),
+        (["experiment", "--kind", "endow2", *_ENDOW2], "endow2", "--coalition", "0,5"),
+        (["experiment", "--kind", "endow2", *_ENDOW2], "endow2", "--coalition", "-1"),
+        (["experiment", "--kind", "endow2", *_ENDOW2], "endow2", "--deviation", "0,1,99"),
+    ],
+)
+def test_an_id_outside_the_instance_is_refused(tmp_path, capsys, argv, infile, flag, value):
+    # candidate ids must name candidates of the instance, --coalition ids
+    # voters 0..n-1; the last id of each value lies outside
+    _pinned_instances(tmp_path)
+    out = tmp_path / "out.json"
+    target = ["--in", str(tmp_path / f"{infile}.json")]
+    target += ["--out" if argv[0] == "solve" else "--report", str(out)]
+    if argv[0] == "verify":
+        argv = [*argv, "--committee", "0"]
+    # the flag given last is the one argparse keeps
+    assert run([*argv, f"{flag}={value}", *target]) == 2
+    assert f"{flag} {value.split(',')[-1]} " in capsys.readouterr().err
+    assert not out.exists()
+    assert run([*argv, *target]) in (0, 1)
+
+
 def test_sampling_bound_manifest_records_no_seed(tmp_path):
     # the bound is checked by exact enumeration and draws nothing
     inst_path, extra = _experiment_instance(tmp_path, "sampling-bound")
@@ -609,3 +669,92 @@ def test_lb1_emptiness_reruns_differ_only_in_the_wall_clock(tmp_path, monkeypatc
         payload["manifest"].pop("wall_clock_ms")
     assert first == second
     assert "elapsed_s" not in first and first["classes_checked"] == 2000
+
+
+def _pinned_instances(tmp_path):
+    from corelect.model import ApprovalUtility, Instance
+    from corelect.serialize import save_instance
+
+    run(["gen", "--name", "xos", "--params", "k=3", "--out", str(tmp_path / "xos.json")])
+    endow, _ = _experiment_instance(tmp_path, "endow2")
+    approval = Instance(range(4), [ApprovalUtility({0, 1}), ApprovalUtility({2})], k=2)
+    save_instance(approval, tmp_path / "approval.json")
+    wide = Instance(range(21), [ApprovalUtility({0, 5})], k=2, validate="trust")
+    save_instance(wide, tmp_path / "wide.json")
+
+
+_EXPERIMENT_RECORDED = {
+    "alpha": "1/2", "coalition": "", "committee": "", "delta": "1/2", "deviation": "",
+    "eta": "11.63", "gamma_param": "2", "kappa": "1.454", "q": "1/2", "trials": 10_000, "voter": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, infile, flags, seed",
+    [
+        (["solve", "--method", "global", "--rule", "snw"], "xos", {}, None),
+        (["solve", "--method", "local", "--rule", "snw", "--seed", "3"], "xos", {"seed": 3}, 3),
+        # every notion records gamma "1" and mode "subsetW", read or not,
+        # as the manifests hashed by bench/digests.json do
+        *(
+            (
+                ["verify", "--notion", notion, "--committee", "0,1"],
+                infile,
+                {"auto_lift": False, "committee": "0,1", "gamma": "1", "mode": "subsetW"},
+                None,
+            )
+            for notion, infile in [
+                ("core", "xos"), ("restrained-core", "xos"), ("ejr", "approval"),
+                ("endowment", "endow2"), ("pb-core", "endow2"),
+            ]
+        ),
+        (["check-utility"], "xos", {"self_bounding": False}, None),
+        (
+            ["check-utility", "--sample-budget", "8", "--seed", "2"],
+            "wide",
+            {"sample_budget": 8, "seed": 2, "self_bounding": False},
+            2,
+        ),
+        # every kind records each default of the command, read or not
+        (["experiment", "--kind", "sampling-bound"], "xos", _EXPERIMENT_RECORDED, None),
+        (
+            ["experiment", "--kind", "lower-tail", "--trials", "50"],
+            "xos",
+            {**_EXPERIMENT_RECORDED, "trials": 50},
+            0,
+        ),
+        (
+            ["experiment", "--kind", "endow2", "--committee", "6,7", "--coalition", "0,1",
+             "--deviation", "0,1,2,3,4,5", "--trials", "50"],
+            "endow2",
+            {**_EXPERIMENT_RECORDED, "committee": "6,7", "coalition": "0,1",
+             "deviation": "0,1,2,3,4,5", "trials": 50},
+            0,
+        ),
+        (
+            ["theorem-suite", "--name", "endow2-value"],
+            None,
+            {"eta": "11.63", "kappa": "1.454"},
+            None,
+        ),
+        (["theorem-suite", "--name", "tight-lower"], None, {}, None),
+    ],
+)
+def test_each_command_entry_records_its_manifest_flags(tmp_path, argv, infile, flags, seed):
+    # one pinned manifest per solve method, verify notion, check-utility
+    # mode, experiment kind and suite with or without recorded defaults
+    _pinned_instances(tmp_path)
+    out = tmp_path / "out.json"
+    target = "--out" if argv[0] in ("solve", "theorem-suite") else "--report"
+    given = {"command": argv[0], "jobs": 1, target[2:]: str(out)}
+    if infile:
+        given["infile"] = str(tmp_path / f"{infile}.json")
+        argv = [*argv, "--in", given["infile"]]
+    assert run([*argv, target, str(out)]) in (0, 1)
+    # the entry flags: --method and --rule, --notion, --kind or --name
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag in ("--method", "--rule", "--notion", "--kind", "--name"):
+            given[flag[2:]] = value
+    manifest = _read(out)["manifest"]
+    assert manifest["flags"] == {**given, **flags}
+    assert manifest["seed"] == seed
