@@ -504,7 +504,6 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
     "argv, option",
     [
         (["solve", "--method", "global", "--rule", "snw", "--seed", "7"], "--seed"),
-        (["solve", "--method", "global", "--rule", "snw", "--seed", "0"], "--seed"),
         (["solve", "--method", "global", "--rule", "snw", "--start", "0,1"], "--start"),
         (["solve", "--method", "global", "--rule", "pav", "--epsilon", "1/2"], "--epsilon"),
         (["verify", "--notion", "pb-core", "--committee", "0", "--min-coalition", "2"],
@@ -523,7 +522,6 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
         (["experiment", "--kind", "sampling-bound", "--delta", "1/3"], "--delta"),
         (["experiment", "--kind", "sampling-bound", "--trials", "50"], "--trials"),
         (["experiment", "--kind", "sampling-bound", "--seed", "3"], "--seed"),
-        (["experiment", "--kind", "sampling-bound", "--seed", "0"], "--seed"),
         (["experiment", "--kind", "lower-tail", "--committee", "0"], "--committee"),
         (["experiment", "--kind", "lower-tail", "--coalition", "0"], "--coalition"),
         (["experiment", "--kind", "lower-tail", "--deviation", "0"], "--deviation"),
@@ -535,6 +533,9 @@ def test_lb00_solve_and_restrained_verify_are_pinned(tmp_path):
         (["experiment", "--kind", "endow2", "--set", "0,1"], "--set"),
         (["experiment", "--kind", "endow2", "--alpha", "1/3"], "--alpha"),
         (["experiment", "--kind", "endow2", "--delta", "1/3"], "--delta"),
+        # 0 is a value like any other, not an omitted flag
+        (["solve", "--method", "global", "--rule", "snw", "--seed", "0"], "--seed"),
+        (["experiment", "--kind", "sampling-bound", "--seed", "0"], "--seed"),
     ],
 )
 def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, argv, option):
