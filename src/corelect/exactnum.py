@@ -31,10 +31,10 @@ def parse_rational(text) -> Fraction:
 
 def rational_to_json(value: Fraction):
     """Encode a Fraction as an int when integral, else a "p/q" string."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 def _sqrt_if_perfect(fr: Fraction):

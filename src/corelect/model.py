@@ -6,8 +6,10 @@ additive, coverage, xos, table) has one integer form: a fixed positive
 integer ``scale`` D, the lcm of its weight denominators computed once at
 construction (1 for approval), and ``numerator(T)``, the integer D*u(T).
 ``numerator`` is the oracle's only evaluation code; ``value(T)`` is
-``Fraction(numerator(T), scale)``.  The public Fraction fields stay the
-source of truth for ``key`` and ``to_json``.  ``LB00Utility`` has no
+``Fraction(numerator(T), scale)``.  Each kind declares ``FIELDS``, its
+constructor's parameter names and the keys of its JSON object, and
+``fields()``, their values in exact canonical form; ``key``, ``to_json``
+and ``from_json`` derive from these alone.  ``LB00Utility`` has no
 integer form; code that compares utilities picks its exact Fraction/Quad
 path by the oracle's type.
 
@@ -115,20 +117,44 @@ def floored_endowment(size: int, k: int, n: int) -> int:
     return size * k // n
 
 
+def _json_value(v):
+    """A field value as JSON: tuples as lists, frozensets of ids as sorted
+    lists, ints and strings as they are, rationals as ``rational_to_json``."""
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    if isinstance(v, frozenset):
+        return sorted(v)
+    # not isinstance(v, Fraction): that check is slow on an int
+    return v if isinstance(v, (int, str)) else rational_to_json(v)
+
+
 class UtilityFunction:
-    """Base class for voter utility oracles.  Immutable after construction."""
+    """Base class for voter utility oracles.  Immutable after construction.
+    A kind is declared by ``kind``, ``FIELDS`` and ``fields()``."""
 
     kind: str = "abstract"
+    FIELDS: tuple = ()
 
     def value(self, T: Iterable[int]) -> ExactValue:
         raise NotImplementedError
 
-    def key(self):
-        """Canonical hashable identity, used for memoizing verifier verdicts."""
+    def fields(self) -> tuple:
+        """The values of ``FIELDS``, in order, in a canonical, exact and
+        hashable form: sorted tuples, frozensets of ids, ints, strings and
+        Fractions."""
         raise NotImplementedError
 
+    def key(self):
+        """Canonical hashable identity, used for memoizing verifier verdicts."""
+        return (self.kind, *self.fields())
+
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **dict(zip(self.FIELDS, map(_json_value, self.fields())))}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The oracle of a JSON object: each field is passed as it is."""
+        return cls(**{f: obj[f] for f in cls.FIELDS})
 
     def __eq__(self, other):
         return isinstance(other, UtilityFunction) and self.key() == other.key()
@@ -159,6 +185,7 @@ class RationalUtility(UtilityFunction):
 
 class ApprovalUtility(RationalUtility):
     kind = "approval"
+    FIELDS = ("approved",)
 
     def __init__(self, approved: Iterable[int]):
         self.approved = frozenset(int(c) for c in approved)
@@ -172,21 +199,19 @@ class ApprovalUtility(RationalUtility):
 
     value = RationalUtility.value
 
-    def key(self):
-        return ("approval", self.approved)
-
-    def to_json(self):
-        return {"kind": "approval", "approved": sorted(self.approved)}
+    def fields(self):
+        return (self.approved,)
 
 
 class AdditiveUtility(RationalUtility):
     """Additive utility with per-candidate weights in [0, 1]."""
 
     kind = "additive"
+    FIELDS = ("weights",)
 
-    def __init__(self, weights: dict):
+    def __init__(self, weights):
         self.weights = {}
-        for cand, w in weights.items():
+        for cand, w in dict(weights).items():
             w = parse_rational(w)
             if w < 0 or w > 1:
                 raise MalformedUtilityError(
@@ -208,14 +233,8 @@ class AdditiveUtility(RationalUtility):
 
     value = RationalUtility.value
 
-    def key(self):
-        return ("additive", tuple(sorted(self.weights.items())))
-
-    def to_json(self):
-        return {
-            "kind": "additive",
-            "weights": [[c, rational_to_json(w)] for c, w in sorted(self.weights.items())],
-        }
+    def fields(self):
+        return (tuple(sorted(self.weights.items())),)
 
 
 class CoverageUtility(RationalUtility):
@@ -226,16 +245,17 @@ class CoverageUtility(RationalUtility):
     """
 
     kind = "coverage"
+    FIELDS = ("covers", "element_weights")
 
-    def __init__(self, covers: dict, element_weights: dict):
+    def __init__(self, covers, element_weights):
         self.element_weights = {}
-        for e, w in element_weights.items():
+        for e, w in dict(element_weights).items():
             w = parse_rational(w)
             if w < 0:
                 raise MalformedUtilityError(f"element weight {w} negative")
             self.element_weights[int(e)] = w
         self.covers = {}
-        for cand, elems in covers.items():
+        for cand, elems in dict(covers).items():
             elems = frozenset(int(e) for e in elems)
             total = sum((self.element_weights.get(e, Fraction(0)) for e in elems), Fraction(0))
             if total > 1:
@@ -270,35 +290,23 @@ class CoverageUtility(RationalUtility):
 
     value = RationalUtility.value
 
-    def key(self):
-        return (
-            "coverage",
-            tuple(sorted((c, tuple(sorted(es))) for c, es in self.covers.items())),
-            tuple(sorted(self.element_weights.items())),
-        )
-
-    def to_json(self):
-        return {
-            "kind": "coverage",
-            "covers": [[c, sorted(es)] for c, es in sorted(self.covers.items())],
-            "element_weights": [
-                [e, rational_to_json(w)] for e, w in sorted(self.element_weights.items())
-            ],
-        }
+    def fields(self):
+        return tuple(sorted(self.covers.items())), tuple(sorted(self.element_weights.items()))
 
 
 class XOSUtility(RationalUtility):
     """Max over additive clauses; clause weights lie in [0, 1]."""
 
     kind = "xos"
+    FIELDS = ("clauses",)
 
-    def __init__(self, clauses: Sequence[dict]):
+    def __init__(self, clauses: Sequence):
         if not clauses:
             raise MalformedUtilityError("xos utility needs at least one clause")
         self.clauses = []
         for clause in clauses:
             cleaned = {}
-            for cand, w in clause.items():
+            for cand, w in dict(clause).items():
                 w = parse_rational(w)
                 if w < 0 or w > 1:
                     raise MalformedUtilityError(f"xos clause weight {w} outside [0, 1]")
@@ -327,24 +335,19 @@ class XOSUtility(RationalUtility):
 
     value = RationalUtility.value
 
-    def key(self):
-        return ("xos", tuple(tuple(sorted(cl.items())) for cl in self.clauses))
-
-    def to_json(self):
-        return {
-            "kind": "xos",
-            "clauses": [
-                [[c, rational_to_json(w)] for c, w in sorted(cl.items())] for cl in self.clauses
-            ],
-        }
+    def fields(self):
+        return (tuple(tuple(sorted(cl.items())) for cl in self.clauses),)
 
 
 class TableUtility(RationalUtility):
     """Explicit subset table for small universes (m <= 20)."""
 
     kind = "table"
+    FIELDS = ("entries",)
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries):
+        if not isinstance(entries, dict):  # [subset, value] pairs, as in JSON
+            entries = {frozenset(s): v for s, v in entries}
         self.entries = {}
         for subset, v in entries.items():
             subset = frozenset(int(c) for c in subset)
@@ -367,17 +370,8 @@ class TableUtility(RationalUtility):
 
     value = RationalUtility.value
 
-    def key(self):
-        return ("table", tuple(sorted((tuple(sorted(s)), v) for s, v in self.entries.items())))
-
-    def to_json(self):
-        return {
-            "kind": "table",
-            "entries": [
-                [sorted(s), rational_to_json(v)]
-                for s, v in sorted(self.entries.items(), key=lambda kv: canonical(kv[0]))
-            ],
-        }
+    def fields(self):
+        return (tuple(sorted(self.entries.items(), key=lambda kv: canonical(kv[0]))),)
 
 
 class LB00Utility(UtilityFunction):
@@ -389,17 +383,19 @@ class LB00Utility(UtilityFunction):
     """
 
     kind = "lb00"
+    FIELDS = ("beta", "r", "role", "party_of")
 
-    def __init__(self, beta: int, r: int, role: tuple, party_of: dict):
-        if not (isinstance(beta, int) and beta >= 1):
+    def __init__(self, beta: int, r: int, role, party_of):
+        # read with int(), as JSON may carry them as strings
+        self.beta, self.r = int(beta), int(r)
+        if self.beta < 1:
             raise MalformedUtilityError("beta must be an integer >= 1")
-        if not (isinstance(r, int) and r >= 1):
+        if self.r < 1:
             raise MalformedUtilityError("r must be an integer >= 1")
-        self.beta = beta
-        self.r = r
-        self.role = (str(role[0]), str(role[1]))
-        self.party_of = {int(c): str(p) for c, p in party_of.items()}
-        self.z = Quad.sqrt(Fraction(3, 4) ** beta)
+        p, q, *_ = role
+        self.role = (str(p), str(q))
+        self.party_of = {int(c): str(party) for c, party in dict(party_of).items()}
+        self.z = Quad.sqrt(Fraction(3, 4) ** self.beta)
         self._cache: dict = {}
 
     def _counts(self, T: frozenset) -> tuple:
@@ -453,23 +449,8 @@ class LB00Utility(UtilityFunction):
         values = [self._value_at(*divmod(code, width)) if n else 0 for code, n in enumerate(hits)]
         return codes, values
 
-    def key(self):
-        return (
-            "lb00",
-            self.beta,
-            self.r,
-            self.role,
-            tuple(sorted(self.party_of.items())),
-        )
-
-    def to_json(self):
-        return {
-            "kind": "lb00",
-            "beta": self.beta,
-            "r": self.r,
-            "role": list(self.role),
-            "party_of": [[c, p] for c, p in sorted(self.party_of.items())],
-        }
+    def fields(self):
+        return (self.beta, self.r, self.role, tuple(sorted(self.party_of.items())))
 
 
 def evaluate(u: UtilityFunction, T: Iterable[int]) -> ExactValue:
@@ -783,8 +764,8 @@ def check_axioms(
 
     Over every (T, j): u(T) <= u(T + {j}) and u(T) - u(T - {j}) <= 1.
     Returns the violating (T, j) on failure.  The exhaustive scan takes
-    2^m steps; past the work limit, a seeded Monte-Carlo budget may be
-    passed instead.
+    2^m steps; past the work limit, a seeded Monte-Carlo budget of at
+    least one subset may be passed instead.
     """
     universe = sorted(set(universe))
     m = len(universe)
@@ -794,6 +775,8 @@ def check_axioms(
     if exhaustive:
         mono_w, lip_w, checked = _axiom_scan(u, universe)
     else:
+        if sample_budget < 1:
+            raise ValueError(f"need a sample budget of at least 1, got {sample_budget}")
         mono_w, lip_w, checked = _sampled_axiom_scan(
             u, universe, _sampled_subsets(universe, sample_budget, seed)
         )

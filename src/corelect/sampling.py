@@ -322,6 +322,8 @@ def endow2_reduction_experiment(
     Unmet premises yield a report, not an exception.
     """
     instance.require_budget_mode("endow2_reduction_experiment")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     W = frozenset(W)
     T = frozenset(T)
     S = sorted(S)

@@ -28,31 +28,24 @@ class FormatError(CorelectError):
     """Malformed instance or report JSON."""
 
 
+# every utility kind by its JSON "kind"; the other keys of its object
+# are its constructor's parameter names
+UTILITY_KINDS = {
+    cls.kind: cls
+    for cls in (
+        ApprovalUtility, AdditiveUtility, CoverageUtility, XOSUtility, TableUtility, LB00Utility
+    )
+}
+
+
 def utility_from_json(obj: dict) -> UtilityFunction:
+    if not isinstance(obj, dict):
+        raise FormatError(f"a utility must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     try:
-        if kind == "approval":
-            return ApprovalUtility(obj["approved"])
-        if kind == "additive":
-            return AdditiveUtility({c: parse_rational(v) for c, v in obj["weights"]})
-        if kind == "coverage":
-            return CoverageUtility(
-                {c: elems for c, elems in obj["covers"]},
-                {e: parse_rational(v) for e, v in obj["element_weights"]},
-            )
-        if kind == "xos":
-            return XOSUtility(
-                [{c: parse_rational(v) for c, v in clause} for clause in obj["clauses"]]
-            )
-        if kind == "table":
-            return TableUtility({frozenset(s): parse_rational(v) for s, v in obj["entries"]})
-        if kind == "lb00":
-            return LB00Utility(
-                int(obj["beta"]),
-                int(obj["r"]),
-                tuple(obj["role"]),
-                {c: p for c, p in obj["party_of"]},
-            )
+        cls = UTILITY_KINDS.get(kind)
+        if cls is not None:
+            return cls.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad utility object of kind {kind!r}: {exc}") from exc
     raise FormatError(f"unknown utility kind {kind!r}")

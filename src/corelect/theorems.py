@@ -79,6 +79,12 @@ class SuiteResult:
         }
 
 
+def _require_cases(count: int) -> None:
+    """Refuse a seeded suite of no cases: it would pass having checked nothing."""
+    if count < 1:
+        raise ValueError(f"a suite needs at least one case, got {count}")
+
+
 def _valid_random_instance(seed):
     """Resample forward from seed until the feasibility family is nonempty."""
     attempt = seed
@@ -93,6 +99,7 @@ def _valid_random_instance(seed):
 def run_main1(count: int = 200, seed0: int = 1000) -> SuiteResult:
     """Global snw optimum lies in the e-approximate restrained core
     (1-self-bounding utilities, arbitrary constraints)."""
+    _require_cases(count)
     result = SuiteResult("main1")
     e_upper = exp_upper(1)  # sound for pass-direction core checks
     for case in range(count):
@@ -105,6 +112,7 @@ def run_main1(count: int = 200, seed0: int = 1000) -> SuiteResult:
 def run_matroid(count: int = 100, seed0: int = 2000, starts: int = 5) -> SuiteResult:
     """Local snw on a matroid with submodular (coverage) utilities is a
     2-approximate restrained core, from every seeded start."""
+    _require_cases(count)
     result = SuiteResult("matroid")
     for case in range(count):
         inst = random_instance(
@@ -124,6 +132,7 @@ def run_matroid(count: int = 100, seed0: int = 2000, starts: int = 5) -> SuiteRe
 
 def run_ejr(count: int = 100, seed0: int = 3000) -> SuiteResult:
     """Local pav on approval + matroid satisfies restrained EJR."""
+    _require_cases(count)
     result = SuiteResult("ejr")
     for case in range(count):
         inst = random_instance(
@@ -142,6 +151,7 @@ def run_tight_upper(
 ) -> SuiteResult:
     """Local gpav on additive unconstrained instances: coalitions of size
     at least alpha*n cannot block at 2 - alpha."""
+    _require_cases(count)
     result = SuiteResult("tight-upper")
     for case in range(count):
         inst = random_instance(
@@ -255,6 +265,7 @@ def _lb1_case_samplers(r: Fraction):
 def run_lb1_points(per_case: int = 250, r: int = 40, seed0: int = 5000) -> SuiteResult:
     """The deviation constructor satisfies all five constraints exactly on
     rational points covering every proof case."""
+    _require_cases(per_case)
     result = SuiteResult("lb1-points")
     rF = Fraction(r)
     sample_u, sample_t = _lb1_case_samplers(rF)
@@ -291,6 +302,7 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
     undersupplying its weakest voter (below 9r/8) or its second voter
     (below 21r/8) is beaten by the constructed deviation with the full
     16/15 multiplicative margin."""
+    _require_cases(trials)
     result = SuiteResult("lb1-lemma-deviations")
     inst = gen_lb_16_15(r)
     meta = inst.meta
@@ -594,6 +606,7 @@ def run_lemma_m2(count: int = 500, seed0: int = 7500) -> SuiteResult:
 
 
 def run_lemmas(count: int = 500) -> SuiteResult:
+    _require_cases(count)
     combined = SuiteResult("lemmas")
     for runner in (
         run_lemma_smoothed_log,
@@ -617,6 +630,7 @@ def run_lemmas(count: int = 500) -> SuiteResult:
 
 def run_sampling_bound(per_kind: int = 500, seed0: int = 8000) -> SuiteResult:
     """E[u(O)] >= alpha^beta u(T) on random (utility, T, alpha) triples."""
+    _require_cases(per_kind)
     result = SuiteResult("sampling-bound")
     for kind_idx, kind in enumerate(("approval", "additive", "coverage", "xos")):
         for case in range(per_kind):

@@ -356,27 +356,36 @@ def _certified_entry(instance, hatW, wprime, kprime) -> list:
     return [(wprime, T)] if is_feasible(instance.feasibility, T) else []
 
 
-def _blocks_restrained(instance, W, S, mode, cert, test):
+def _blocks_restrained(instance, W, S, mode, cert, test, what):
     W, S = frozenset(W), frozenset(S)
     if not S:
         return False, None
+    kprime = floored_endowment(len(S), instance.k, instance.n)
+    pool = len(W) if mode == "subset_of_W" else instance.m
+    require_work(_tables_work(1, {kprime}, instance.m, instance.k, pool), what)
     requirement, meets = test(instance, W, sorted(S))
     req = requirement(S)
     if req is None:
         return False, None
-    kprime = floored_endowment(len(S), instance.k, instance.n)
     tables = _completion_tables(instance, W, kprime, mode, _feasibility(instance))
     completions, _ = _complete(instance, tables, kprime, req, meets, cert)
     return completions is not None, completions
 
 
 def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
-    """An upper bound on the steps of one restrained check: the 2^n
-    coalitions plus, per distinct k', every hatW of size h <= k - k' drawn
+    """An upper bound on the steps of one restrained check: its 2^n
+    coalitions and the table of every distinct k'."""
+    kprimes = {floored_endowment(size, k, n) for size in range(1, n + 1)}
+    return _tables_work(1 << n, kprimes, m, k, pool)
+
+
+def _tables_work(coalitions: int, kprimes, m: int, k: int, pool: int) -> int:
+    """An upper bound on the steps of scanning ``coalitions`` against the
+    tables of ``kprimes``: per k', every hatW of size h <= k - k' drawn
     from the pool and, for each, every W' of size <= k' drawn from the
     m - h candidates outside it."""
-    work = 1 << n
-    for kp in {floored_endowment(size, k, n) for size in range(1, n + 1)}:
+    work = coalitions
+    for kp in kprimes:
         hat_sizes = range(min(k - kp, pool) + 1)
         work += sum(math.comb(pool, h) * (1 + subsets_up_to(m - h, kp)) for h in hat_sizes)
     return work
@@ -440,13 +449,13 @@ def blocks_restrained_core(instance, W, gamma, S, mode="subset_of_W", cert=None)
     W' choices are replayed.  An empty hatW domain never blocks.
     """
     test = functools.partial(_core_test, gamma=parse_rational(gamma))
-    return _blocks_restrained(instance, W, S, mode, cert, test)
+    return _blocks_restrained(instance, W, S, mode, cert, test, "blocks_restrained_core")
 
 
 def blocks_restrained_ejr(instance, W, S, mode="subset_of_W", cert=None):
     """Restrained-EJR blocking: condition (2) counts commonly approved
     candidates |A_S(T)| against max_{i in S} u_i(W) + 1."""
-    return _blocks_restrained(instance, W, S, mode, cert, _ejr_test)
+    return _blocks_restrained(instance, W, S, mode, cert, _ejr_test, "blocks_restrained_ejr")
 
 
 def check_restrained_core(

@@ -571,6 +571,41 @@ def test_sampled_check_utility_refuses_self_bounding(tmp_path, capsys):
     assert _read(out)["utilities"] == unseeded["utilities"]
 
 
+def test_sampled_check_utility_refuses_a_budget_that_checks_nothing(tmp_path, capsys):
+    from corelect.model import ApprovalUtility, Instance
+    from corelect.serialize import save_instance
+
+    inst_path = tmp_path / "wide.json"
+    save_instance(Instance(range(21), [ApprovalUtility({0})], k=2, validate="trust"), inst_path)
+    out = tmp_path / "out.json"
+    argv = ["check-utility", "--in", str(inst_path), "--sample-budget", "0", "--report", str(out)]
+    assert run(argv) == 2
+    assert "sample budget of at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["main1", "matroid", "ejr", "tight-upper", "lb1-points", "lb1-lemma-deviations", "lemmas",
+     "sampling-bound"],
+)
+def test_theorem_suite_refuses_a_run_of_no_cases(tmp_path, capsys, name):
+    out = tmp_path / "suite.json"
+    assert run(["theorem-suite", "--name", name, "--seeds", "0", "--out", str(out)]) == 2
+    assert "at least one case, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_endow2_experiment_refuses_a_run_of_no_trials(tmp_path, capsys, trials):
+    inst_path, extra = _experiment_instance(tmp_path, "endow2")
+    report = tmp_path / "report.json"
+    argv = ["experiment", "--kind", "endow2", "--in", str(inst_path), *extra]
+    assert run([*argv, "--trials", trials, "--report", str(report)]) == 2
+    assert "need at least one trial" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_gen_refuses_a_params_key_its_generator_does_not_read(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert run(["gen", "--name", "rest1", "--params", "q=2", "bogus=1", "--out", str(out)]) == 2

@@ -245,6 +245,16 @@ def test_reduction_premise_is_met_exactly_at_the_factor():
         endow2_reduction_experiment(inst, S=[0], eta=1, gamma=2, beta=Fraction(1, 2), **kwargs)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_reduction_needs_at_least_one_trial(trials):
+    # the premises hold, so a run of no trials would divide by zero
+    inst = _reduction_instance()
+    kwargs = dict(W=frozenset({30, 31}), S=[0, 1], T=frozenset(range(30)), seed=0)
+    assert endow2_reduction_experiment(inst, kappa=2, eta=Fraction(5, 2), trials=1, **kwargs).premises_ok
+    with pytest.raises(ValueError, match="need at least one trial"):
+        endow2_reduction_experiment(inst, kappa=2, eta=Fraction(5, 2), trials=trials, **kwargs)
+
+
 def test_reduction_gamma_one_samples_everything():
     inst = _reduction_instance()
     rep = endow2_reduction_experiment(

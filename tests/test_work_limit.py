@@ -30,6 +30,8 @@ from corelect.serialize import save_instance
 from corelect.solvers import solve_global
 from corelect.verifiers import (
     _restrained_work,
+    blocks_restrained_core,
+    blocks_restrained_ejr,
     check_core,
     check_endowment_core,
     check_pb_core,
@@ -109,6 +111,15 @@ def _budget_instance(n, m, calls):
             ),
         ),
         ("solve_global", 1 << 24),
+        # one coalition: one table, k' = 2 for S = {0} and 4 for S = {0, 1}
+        (
+            "blocks_restrained_core",
+            1 + sum(math.comb(40, h) * (1 + subsets_up_to(40 - h, 2)) for h in range(5)),
+        ),
+        (
+            "blocks_restrained_ejr",
+            1 + sum(math.comb(40, h) * (1 + subsets_up_to(40 - h, 4)) for h in range(3)),
+        ),
     ],
 )
 def test_each_entry_point_refuses_before_any_evaluation(name, steps):
@@ -128,6 +139,12 @@ def test_each_entry_point_refuses_before_any_evaluation(name, steps):
             _counted_instance(3, 40, 6, calls), {0}, 1, mode="any_hatW"
         ),
         "solve_global": lambda: solve_global(_counted_instance(3, 25, 12, calls), "snw"),
+        "blocks_restrained_core": lambda: blocks_restrained_core(
+            _counted_instance(3, 40, 6, calls), {0}, 1, {0}, mode="any_hatW"
+        ),
+        "blocks_restrained_ejr": lambda: blocks_restrained_ejr(
+            _counted_instance(3, 40, 6, calls), {0}, {0, 1}, mode="any_hatW"
+        ),
     }[name]
     with pytest.raises(EnumerationLimitError, match=f" {steps} steps, over the work limit"):
         run_search()
@@ -138,6 +155,13 @@ def test_axiom_check_past_the_limit_samples_when_given_a_budget():
     u = AdditiveUtility({c: Fraction(1, 2) for c in range(21)})
     rep = check_axioms(u, range(21), sample_budget=20, seed=3)
     assert rep.ok and not rep.exhaustive and rep.checked == 20
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_sampled_axiom_check_refuses_a_budget_that_checks_nothing(budget):
+    u = AdditiveUtility({c: Fraction(1, 2) for c in range(21)})
+    with pytest.raises(ValueError, match=f"sample budget of at least 1, got {budget}"):
+        check_axioms(u, range(21), sample_budget=budget, seed=3)
 
 
 def test_cli_names_the_work_limit(tmp_path, capsys):
