@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     CannotCompleteError,
     EnumerationLimitError,
     MatroidAxiomViolation,
     NotABasisError,
     canonical,
+    members,
+    popcount,
     require_work,
     subsets,
 )
@@ -215,6 +219,43 @@ def family_from_json(obj: dict, k: int) -> FeasibilityFamily:
 def is_feasible(P: FeasibilityFamily, T: Iterable[int]) -> bool:
     """Membership verdict, cardinality bound included."""
     return P.contains(T)
+
+
+def _count_rows(P: FeasibilityFamily, universe) -> Optional[list]:
+    """[(row bitmask, least, most)]: T is in P exactly when |T| <= k and
+    every row holds between least and most members of T (most None for
+    no cap); None for a family decided one committee at a time."""
+
+    def bits(row):
+        return sum(1 << i for i, c in enumerate(universe) if c in row)
+
+    kind = type(P)
+    if kind is CardinalityFamily:
+        return []
+    if kind is PartitionMatroidFamily:
+        return [(bits(g), 0, cap) for g, cap in zip(P.groups, P.caps)]
+    if kind is PackingFamily:
+        return [(bits(s), 0, cap) for s, cap in P.rows]
+    if kind is CoveringFamily:
+        return [(bits(s), lo, None) for s, lo in P.rows]
+    return None
+
+
+def feasible_masks(P: FeasibilityFamily, universe: Sequence[int], masks):
+    """``is_feasible(P, T)`` for the committee T of each bitmask (bit i
+    standing for ``universe[i]``), as one boolean array.  Cardinality,
+    partition, packing and covering families count members against row
+    masks; explicit and matroid-oracle families, and subclasses, are
+    decided mask by mask."""
+    rows = _count_rows(P, universe)
+    if rows is None:
+        verdicts = (P.contains(members(universe, x)) for x in masks.tolist())
+        return np.fromiter(verdicts, bool, len(masks))
+    ok = popcount(masks) <= P.k
+    for row, least, most in rows:
+        held = popcount(masks & row)
+        ok &= held >= least if most is None else held <= most
+    return ok
 
 
 def is_q_completable(

@@ -1,9 +1,12 @@
 """Exception types shared across the library, the one work limit every
 exhaustive search is held to, and the canonical subset order every
-enumeration follows."""
+enumeration follows, as frozensets or as bitmasks over a sorted universe
+(bit i standing for its i-th member)."""
 
 import itertools
 import math
+
+import numpy as np
 
 # the most steps (subsets, committees or table entries) any exhaustive
 # search may take; each entry point estimates its steps before it starts
@@ -41,6 +44,19 @@ def subsets_up_to(m: int, size: int) -> int:
     """The number of subsets of an m-set with at most ``size`` members,
     which ``subsets(pool, range(size + 1))`` yields."""
     return sum(math.comb(m, s) for s in range(min(size, m) + 1))
+
+
+def members(universe, mask: int) -> frozenset:
+    """The members of ``universe`` whose bits are set in ``mask``."""
+    return frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
+
+
+def popcount(masks):
+    """The set bits of each mask, as an int64 array: int64 masks at once,
+    masks held as Python ints (an object array) one by one."""
+    if masks.dtype == object:
+        return np.fromiter((int(x).bit_count() for x in masks), np.int64, len(masks))
+    return np.bitwise_count(masks).astype(np.int64)
 
 
 def require_work(steps: int, what: str) -> None:

@@ -25,7 +25,10 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        return Fraction(text)  # handles "p/q", "3", and "2.71"
+        num, slash, den = text.partition("/")
+        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+        return Fraction(text)  # handles "p/q" with signs or spaces, "3", and "2.71"
     raise ValueError(f"cannot parse rational from {text!r}")
 
 

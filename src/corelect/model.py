@@ -56,6 +56,7 @@ from .errors import (
     InfeasibleInstanceError,
     MalformedUtilityError,
     canonical,
+    members,
     require_work,
     subsets,
 )
@@ -67,7 +68,10 @@ def _as_frozen(T: Iterable[int]) -> frozenset:
 
 
 def _common_denominator(weights: Iterable[Fraction]) -> int:
-    return math.lcm(*(w.denominator for w in weights))
+    # pairwise: a call that unpacks a generator builds its argument tuple
+    # by resizing, and CPython then keeps the freed tuple on a free list
+    # that only a full garbage collection empties
+    return functools.reduce(math.lcm, (w.denominator for w in weights), 1)
 
 
 def _scaled(weights: dict, D: int) -> dict:
@@ -213,7 +217,7 @@ class AdditiveUtility(RationalUtility):
         self.weights = {}
         for cand, w in dict(weights).items():
             w = parse_rational(w)
-            if w < 0 or w > 1:
+            if not 0 <= w.numerator <= w.denominator:
                 raise MalformedUtilityError(
                     f"additive weight {w} for candidate {cand} outside [0, 1]"
                 )
@@ -251,20 +255,21 @@ class CoverageUtility(RationalUtility):
         self.element_weights = {}
         for e, w in dict(element_weights).items():
             w = parse_rational(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise MalformedUtilityError(f"element weight {w} negative")
             self.element_weights[int(e)] = w
+        self.scale = _common_denominator(self.element_weights.values())
+        self._int_weights = weights = _scaled(self.element_weights, self.scale)
         self.covers = {}
         for cand, elems in dict(covers).items():
             elems = frozenset(int(e) for e in elems)
-            total = sum((self.element_weights.get(e, Fraction(0)) for e in elems), Fraction(0))
-            if total > 1:
+            total = sum(weights.get(e, 0) for e in elems)
+            if total > self.scale:
                 raise MalformedUtilityError(
-                    f"candidate {cand} covers weight {total} > 1 (breaks Lipschitz)"
+                    f"candidate {cand} covers weight {Fraction(total, self.scale)} > 1 "
+                    "(breaks Lipschitz)"
                 )
             self.covers[int(cand)] = elems
-        self.scale = _common_denominator(self.element_weights.values())
-        self._int_weights = _scaled(self.element_weights, self.scale)
 
     def numerator(self, T):
         covered = set()
@@ -308,7 +313,7 @@ class XOSUtility(RationalUtility):
             cleaned = {}
             for cand, w in dict(clause).items():
                 w = parse_rational(w)
-                if w < 0 or w > 1:
+                if not 0 <= w.numerator <= w.denominator:
                     raise MalformedUtilityError(f"xos clause weight {w} outside [0, 1]")
                 if w != 0:
                     cleaned[int(cand)] = w
@@ -511,15 +516,21 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
 
 
 @functools.lru_cache(maxsize=4)
-def _layers(m: int) -> tuple:
-    """The bitmasks over m bits of each size 0..m, as read-only int64
-    arrays in the order in which ``subsets`` yields their members (bit i
-    standing for the i-th member).  Kept for the four most recent m."""
-    layers = [np.zeros(1, dtype=np.int64)]
+def _layers(m: int, top: Optional[int] = None) -> tuple:
+    """The bitmasks over m bits of each size 0..top (default m), as
+    read-only arrays in the order in which ``subsets`` yields their
+    members (bit i standing for the i-th member): int64 for m <= 63,
+    Python ints (an object array) beyond.  Kept for the four most recent
+    (m, top)."""
+    dtype = np.int64 if m < 64 else object
+    sizes = m + 1 if top is None else top + 1
+    layers = [np.zeros(1, dtype=dtype)]
     for _ in range(m):
         # a new first member: the subsets holding it come first in each size
-        up = [x << 1 for x in layers] + [np.zeros(0, dtype=np.int64)]
-        layers = [up[0]] + [np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, len(up))]
+        up = [x << 1 for x in layers] + [np.zeros(0, dtype=dtype)]
+        layers = [up[0]] + [
+            np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, min(len(up), sizes))
+        ]
     for x in layers:
         x.flags.writeable = False
     return tuple(layers)
@@ -537,6 +548,54 @@ def _layer_method(u: UtilityFunction, name: str):
         return None
     return getattr(u, name)
 
+
+def _layer_evaluator(u: UtilityFunction, masks):
+    """("numerators" or "count_values", u's bound method), or None when u
+    has neither or ``masks`` are Python ints (an object array)."""
+    if masks.dtype != object:
+        for name in ("numerators", "count_values"):
+            method = _layer_method(u, name)
+            if method is not None:
+                return name, method
+    return None
+
+
+def vectorised(u: UtilityFunction, masks) -> bool:
+    """Does ``meets_threshold`` decide u on ``masks`` in one step, so that
+    no evaluation can raise?"""
+    return _layer_evaluator(u, masks) is not None
+
+
+def meets_threshold(u: UtilityFunction, universe: Sequence[int], masks, bar, strict=False):
+    """(ok, errors): ok[j] tells whether measure(T) >= bar, or > bar when
+    ``strict``, for the committee T of ``masks[j]`` (bit i standing for
+    ``universe[i]``) and measure = ``exact_measure(u)``, so that ``bar`` is
+    ``gain_threshold``'s.
+
+    One vectorised step with u's ``numerators``, or with ``count_values``
+    and one exact comparison per count pair (lb00); otherwise mask by mask,
+    and ``errors`` maps the position of each mask whose evaluation raised
+    ``MalformedUtilityError`` to its exception (ok is False there)."""
+    evaluator = _layer_evaluator(u, masks)
+    if evaluator is not None:
+        name, method = evaluator
+        if name == "numerators":
+            t = method(universe, masks)
+            return (t > bar if strict else t >= bar), {}
+        codes, values = method(universe, masks)
+        ok = np.array([v > bar if strict else v >= bar for v in values], dtype=bool)
+        return ok[codes], {}
+    measure = exact_measure(u)
+    ok = np.zeros(len(masks), dtype=bool)
+    errors = {}
+    for j, mask in enumerate(masks.tolist()):
+        try:
+            v = measure(members(universe, mask))
+        except MalformedUtilityError as exc:
+            errors[j] = exc
+            continue
+        ok[j] = v > bar if strict else v >= bar
+    return ok, errors
 
 
 def _positive(x, y, n: int):

@@ -82,33 +82,31 @@ def instance_from_json(obj: dict, validate: str = "trust") -> Instance:
     if has_k == has_budget:
         raise FormatError('exactly one of "k" and {"sizes", "budget"} must be present')
     if has_k:
-        k = int(obj["k"])
         constraint = obj.get("constraint", {"kind": "cardinality"})
+        if not isinstance(constraint, dict):
+            raise FormatError(f"a constraint must be a JSON object, got {constraint!r}")
+        try:
+            k = int(obj["k"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad instance fields: {exc}") from exc
         try:
             family = family_from_json(constraint, k)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad constraint object: {exc}") from exc
-        inst = Instance(
-            candidates=candidates,
-            utilities=utilities,
-            k=k,
-            feasibility=family.bind(candidates),
-            validate=validate,
-        )
+        fields = {"k": k, "feasibility": family}
     else:
         try:
             sizes = {c: parse_rational(s) for c, s in obj["sizes"]}
             budget = parse_rational(obj["budget"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad budget-mode fields: {exc}") from exc
-        inst = Instance(
-            candidates=candidates,
-            utilities=utilities,
-            sizes=sizes,
-            budget=budget,
-            validate=validate,
-        )
-    return inst
+        fields = {"sizes": sizes, "budget": budget}
+    try:
+        if has_k:
+            family.bind(candidates)
+        return Instance(candidates=candidates, utilities=utilities, validate=validate, **fields)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad instance fields: {exc}") from exc
 
 
 def dumps_canonical(obj) -> str:

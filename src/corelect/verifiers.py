@@ -1,46 +1,93 @@
-"""Brute-force decision procedures for the five stability notions.
+"""Exact decision procedures for the five stability notions, on committee
+bitmasks.
 
-Each checker enumerates in the canonical subset order (``errors.subsets``:
-sizes ascending, then candidate ids), decides with exact arithmetic, and
-returns a report whose failure witness replays through the definitional
-predicates in this module.  Witnesses are canonical: the first blocking
-object in enumeration order.
+A committee is a bitmask over the sorted candidates (bit i standing for
+the i-th), and every scan reads its masks in the canonical subset order
+(``errors.subsets``: sizes ascending, then candidate ids), one array per
+size layer.  Every utility test is exact, and a report's failure witness
+is the first blocking object in that order; it replays through the
+definitional ``blocks_*`` predicates in this module.
 
 The three enumerating notions (core, pb-core and endowment core) are
-each one pair: ``coalition(T)``, every voter the deviation T satisfies,
-and ``affordable(T, S)``, Cost(T)*theta*n <= |S|*b.  The core is its
-unit-size case (Cost(T) = |T|, b = k, theta = 1), compared against the
+each one pair: per-voter tests, "T satisfies voter i" (u_i(T) >=
+gamma*(u_i(W)+1), or u_i(T) > u_i(W) for the endowment core), and the
+affordability bound Cost(T)*theta*n <= |S|*b, read in integers with
+the sizes over the lcm of their denominators.  The core is its unit-size
+case (Cost(T) = |T|, b = k, theta = 1), compared against the
 proportional endowment |S|*k/n without rounding (for integer |T| this
 coincides with the floored endowment used by the restrained notions).
-The checker scans T and the ``blocks_*`` predicate tests one (S, T),
-both through the same pair.  Empty coalitions and empty deviations never
-block; an empty deviation that ties with zero-utility voters in the
-endowment core is flagged instead.
+The scan decides one size layer at a time: one boolean vector per voter
+over the layer (``model.meets_threshold``), the coalition of each T the
+voters it satisfies, and it stops at the first layer holding an
+affordable T; the ``blocks_*`` predicate tests one (S, T) with the same
+tests.  Empty coalitions and empty deviations never block; an empty
+deviation that ties with zero-utility voters in the endowment core is
+flagged instead.
 
 The restrained core and restrained EJR share one engine: coalition S,
 with endowment k' = floor(|S| k / n), blocks W when for EVERY
 k'-completable planner reply hatW SOME W' (|W'| <= k', hatW + W'
-feasible) satisfies S.  A notion supplies only ``requirement(S)`` (the
-bitmask of S's voter classes for the core, (A_S, max u_i(W) + 1) for
-EJR) and ``meets(requirement, T)`` for T = hatW + W'.  The engine builds
-one table of hatW and their feasible W' per k', completes each hatW with
-the first W' that meets, and scans coalitions memoized on (k',
-requirement); the checkers and the ``blocks_restrained_*`` replay
-predicates all run through it.
+feasible) satisfies S.
+- The mask space is every committee of at most k candidates, in
+  canonical order; committee t of the space is bit t of a Python int
+  "space vector".  Feasibility is one boolean array over the space
+  (``constraints.feasible_masks``), computed once per check.
+- A k' table holds the k'-completable hatW (a subset of W, or any
+  committee in ``any_hatW`` mode) and, for each, the space vector of its
+  feasible T = hatW + W'.  Among the committees holding hatW, space order
+  is the enumeration order of W', so each row is read off a (hatW x
+  committee) containment matrix, one block of hatW at a time.
+- A notion supplies ``requirement(S)`` and ``meets(requirement)``, the
+  space vector of the T that meet it.  For the core, the requirement is
+  the bitmask of S's voter classes (voters with equal oracle and
+  threshold), and ``meets`` the AND of their vectors; a class's vector
+  is built the first time a requirement reaches it.  For EJR it is (A_S,
+  max u_i(W) + 1), met when |A_S & T| reaches the count.
+- A hatW completes at the lowest bit of its row AND that vector, and the
+  table completes when every row has one.  Coalitions are scanned in
+  canonical order, memoized on (k', requirement), each table is built
+  once, and the checkers and the ``blocks_restrained_*`` replay
+  predicates all run through this engine.
+- An oracle without a vectorised evaluator is evaluated mask by mask and
+  its failed evaluations are kept.  The engine then replays the order of
+  a lazy evaluation, which tests a T's untested classes of a requirement
+  lowest first and stops at a failure, and raises a failed evaluation
+  exactly when that evaluation reaches it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .constraints import is_feasible, is_q_completable
-from .errors import RuleMismatchError, canonical, require_work, subsets, subsets_up_to
+import numpy as np
+
+from .constraints import feasible_masks, is_feasible, is_q_completable
+from .errors import (
+    RuleMismatchError,
+    canonical,
+    members,
+    popcount,
+    require_work,
+    subsets,
+    subsets_up_to,
+)
 from .exactnum import parse_rational, rational_to_json
-from .model import ApprovalUtility, Instance, exact_measure, floored_endowment, gain_threshold
+from .model import (
+    ApprovalUtility,
+    Instance,
+    _layers,
+    exact_measure,
+    floored_endowment,
+    gain_threshold,
+    meets_threshold,
+    vectorised,
+)
 
 
 @dataclass
@@ -89,26 +136,76 @@ def _at_least_one(value, name: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# enumerating notions: one (coalition, affordable) pair each
+# committees as bitmasks
 # ---------------------------------------------------------------------------
 
 
-def _affordable(instance, theta=1):
-    """(T, S) -> Cost(T)*theta*n <= |S|*b; a committee-size instance has
-    unit sizes and b = k."""
-    cost, b = (len, instance.k) if instance.is_k_mode else (instance.cost, instance.budget)
-    return lambda T, S: cost(T) * theta * instance.n <= len(S) * b
+class _Space:
+    """The committees of at most ``top`` of an instance's candidates, as
+    bitmasks over the sorted candidates in canonical order (``masks``),
+    with their sizes; layer s is masks[bounds[s]:bounds[s + 1]]."""
+
+    def __init__(self, instance, top: int):
+        self.universe = tuple(sorted(instance.candidates))
+        m = len(self.universe)
+        layers = _layers(m) if top >= m else _layers(m, top)
+        lengths = [len(x) for x in layers]
+        self.masks = np.concatenate(layers)
+        self.sizes = np.repeat(np.arange(len(layers)), lengths)
+        self.bounds = list(itertools.accumulate(lengths, initial=0))
+        self.bit = {c: 1 << i for i, c in enumerate(self.universe)}
+
+    def layer(self, size: int):
+        return self.masks[self.bounds[size] : self.bounds[size + 1]]
+
+    def mask(self, T) -> int:
+        return sum(self.bit[c] for c in T)
+
+    def members(self, mask) -> frozenset:
+        return members(self.universe, int(mask))
+
+
+def _require_candidates(instance, W):
+    unknown = W - set(instance.candidates)
+    if unknown:
+        raise ValueError(f"unknown candidates {sorted(unknown)}")
+
+
+def _times(x, c: int):
+    """x * c exactly, for an integer array x: int64 while no product can
+    overflow, Python ints otherwise."""
+    peak = int(abs(x).max()) if len(x) else 0
+    if x.dtype != object and max(peak, 1) * abs(c) >= 1 << 63:
+        x = x.astype(object)
+    return x * c
+
+
+# ---------------------------------------------------------------------------
+# enumerating notions: one (tests, affordable) pair each
+# ---------------------------------------------------------------------------
+
+
+def _affordable(instance, theta=1) -> tuple:
+    """(weights, A, B): T is affordable to S when Cost(T)*theta*n <= |S|*b,
+    that is, when (the sum of ``weights`` over T) * A <= |S| * B, the
+    weights being the sizes over the lcm of their denominators, or None
+    for the unit sizes (and b = k) of a committee-size instance."""
+    theta = Fraction(theta)
+    if instance.is_k_mode:
+        weights, scale, b = None, 1, Fraction(instance.k)
+    else:
+        scale = functools.reduce(math.lcm, (s.denominator for s in instance.sizes.values()), 1)
+        weights = {c: int(size * scale) for c, size in instance.sizes.items()}
+        b = instance.budget
+    A = theta.numerator * instance.n * b.denominator
+    return weights, A, b.numerator * scale * theta.denominator
 
 
 def _gain_notion(instance, W, gamma):
     """The gamma-core and the pb-core: T satisfies the voters with
-    u_i(T) >= gamma * (u_i(W) + 1)."""
-    tests = [gain_threshold(u, W, gamma) for u in instance.utilities]
-
-    def coalition(T):
-        return frozenset(i for i, (measure, bar) in enumerate(tests) if measure(T) >= bar)
-
-    return coalition, _affordable(instance)
+    u_i(T) >= gamma * (u_i(W) + 1), tested as measure_i(T) >= bar_i."""
+    tests = [(u, gain_threshold(u, W, gamma)[1], False) for u in instance.utilities]
+    return tests, _affordable(instance)
 
 
 def _endowment_notion(instance, W, theta):
@@ -120,21 +217,25 @@ def _endowment_notion(instance, W, theta):
     ties with zero-utility voters); equality-only deviations are
     reported as flags, never as blocks.
     """
-    measures = [exact_measure(u) for u in instance.utilities]
-    current = [measure(W) for measure in measures]
+    tests = [(u, exact_measure(u)(W), True) for u in instance.utilities]
+    return tests, _affordable(instance, theta)
 
-    def coalition(T):
-        return frozenset(i for i, measure in enumerate(measures) if measure(T) > current[i])
 
-    return coalition, _affordable(instance, theta)
+def _passes(test, T) -> bool:
+    u, bar, strict = test
+    value = exact_measure(u)(T)
+    return value > bar if strict else value >= bar
 
 
 def _blocks(notion, instance, W, param, S, T) -> bool:
     param, S, T = parse_rational(param), frozenset(S), frozenset(T)
     if not S or not T:
         return False
-    coalition, affordable = notion(instance, frozenset(W), param)
-    return affordable(T, S) and S <= coalition(T)
+    tests, (weights, A, B) = notion(instance, frozenset(W), param)
+    cost = len(T) if weights is None else sum(weights[c] for c in T)
+    if cost * A > len(S) * B:
+        return False
+    return S <= frozenset(i for i, test in enumerate(tests) if _passes(test, T))
 
 
 def blocks_core(instance, W, gamma, S, T, min_coalition=None) -> bool:
@@ -154,20 +255,48 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
     return _blocks(_endowment_notion, instance, W, theta, S, T)
 
 
+def _costs(weights: dict, universe, masks):
+    """The summed member weights of each mask, as exact integers."""
+    wide = masks.dtype == object or sum(weights[c] for c in universe) >= 1 << 63
+    costs = np.zeros(len(masks), dtype=object if wide else np.int64)
+    for i, c in enumerate(universe):
+        held = masks >> i & 1
+        costs += (held.astype(object) if wide else held) * weights[c]
+    return costs
+
+
 def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition=None):
     """The scan over nonempty deviations T of size <= ``max_size``, whose
     steps are checked against the work limit before any oracle call: the
     witness is the first T whose coalition (of at least ``min_coalition``
-    voters) affords it."""
+    voters) affords it.  A failed evaluation is raised when it falls at or
+    before the witness, where a scan deciding T by T would reach it."""
     require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
-    coalition, affordable = notion(instance, frozenset(W), param)
+    tests, (weights, A, B) = notion(instance, frozenset(W), param)
+    space = _Space(instance, max_size)
+    least = 1 if min_coalition is None else max(1, math.ceil(min_coalition))
     witness, enumerated = None, 0
-    for T in subsets(instance.candidates, range(1, max_size + 1)):
-        enumerated += 1
-        S = coalition(T)
-        if S and (min_coalition is None or len(S) >= min_coalition) and affordable(T, S):
-            witness = {"S": S, "T": T}
+    for size in range(1, len(space.bounds) - 1):
+        layer = space.layer(size)
+        count = np.zeros(len(layer), dtype=np.int64)
+        sat, errors = [], {}
+        for u, bar, strict in tests:
+            ok, failed = meets_threshold(u, space.universe, layer, bar, strict)
+            sat.append(ok)
+            count += ok
+            for j, exc in failed.items():
+                errors.setdefault(j, exc)  # the lowest voter's, as T by T
+        cost = size * A if weights is None else _times(_costs(weights, space.universe, layer), A)
+        hits = np.flatnonzero((count >= least) & (cost <= _times(count, B)))
+        first = int(hits[0]) if len(hits) else len(layer)
+        if errors and min(errors) <= first:
+            raise errors[min(errors)]
+        if len(hits):
+            enumerated += first + 1
+            S = frozenset(i for i, ok in enumerate(sat) if ok[first])
+            witness = {"S": S, "T": space.members(layer[first])}
             break
+        enumerated += len(layer)
     stats = {"committees_enumerated": enumerated}
     report = VerificationReport(name, param, witness is None, witness, stats)
     if witness is None and min_coalition is not None:
@@ -231,26 +360,42 @@ def check_endowment_core(
 # ---------------------------------------------------------------------------
 
 
-def _core_test(instance, W, voters, gamma):
-    """(requirement, meets) of the gamma-restrained core.
+def _bits(ok) -> int:
+    """A boolean vector over the space as an int, bit t for ok[t]."""
+    return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+
+
+def _indices(bits: int):
+    """The set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _core_test(instance, W, voters, space, gamma):
+    """(requirement, meets, audit) of the gamma-restrained core.
 
     Voters with identical oracles and thresholds form one class, so a
-    coalition requires the bitmask of its classes; T meets it when every
-    one of those classes reaches gamma*(u_i(W)+1) at T.  A class is tested
-    at T only when a requirement reaches it: the test stops at the first
-    class that fails, and each T keeps the classes it has tested and
-    those that passed.
+    coalition requires the bitmask of its classes.  Each class has one
+    bit vector over the space, bit t set when the class reaches
+    gamma*(u_i(W)+1) at the t-th committee, built the first time a
+    requirement reaches the class; ``meets`` returns the AND of the
+    vectors of the classes required.  ``audit`` is None unless some class
+    is evaluated mask by mask (see ``_audit``).
     """
-    class_of, ids, tests = {}, {}, []
+    classes, class_of, tests = {}, {}, []
     for i in voters:
         u = instance.utilities[i]
-        measure, bar = gain_threshold(u, W, gamma)
-        key = (u.key(), bar)
-        if key not in ids:
-            ids[key] = len(tests)
-            tests.append((measure, bar))
-        class_of[i] = ids[key]
-    tested: dict = {}  # T -> (classes tested at T, those satisfied)
+        bar = gain_threshold(u, W, gamma)[1]
+        # one hash of the key: setdefault both looks it up and stores it
+        c = class_of[i] = classes.setdefault((u.key(), bar), len(classes))
+        if c == len(tests):
+            tests.append((u, bar))
+    passes = [None] * len(tests)  # class -> its vector, once built
+    failed = [0] * len(tests)  # class -> the committees whose evaluation failed
+    errors = {}  # (class, committee) -> the failed evaluation
+    everything = (1 << len(space.masks)) - 1
 
     def requirement(S):
         mask = 0
@@ -258,102 +403,167 @@ def _core_test(instance, W, voters, gamma):
             mask |= 1 << class_of[i]
         return mask
 
-    def meets(mask, T):
-        known, sat = tested.get(T, (0, 0))
-        if mask & known & ~sat:
-            return False
-        todo = mask & ~known
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            known |= bit
-            measure, bar = tests[bit.bit_length() - 1]
-            if measure(T) < bar:
-                tested[T] = known, sat
-                return False
-            sat |= bit
-        tested[T] = known, sat
-        return True
+    def meets(req):
+        ok = everything
+        for c in _indices(req):
+            if passes[c] is None:
+                u, bar = tests[c]
+                vector, errs = meets_threshold(u, space.universe, space.masks, bar)
+                passes[c] = _bits(vector)
+                for t, exc in errs.items():
+                    failed[c] |= 1 << t
+                    errors[c, t] = exc
+            ok &= passes[c]
+        return ok
 
-    return requirement, meets
+    if all(vectorised(u, space.masks) for u, _ in tests):
+        return requirement, meets, None
+    return requirement, meets, _audit(passes, failed, errors)
 
 
-def _ejr_test(instance, W, voters):
-    """(requirement, meets) of restrained EJR.
+def _audit(passes, failed, errors):
+    """audit(req, visited): raise the failed evaluation that testing each
+    visited committee against req, in order and lazily, would reach.
 
-    A coalition requires (A_S, max_{i in S} u_i(W) + 1), its commonly
-    approved candidates and the count it must reach, or None when no T of
-    size <= k can reach it; T meets it when |A_S & T| reaches the count.
+    A lazy test of T keeps the classes it has found failing at T.  Against
+    req it stops at once when one of those is in req; otherwise it
+    evaluates the untested classes of req lowest first and stops at the
+    first that does not pass, which then is known to fail at T, unless its
+    evaluation failed: that is raised.
+    """
+    known: dict = {}  # committee -> the classes known to fail there
+
+    def audit(req, visited):
+        for t in visited:
+            if known.get(t, 0) & req:
+                continue
+            for c in _indices(req):
+                if not passes[c] >> t & 1:
+                    if failed[c] >> t & 1:
+                        raise errors[c, t]
+                    known[t] = known.get(t, 0) | 1 << c
+                    break
+
+    return audit
+
+
+def _ejr_test(instance, W, voters, space):
+    """(requirement, meets, audit) of restrained EJR.
+
+    A coalition requires (A_S, max_{i in S} u_i(W) + 1), the bitmask of
+    its commonly approved candidates and the count it must reach, or None
+    when no T of size <= k can reach it; T meets it when |A_S & T| reaches
+    the count.  Approved ids outside the candidates take bits above them.
     """
     for i in voters:
         if not isinstance(instance.utilities[i], ApprovalUtility):
             raise RuleMismatchError("restrained EJR needs approval utilities")
     at_W = {i: instance.utilities[i].numerator(W) for i in voters}
+    bit = dict(space.bit)
+    approved = {
+        i: sum(bit.setdefault(c, 1 << len(bit)) for c in instance.utilities[i].approved)
+        for i in voters
+    }
+    within = (1 << len(space.universe)) - 1
 
     def requirement(S):
-        A_S = frozenset.intersection(*(instance.utilities[i].approved for i in S))
+        A_S = functools.reduce(operator.and_, (approved[i] for i in S))
         threshold = max(at_W[i] for i in S) + 1
-        if len(A_S) < threshold or threshold > instance.k:
+        if A_S.bit_count() < threshold or threshold > instance.k:
             return None
         return A_S, threshold
 
-    def meets(req, T):
+    def meets(req):
         A_S, threshold = req
-        return len(A_S & T) >= threshold
+        return _bits(popcount(space.masks & (A_S & within)) >= threshold)
 
-    return requirement, meets
-
-
-def _completion_tables(instance, W, kprime, mode, feasible) -> list:
-    """[(hatW, [(W', hatW + W'), ...]), ...]: every k'-completable hatW of
-    size <= k - k' (a subset of W, or any committee in ``any_hatW`` mode)
-    with the W' of size <= k' making hatW + W' ``feasible``, both in
-    enumeration order."""
-    P, candidates = instance.feasibility, instance.candidates
-    pool = W if mode == "subset_of_W" else candidates
-    tables = []
-    for hatW in subsets(pool, range(instance.k - kprime + 1)):
-        if is_q_completable(P, hatW, kprime, candidates)[0]:
-            rest = set(candidates) - hatW
-            pairs = ((wprime, hatW | wprime) for wprime in subsets(rest, range(kprime + 1)))
-            tables.append((hatW, [(wprime, T) for wprime, T in pairs if feasible(T)]))
-    return tables
+    return requirement, meets, None
 
 
-def _feasibility(instance):
-    """is_feasible on the instance's family, decided once per committee:
-    one T recurs across the hatW and k' of a check."""
-    return functools.cache(functools.partial(is_feasible, instance.feasibility))
+# a block of a table's (hatW x committee) matrix holds at most this many entries
+_BLOCK = 1 << 16
 
 
-def _complete(instance, tables, kprime, req, meets, cert=None):
-    """For ALL hatW, the first W' in its table whose T meets ``req``; with
-    ``cert``, the certified W' alone.
-
-    Returns (hatW -> W' map, or None when some hatW has no such W' or
-    there is no hatW at all; table entries visited).
-    """
-    if not tables:
-        return None, 0
-    completions, visited = {}, 0
-    for hatW, entries in tables:
-        if cert is not None:
-            entries = _certified_entry(instance, hatW, cert.get(hatW), kprime)
-        for wprime, T in entries:
-            visited += 1
-            if meets(req, T):
-                completions[hatW] = wprime
-                break
+def _completion_table(instance, W, kprime, mode, space, feasible, cert=None) -> tuple:
+    """The k' table (hats, rows): the space indices of every k'-completable
+    hatW of size <= k - k' (a subset of W, or any committee in
+    ``any_hatW`` mode), in enumeration order, and for each the bitmask over
+    the space of its entries: the feasible T = hatW + W' with |W'| <= k',
+    or with ``cert`` only hatW + cert[hatW], for a certified W' of at most
+    k' candidates."""
+    P, masks, sizes = instance.feasibility, space.masks, space.sizes
+    pool = space.mask(W) if mode == "subset_of_W" else space.mask(space.universe)
+    hats = np.flatnonzero(((masks & ~pool) == 0) & (sizes <= instance.k - kprime))
+    if P.is_downward_closed:
+        # any completion contains hatW, so hatW itself must be feasible
+        hats = hats[feasible[hats]].tolist()
+    else:
+        hats = [
+            h
+            for h in hats.tolist()
+            if is_q_completable(P, space.members(masks[h]), kprime, instance.candidates)[0]
+        ]
+    if cert is not None:
+        targets = np.array([_certified(space, masks[h], cert, kprime) for h in hats], masks.dtype)
+    rows = []
+    step = max(1, _BLOCK // len(masks))
+    for lo in range(0, len(hats), step):
+        block = hats[lo : lo + step]
+        if cert is None:
+            hat = masks[block][:, None]
+            entries = ((masks & hat) == hat) & (sizes <= sizes[block][:, None] + kprime)
         else:
+            entries = masks == targets[lo : lo + step, None]
+        packed = np.packbits(entries & feasible, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        rows += [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    return hats, rows
+
+
+def _certified(space, hat: int, cert: dict, kprime: int) -> int:
+    """hatW + cert[hatW], or -1 when there is no certified W' of at most
+    k' candidates."""
+    wprime = cert.get(space.members(hat))
+    if wprime is None or len(wprime) > kprime or not set(wprime) <= space.bit.keys():
+        return -1
+    return int(hat) | space.mask(wprime)
+
+
+def _complete(rows, ok: int, req=None, audit=None):
+    """For ALL hatW of a table, its first entry whose T meets (bit T of
+    ``ok``).
+
+    Returns (firsts, visited): the space indices of those T, or None when
+    some hatW has none or there is no hatW at all; and the entries
+    visited, hatW by hatW in order, each up to the first that meets,
+    stopping after the first hatW with none.  ``audit`` checks the
+    visited committees against req in that order.
+    """
+    firsts, visited = [], 0
+    for row in rows:
+        hit = row & ok
+        first = hit & -hit
+        seen = row & (first << 1) - 1 if hit else row
+        visited += seen.bit_count()
+        if audit is not None:
+            audit(req, _indices(seen))
+        if not hit:
             return None, visited
-    return completions, visited
+        firsts.append(first.bit_length() - 1)
+    return firsts or None, visited
 
 
-def _certified_entry(instance, hatW, wprime, kprime) -> list:
-    if wprime is None or len(wprime) > kprime:
-        return []
-    T = hatW | wprime
-    return [(wprime, T)] if is_feasible(instance.feasibility, T) else []
+def _completions(space, hats, firsts, cert=None) -> dict:
+    """hatW -> its completing W', in enumeration order."""
+    completions = {}
+    for h, t in zip(hats, firsts):
+        hat = space.members(space.masks[h])
+        if cert is not None:
+            completions[hat] = cert[hat]
+        else:
+            completions[hat] = space.members(space.masks[t] ^ space.masks[h])
+    return completions
 
 
 def _blocks_restrained(instance, W, S, mode, cert, test, what):
@@ -363,13 +573,18 @@ def _blocks_restrained(instance, W, S, mode, cert, test, what):
     kprime = floored_endowment(len(S), instance.k, instance.n)
     pool = len(W) if mode == "subset_of_W" else instance.m
     require_work(_tables_work(1, {kprime}, instance.m, instance.k, pool), what)
-    requirement, meets = test(instance, W, sorted(S))
+    space = _Space(instance, instance.k)
+    requirement, meets, audit = test(instance, W, sorted(S), space)
     req = requirement(S)
     if req is None:
         return False, None
-    tables = _completion_tables(instance, W, kprime, mode, _feasibility(instance))
-    completions, _ = _complete(instance, tables, kprime, req, meets, cert)
-    return completions is not None, completions
+    _require_candidates(instance, W)
+    feasible = feasible_masks(instance.feasibility, space.universe, space.masks)
+    hats, rows = _completion_table(instance, W, kprime, mode, space, feasible, cert)
+    firsts, _ = _complete(rows, meets(req), req, audit)
+    if firsts is None:
+        return False, None
+    return True, _completions(space, hats, firsts, cert)
 
 
 def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
@@ -406,12 +621,14 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     n, m, k = instance.n, instance.m, instance.k
     pool = len(W) if mode == "subset_of_W" else m
     require_work(_restrained_work(n, m, k, pool), f"the {notion} check")
-    requirement, meets = test(instance, W, range(n))
+    space = _Space(instance, k)
+    requirement, meets, audit = test(instance, W, range(n), space)
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")
+    _require_candidates(instance, W)
+    feasible = feasible_masks(instance.feasibility, space.universe, space.masks)
     coalitions = hatw_sets = entries = visited = 0
-    feasible = _feasibility(instance)
-    tables_of: dict = {}
+    tables: dict = {}
     memo: dict = {}
     witness = None
     for S in subsets(range(n), range(1, n + 1)):
@@ -422,17 +639,18 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         kprime = floored_endowment(len(S), k, n)
         key = (kprime, req)
         if key not in memo:
-            if kprime not in tables_of:
-                tables = tables_of[kprime] = _completion_tables(
-                    instance, W, kprime, mode, feasible
+            if kprime not in tables:
+                hats, rows = tables[kprime] = _completion_table(
+                    instance, W, kprime, mode, space, feasible
                 )
-                assert tables, "a feasible W leaves every k' a completable hatW"
-                hatw_sets += len(tables)
-                entries += sum(len(wprimes) for _, wprimes in tables)
-            memo[key], seen = _complete(instance, tables_of[kprime], kprime, req, meets)
+                assert hats, "a feasible W leaves every k' a completable hatW"
+                hatw_sets += len(hats)
+                entries += sum(row.bit_count() for row in rows)
+            memo[key], seen = _complete(tables[kprime][1], meets(req), req, audit)
             visited += seen
         if memo[key] is not None:
-            witness = {"S": S, "completions": memo[key]}
+            hats = tables[kprime][0]
+            witness = {"S": S, "completions": _completions(space, hats, memo[key])}
             break
     wprime_sets = visited if count_visited else entries
     stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}

@@ -119,28 +119,62 @@ def _all_subsets(pool, max_size=None):
             yield frozenset(combo)
 
 
-def oracle_core(instance, W, gamma, min_coalition=None):
-    """Naive double loop over coalitions S and deviations T."""
+def _json_rational(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _report(notion, param, blocked, stats, flags, witness):
+    """A report as ``VerificationReport.to_json`` states it."""
+    out = {
+        "notion": notion,
+        "gamma_or_theta": _json_rational(param),
+        "verdict": "pass" if blocked is None else "fail",
+        "stats": stats,
+        "flags": flags,
+    }
+    if blocked is not None:
+        out["witness"] = witness
+    return out
+
+
+def oracle_core(instance, W, gamma, min_coalition=None, report=False):
+    """Naive double loop over deviations T (sizes ascending, then ids) and
+    coalitions S: the first T some S blocks, with every voter T satisfies.
+    With ``report``, the report check_core states, counting the deviations
+    tried."""
     W = frozenset(W)
     gamma = Fraction(gamma)
-    voters = range(instance.n)
-    for S in _all_subsets(voters):
-        if not S:
+    n, k = instance.n, instance.k
+    tried, found = 0, None
+    for T in _all_subsets(instance.candidates, k):
+        if not T:
             continue
-        if min_coalition is not None and Fraction(len(S)) < min_coalition:
-            continue
-        for T in _all_subsets(instance.candidates):
-            if not T:
+        tried += 1
+        blocking = []
+        for S in _all_subsets(range(n)):
+            if not S:
                 continue
-            if Fraction(len(T)) > Fraction(len(S), instance.n) * instance.k:
+            if min_coalition is not None and Fraction(len(S)) < min_coalition:
+                continue
+            if Fraction(len(T)) > Fraction(len(S), n) * k:
                 continue
             if all(
                 naive_value(instance.utilities[i], T)
                 >= gamma * (naive_value(instance.utilities[i], W) + 1)
                 for i in S
             ):
-                return False, (S, T)
-    return True, None
+                blocking.append(S)
+        if blocking:
+            found = (frozenset().union(*blocking), T)
+            break
+    if not report:
+        return found is None, found
+    flags = []
+    if found is None and min_coalition is not None:
+        flags.append(f"coalitions-restricted-to-size>={min_coalition}")
+    witness = found and {"S": sorted(found[0]), "T": sorted(found[1])}
+    return _report("core", gamma, found, {"committees_enumerated": tried}, flags, witness)
 
 
 def oracle_pb_core(instance, W, gamma):
@@ -194,80 +228,122 @@ def oracle_q_completable(P, hatW, q, universe):
     return False
 
 
-def oracle_restrained_core(instance, W, gamma, mode="subset_of_W"):
-    """Quantifier-order-explicit: exists S, for all hatW, exists W'."""
+def _restrained_scan(instance, W, mode, requirement, satisfies, count_visited):
+    """Quantifier-order-explicit: exists S, for all hatW, exists W'.
+
+    ``requirement(S)`` is what S needs of T = hatW + W' (None when no T
+    can give it) and ``satisfies(req, T)`` whether T gives it.  Returns
+    (the first blocking S or None, its hatW -> W' map, stats): coalitions
+    scanned; over each distinct k' of a coalition with a requirement, its
+    completable hatW, and the feasible W' outside each (or, with
+    ``count_visited``, the W' tried for each distinct (k', requirement)
+    until a hatW has none, each hatW's stopping at its first that
+    satisfies)."""
+    W = frozenset(W)
+    P = instance.feasibility
+    cands = set(instance.candidates)
+    pool = W if mode == "subset_of_W" else cands
+    coalitions = hatw_sets = wprime_sets = 0
+    kprimes, seen = set(), set()
+    for S in _all_subsets(range(instance.n)):
+        if not S:
+            continue
+        coalitions += 1
+        req = requirement(S)
+        if req is None:
+            continue
+        kprime = (len(S) * instance.k) // instance.n
+        hatw_list = [
+            hatW
+            for hatW in _all_subsets(pool, instance.k - kprime)
+            if oracle_q_completable(P, hatW, kprime, cands)
+        ]
+        if kprime not in kprimes:
+            kprimes.add(kprime)
+            hatw_sets += len(hatw_list)
+            if not count_visited:
+                for hatW in hatw_list:
+                    for wprime in _all_subsets(cands - hatW, kprime):
+                        wprime_sets += P.contains(hatW | wprime)
+        counting = count_visited and (kprime, req) not in seen
+        seen.add((kprime, req))
+        completions = {}
+        for hatW in hatw_list:
+            for wprime in _all_subsets(cands, kprime):
+                T = hatW | wprime
+                if not P.contains(T):
+                    continue
+                if counting and not wprime & hatW:
+                    wprime_sets += 1
+                if satisfies(req, T):
+                    completions[hatW] = wprime
+                    break
+            else:
+                break
+        if hatw_list and len(completions) == len(hatw_list):
+            stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}
+            return S, completions, stats
+    stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}
+    return None, None, stats
+
+
+def _restrained_report(notion, param, flags, S, completions, stats):
+    witness = S and {
+        "S": sorted(S),
+        "completions": [
+            {"hatW": sorted(h), "Wprime": sorted(completions[h])}
+            for h in sorted(completions, key=lambda h: (len(h), sorted(h)))
+        ],
+    }
+    return _report(notion, param, S, stats, flags, witness)
+
+
+def oracle_restrained_core(instance, W, gamma, mode="subset_of_W", report=False):
+    """Exists S, for all k'-completable hatW, exists W' giving every member
+    of S at least gamma*(u_i(W)+1).  With ``report``, the report
+    check_restrained_core states."""
     W = frozenset(W)
     gamma = Fraction(gamma)
-    P = instance.feasibility
-    cands = set(instance.candidates)
-    for S in _all_subsets(range(instance.n)):
-        if not S:
-            continue
-        kprime = (len(S) * instance.k) // instance.n
-        pool = W if mode == "subset_of_W" else cands
-        hatw_list = [
-            hatW
-            for hatW in _all_subsets(pool, instance.k - kprime)
-            if oracle_q_completable(P, hatW, kprime, cands)
-        ]
-        if not hatw_list:
-            continue
-        all_covered = True
-        for hatW in hatw_list:
-            exists = False
-            for wprime in _all_subsets(cands, kprime):
-                T = hatW | wprime
-                if not P.contains(T):
-                    continue
-                if all(
-                    naive_value(instance.utilities[i], T)
-                    >= gamma * (naive_value(instance.utilities[i], W) + 1)
-                    for i in S
-                ):
-                    exists = True
-                    break
-            if not exists:
-                all_covered = False
-                break
-        if all_covered:
-            return False, S
-    return True, None
+    bars = [gamma * (naive_value(u, W) + 1) for u in instance.utilities]
+
+    def satisfies(S, T):
+        return all(naive_value(instance.utilities[i], T) >= bars[i] for i in S)
+
+    S, completions, stats = _restrained_scan(
+        instance, W, mode, lambda S: S, satisfies, count_visited=False
+    )
+    if not report:
+        return S is None, S
+    flags = ["floored-endowment"]
+    if instance.feasibility.kind == "cardinality":
+        flags.insert(0, "unconstrained-reduces-to-core")
+    return _restrained_report("restrained_core", gamma, flags, S, completions, stats)
 
 
-def oracle_restrained_ejr(instance, W, mode="subset_of_W"):
+def oracle_restrained_ejr(instance, W, mode="subset_of_W", report=False):
+    """Exists S, for all k'-completable hatW, exists W' holding at least
+    max_{i in S} u_i(W) + 1 candidates every member of S approves.  With
+    ``report``, the report check_restrained_ejr states."""
     W = frozenset(W)
-    P = instance.feasibility
-    cands = set(instance.candidates)
-    for S in _all_subsets(range(instance.n)):
-        if not S:
-            continue
+
+    def requirement(S):
         A_S = frozenset.intersection(*(instance.utilities[i].approved for i in S))
         threshold = max(naive_value(instance.utilities[i], W) for i in S) + 1
-        kprime = (len(S) * instance.k) // instance.n
-        pool = W if mode == "subset_of_W" else cands
-        hatw_list = [
-            hatW
-            for hatW in _all_subsets(pool, instance.k - kprime)
-            if oracle_q_completable(P, hatW, kprime, cands)
-        ]
-        if not hatw_list:
-            continue
-        all_covered = True
-        for hatW in hatw_list:
-            exists = False
-            for wprime in _all_subsets(cands, kprime):
-                T = hatW | wprime
-                if not P.contains(T):
-                    continue
-                if Fraction(len(A_S & T)) >= threshold:
-                    exists = True
-                    break
-            if not exists:
-                all_covered = False
-                break
-        if all_covered:
-            return False, S
-    return True, None
+        # no committee of at most k candidates holds more than k of A_S
+        if len(A_S) < threshold or threshold > instance.k:
+            return None
+        return A_S, threshold
+
+    def satisfies(req, T):
+        A_S, threshold = req
+        return Fraction(len(A_S & T)) >= threshold
+
+    S, completions, stats = _restrained_scan(
+        instance, W, mode, requirement, satisfies, count_visited=True
+    )
+    if not report:
+        return S is None, S
+    return _restrained_report("restrained_ejr", 1, [], S, completions, stats)
 
 
 def oracle_classic_ejr(instance, W):

@@ -794,3 +794,28 @@ def test_each_command_entry_records_its_manifest_flags(tmp_path, argv, infile, f
     manifest = _read(out)["manifest"]
     assert manifest["flags"] == {**given, **flags}
     assert manifest["seed"] == seed
+
+
+_SNW_ONE_VOTER = {"n": 1, "candidates": [0, 1, 2], "utilities": [{"kind": "approval", "approved": [0]}]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"candidates": 5, "k": 1}, "bad instance fields"),
+        ({"candidates": ["a"], "k": 1}, "bad instance fields"),
+        ({"k": [1]}, "bad instance fields"),
+        ({"k": "one"}, "bad instance fields"),
+        ({"k": 1, "constraint": 5}, "a constraint must be a JSON object"),
+        ({"k": 1, "constraint": ["cardinality"]}, "a constraint must be a JSON object"),
+    ],
+)
+def test_top_level_fields_of_the_wrong_type_are_usage_errors(tmp_path, capsys, fields, message):
+    # exit 2 with a message, never a traceback and exit 1 (the fail verdict)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_SNW_ONE_VOTER, **fields}))
+    out = tmp_path / "out.json"
+    argv = ["solve", "--rule", "snw", "--method", "global", "--in", str(path), "--out", str(out)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

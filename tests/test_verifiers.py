@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelect.constraints import PartitionMatroidFamily
-from corelect.errors import InfeasibleInstanceError, RuleMismatchError
+from corelect.errors import (
+    InfeasibleInstanceError,
+    MalformedUtilityError,
+    RuleMismatchError,
+)
 from corelect.instances import (
+    gen_lb00,
     gen_rest1,
     gen_xos_example,
     random_instance,
@@ -16,6 +22,8 @@ from corelect.model import (
     ApprovalUtility,
     CoverageUtility,
     Instance,
+    LB00Utility,
+    TableUtility,
     XOSUtility,
 )
 from corelect.solvers import solve_global, solve_local
@@ -484,27 +492,166 @@ def _restrained_cases(draw):
 @settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(_restrained_cases())
 def test_restrained_engine_matches_oracles_and_replays(case):
+    # the oracles count naively what each report states, stats included
     inst, W, mode, gamma = case
     report = check_restrained_core(inst, W, gamma, mode=mode)
-    ref, ref_S = oracle_restrained_core(inst, W, gamma, mode=mode)
-    assert report.verdict == ref
+    assert report.to_json() == oracle_restrained_core(inst, W, gamma, mode=mode, report=True)
     if not report.verdict:
-        # both scan coalitions by size, then ids: the witnesses agree
-        assert report.witness["S"] == ref_S
-        cert = report.witness["completions"]
-        assert blocks_restrained_core(inst, W, gamma, ref_S, mode=mode, cert=cert)[0]
+        S, cert = report.witness["S"], report.witness["completions"]
+        assert blocks_restrained_core(inst, W, gamma, S, mode=mode, cert=cert)[0]
     core = check_core(inst, W, gamma)
-    assert core.verdict == oracle_core(inst, W, gamma)[0]
+    assert core.to_json() == oracle_core(inst, W, gamma, report=True)
     if not core.verdict:
         assert blocks_core(inst, W, gamma, core.witness["S"], core.witness["T"])
     if all(isinstance(u, ApprovalUtility) for u in inst.utilities):
         report = check_restrained_ejr(inst, W, mode=mode)
-        ref, ref_S = oracle_restrained_ejr(inst, W, mode=mode)
-        assert report.verdict == ref
+        assert report.to_json() == oracle_restrained_ejr(inst, W, mode=mode, report=True)
         if not report.verdict:
-            assert report.witness["S"] == ref_S
-            cert = report.witness["completions"]
-            assert blocks_restrained_ejr(inst, W, ref_S, mode=mode, cert=cert)[0]
+            S, cert = report.witness["S"], report.witness["completions"]
+            assert blocks_restrained_ejr(inst, W, S, mode=mode, cert=cert)[0]
+
+
+def _lb00_instance(beta):
+    """gen_lb00's six two-party voters at r = 1 with exponent beta (odd
+    beta takes the Quad path), k = 6, and at most 2, 2 and 1 seats for the
+    candidates of residues 0, 1 and 2 mod 3.  Only beta = 1 at gamma = 1
+    lets a coalition block: the utilities are at most r/beta = 1."""
+    base = gen_lb00(5, 1)
+    utilities = [LB00Utility(beta, 1, u.role, u.party_of) for u in base.utilities]
+    groups = [[c for c in base.candidates if c % 3 == g] for g in range(3)]
+    family = PartitionMatroidFamily(groups, [2, 2, 1], 6)
+    return Instance(base.candidates, utilities, k=6, feasibility=family, validate="trust")
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(16, 15)])
+def test_lb00_reports_match_the_oracles(beta, gamma):
+    inst = _lb00_instance(beta)
+    verdicts = set()
+    for W in (frozenset(), frozenset({0}), frozenset({1, 3})):
+        for mode in ("subset_of_W", "any_hatW"):
+            report = check_restrained_core(inst, W, gamma, mode=mode)
+            assert report.to_json() == oracle_restrained_core(
+                inst, W, gamma, mode=mode, report=True
+            )
+            verdicts.add(report.verdict)
+        report = check_core(inst, W, gamma)
+        assert report.to_json() == oracle_core(inst, W, gamma, report=True)
+        verdicts.add(report.verdict)
+    assert (False in verdicts) == (beta == 1 and gamma == 1)
+
+
+def _partial_table(weights, missing):
+    """An additive table over candidates 0..3 that lacks the listed
+    subsets: evaluating one of them raises MalformedUtilityError."""
+    entries = {}
+    for size in range(1, 5):
+        for T in itertools.combinations(range(4), size):
+            if list(T) not in missing:
+                entries[frozenset(T)] = sum((Fraction(weights[c]) for c in T), Fraction(0))
+    return TableUtility(entries)
+
+
+def _fail_core(S, T, enumerated):
+    return {
+        "notion": "core",
+        "gamma_or_theta": 1,
+        "verdict": "fail",
+        "stats": {"committees_enumerated": enumerated},
+        "flags": [],
+        "witness": {"S": S, "T": T},
+    }
+
+
+def _pass_restrained(coalitions, hatw_sets, wprime_sets):
+    return {
+        "notion": "restrained_core",
+        "gamma_or_theta": 2,
+        "verdict": "pass",
+        "stats": {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets},
+        "flags": ["floored-endowment"],
+    }
+
+
+# (voters as (weights of 0..3, missing subsets), W, gamma, mode, the
+# restrained check's outcome, the core check's): a report, or the
+# message of the MalformedUtilityError raised.  The restrained check
+# tests a committee's voter classes lazily, lowest class first, so it
+# can raise at a missing entry that the core check, which tests every
+# voter at each committee in turn, does not reach first, and it can pass
+# without reaching a missing entry at all.
+PARTIAL_TABLE_CASES = [
+    (
+        [((1, 0, 1, 0), [[2]]), ((2, 2, 1, 0), [[0]])],
+        [], 1, "subset_of_W",
+        "table has no entry for [2]",
+        "table has no entry for [0]",
+    ),
+    (
+        [
+            ((0, 2, 0, 0), [[0, 1, 2, 3]]),
+            ((1, 1, 2, 1), [[0, 1], [0, 2, 3], [1, 2]]),
+            ((0, 2, 2, 1), [[0], [0, 3]]),
+        ],
+        [], 1, "any_hatW",
+        "table has no entry for [1, 2]",
+        "table has no entry for [0]",
+    ),
+    (
+        [((1, 0, 1, 1), [[0, 1, 2, 3]]), ((0, 1, 0, 1), [[1, 2, 3], [2, 3]])],
+        [0, 2], 2, "any_hatW",
+        _pass_restrained(3, 6, 29),
+        "table has no entry for [2, 3]",
+    ),
+    (
+        [
+            ((2, 0, 1, 1), [[0, 1]]),
+            ((0, 2, 1, 2), [[0, 1, 2], [0, 2, 3]]),
+            ((1, 1, 0, 0), [[0, 1, 3], [1, 3]]),
+        ],
+        [2], 2, "subset_of_W",
+        _pass_restrained(7, 5, 21),
+        "table has no entry for [0, 1]",
+    ),
+    (
+        [
+            ((1, 1, 1, 2), [[0, 1, 3]]),
+            ((0, 0, 0, 2), [[2, 3]]),
+            ((0, 2, 0, 2), [[0, 1, 2, 3], [0, 1, 3]]),
+        ],
+        [2], 1, "any_hatW",
+        "table has no entry for [2, 3]",
+        _fail_core([1, 2], [3], 4),
+    ),
+    (
+        [((1, 1, 2, 0), [[3]]), ((0, 2, 2, 2), [[3], [1, 3]])],
+        [], 1, "any_hatW",
+        "table has no entry for [3]",
+        _fail_core([1], [1], 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("voters, W, gamma, mode, restrained, core", PARTIAL_TABLE_CASES)
+def test_missing_table_entries_raise_where_a_lazy_scan_reaches_them(
+    voters, W, gamma, mode, restrained, core
+):
+    # weights in halves; the expected outcomes are those of the scans that
+    # evaluated each committee's oracles one at a time, as needed
+    utilities = [_partial_table([Fraction(w, 2) for w in ws], missing) for ws, missing in voters]
+    family = PartitionMatroidFamily([[0, 1], [2, 3]], [1, 2], 2)
+    inst = Instance(range(4), utilities, k=2, feasibility=family, validate="trust")
+    checks = (
+        (lambda: check_restrained_core(inst, W, gamma, mode=mode), restrained),
+        (lambda: check_core(inst, W, gamma), core),
+    )
+    for run, expected in checks:
+        if isinstance(expected, str):
+            with pytest.raises(MalformedUtilityError) as raised:
+                run()
+            assert str(raised.value) == expected
+        else:
+            assert run().to_json() == expected
 
 
 # ---------------------------------------------------------------------------
