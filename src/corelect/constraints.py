@@ -258,6 +258,18 @@ def feasible_masks(P: FeasibilityFamily, universe: Sequence[int], masks):
     return ok
 
 
+def completable_masks(P: FeasibilityFamily, universe: Sequence[int], masks, q: int, feasible):
+    """``is_q_completable(P, T, q, universe)``'s verdict for the committee T
+    of each bitmask (bit i standing for ``universe[i]``), as one boolean
+    array, given ``feasible``, the ``feasible_masks`` of the same masks:
+    a downward-closed family's verdict is T's feasibility, any other
+    family's is searched committee by committee."""
+    if P.is_downward_closed:
+        return feasible
+    verdicts = (is_q_completable(P, members(universe, x), q, universe)[0] for x in masks.tolist())
+    return np.fromiter(verdicts, bool, len(masks))
+
+
 def is_q_completable(
     P: FeasibilityFamily,
     hatW: Iterable[int],

@@ -47,8 +47,14 @@ def subsets_up_to(m: int, size: int) -> int:
 
 
 def members(universe, mask: int) -> frozenset:
-    """The members of ``universe`` whose bits are set in ``mask``."""
-    return frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
+    """The members of ``universe`` whose bits are set in ``mask``, read
+    off the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(universe[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def popcount(masks):

@@ -522,15 +522,26 @@ def _layers(m: int, top: Optional[int] = None) -> tuple:
     members (bit i standing for the i-th member): int64 for m <= 63,
     Python ints (an object array) beyond.  Kept for the four most recent
     (m, top)."""
-    dtype = np.int64 if m < 64 else object
     sizes = m + 1 if top is None else top + 1
-    layers = [np.zeros(1, dtype=dtype)]
-    for _ in range(m):
-        # a new first member: the subsets holding it come first in each size
-        up = [x << 1 for x in layers] + [np.zeros(0, dtype=dtype)]
-        layers = [up[0]] + [
-            np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, min(len(up), sizes))
-        ]
+    if m >= 64:
+        # size s, lowest member i: bit i joined to the size s - 1 masks
+        # whose members all exceed i, which end that layer
+        layers = [np.zeros(1, dtype=object)]
+        for s in range(1, min(sizes, m + 1)):
+            below = layers[-1]
+            layers.append(
+                np.concatenate(
+                    [below[len(below) - math.comb(m - 1 - i, s - 1) :] | 1 << i for i in range(m)]
+                )
+            )
+    else:
+        layers = [np.zeros(1, dtype=np.int64)]
+        for _ in range(m):
+            # a new first member: the subsets holding it come first in each size
+            up = [x << 1 for x in layers] + [np.zeros(0, dtype=np.int64)]
+            layers = [up[0]] + [
+                np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, min(len(up), sizes))
+            ]
     for x in layers:
         x.flags.writeable = False
     return tuple(layers)
@@ -566,7 +577,16 @@ def vectorised(u: UtilityFunction, masks) -> bool:
     return _layer_evaluator(u, masks) is not None
 
 
-def meets_threshold(u: UtilityFunction, universe: Sequence[int], masks, bar, strict=False):
+def may_raise(u: UtilityFunction) -> bool:
+    """Can an evaluation of u raise ``MalformedUtilityError``?  Not when
+    u's kind has a vectorised evaluator, even where it is evaluated mask
+    by mask (on Python-int masks)."""
+    return all(_layer_method(u, name) is None for name in ("numerators", "count_values"))
+
+
+def meets_threshold(
+    u: UtilityFunction, universe: Sequence[int], masks, bar, strict=False, committees=None
+):
     """(ok, errors): ok[j] tells whether measure(T) >= bar, or > bar when
     ``strict``, for the committee T of ``masks[j]`` (bit i standing for
     ``universe[i]``) and measure = ``exact_measure(u)``, so that ``bar`` is
@@ -574,7 +594,9 @@ def meets_threshold(u: UtilityFunction, universe: Sequence[int], masks, bar, str
 
     One vectorised step with u's ``numerators``, or with ``count_values``
     and one exact comparison per count pair (lb00); otherwise mask by mask,
-    and ``errors`` maps the position of each mask whose evaluation raised
+    on ``committees`` (the frozensets of ``masks``, built here when not
+    given, so callers testing many oracles build them once), and
+    ``errors`` maps the position of each mask whose evaluation raised
     ``MalformedUtilityError`` to its exception (ok is False there)."""
     evaluator = _layer_evaluator(u, masks)
     if evaluator is not None:
@@ -585,12 +607,14 @@ def meets_threshold(u: UtilityFunction, universe: Sequence[int], masks, bar, str
         codes, values = method(universe, masks)
         ok = np.array([v > bar if strict else v >= bar for v in values], dtype=bool)
         return ok[codes], {}
+    if committees is None:
+        committees = [members(universe, mask) for mask in masks.tolist()]
     measure = exact_measure(u)
     ok = np.zeros(len(masks), dtype=bool)
     errors = {}
-    for j, mask in enumerate(masks.tolist()):
+    for j, T in enumerate(committees):
         try:
-            v = measure(members(universe, mask))
+            v = measure(T)
         except MalformedUtilityError as exc:
             errors[j] = exc
             continue

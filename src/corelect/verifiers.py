@@ -29,30 +29,36 @@ with endowment k' = floor(|S| k / n), blocks W when for EVERY
 k'-completable planner reply hatW SOME W' (|W'| <= k', hatW + W'
 feasible) satisfies S.
 - The mask space is every committee of at most k candidates, in
-  canonical order; committee t of the space is bit t of a Python int
-  "space vector".  Feasibility is one boolean array over the space
+  canonical order; a committee is known by its index t there.
+  Feasibility is one boolean array over the space
   (``constraints.feasible_masks``), computed once per check.
 - A k' table holds the k'-completable hatW (a subset of W, or any
-  committee in ``any_hatW`` mode) and, for each, the space vector of its
-  feasible T = hatW + W'.  Among the committees holding hatW, space order
-  is the enumeration order of W', so each row is read off a (hatW x
-  committee) containment matrix, one block of hatW at a time.
-- A notion supplies ``requirement(S)`` and ``meets(requirement)``, the
-  space vector of the T that meet it.  For the core, the requirement is
-  the bitmask of S's voter classes (voters with equal oracle and
-  threshold), and ``meets`` the AND of their vectors; a class's vector
-  is built the first time a requirement reaches it.  For EJR it is (A_S,
-  max u_i(W) + 1), met when |A_S & T| reaches the count.
-- A hatW completes at the lowest bit of its row AND that vector, and the
-  table completes when every row has one.  Coalitions are scanned in
-  canonical order, memoized on (k', requirement), each table is built
-  once, and the checkers and the ``blocks_restrained_*`` replay
-  predicates all run through this engine.
-- An oracle without a vectorised evaluator is evaluated mask by mask and
-  its failed evaluations are kept.  The engine then replays the order of
-  a lazy evaluation, which tests a T's untested classes of a requirement
-  lowest first and stops at a failure, and raises a failed evaluation
-  exactly when that evaluation reaches it.
+  committee in ``any_hatW`` mode) and, for each, the space indices of its
+  feasible T = hatW + W', with W' running over the subsets of at most k'
+  of the candidates outside hatW in canonical order, which is also the
+  space order of those T.  Each T is ranked into the space by the
+  combinatorial number system, so a table costs its entries, the count
+  that ``_restrained_work`` bounds.
+- A notion supplies ``requirement(S)`` and ``meets(requirement,
+  table)``, one flag per entry of the table.  For the core, the
+  requirement is the bitmask of S's voter classes (voters with equal
+  oracle and threshold), and an entry meets it when every such class
+  passes at its T; a class is evaluated the first time a requirement
+  reaches it, over the whole space in one step when its oracle has a
+  vectorised evaluator, otherwise mask by mask over the committees of
+  the tables it is tested on.  For EJR the requirement is (A_S, max
+  u_i(W) + 1), met when |A_S & T| reaches the count.
+- A hatW completes at its first entry that meets, and the table
+  completes when every hatW does.  Coalitions are scanned in canonical
+  order, memoized on (k', requirement), each table is built once, and
+  the checkers and the ``blocks_restrained_*`` replay predicates all run
+  through this engine.
+- An oracle whose evaluation may raise (a table, or a class overriding
+  ``numerator`` or ``value``) has its failed evaluations kept.  The
+  engine then replays the order of a lazy evaluation, which tests a T's
+  untested classes of a requirement lowest first and stops at a failure,
+  and raises a failed evaluation exactly when that evaluation reaches
+  it.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .constraints import feasible_masks, is_feasible, is_q_completable
+from .constraints import completable_masks, feasible_masks, is_feasible
 from .errors import (
     RuleMismatchError,
     canonical,
@@ -85,6 +91,7 @@ from .model import (
     exact_measure,
     floored_endowment,
     gain_threshold,
+    may_raise,
     meets_threshold,
     vectorised,
 )
@@ -142,27 +149,85 @@ def _at_least_one(value, name: str) -> Fraction:
 
 class _Space:
     """The committees of at most ``top`` of an instance's candidates, as
-    bitmasks over the sorted candidates in canonical order (``masks``),
-    with their sizes; layer s is masks[bounds[s]:bounds[s + 1]]."""
+    bitmasks over the sorted candidates in canonical order (``masks``);
+    layer s is masks[bounds[s]:bounds[s + 1]].  A committee is also read
+    as the sorted positions of its members in the universe, and
+    ``index`` ranks such rows back to their place in the space."""
 
     def __init__(self, instance, top: int):
         self.universe = tuple(sorted(instance.candidates))
-        m = len(self.universe)
+        self.m = m = len(self.universe)
         layers = _layers(m) if top >= m else _layers(m, top)
-        lengths = [len(x) for x in layers]
         self.masks = np.concatenate(layers)
-        self.sizes = np.repeat(np.arange(len(layers)), lengths)
-        self.bounds = list(itertools.accumulate(lengths, initial=0))
+        self.bounds = list(itertools.accumulate(map(len, layers), initial=0))
+        self.position = {c: i for i, c in enumerate(self.universe)}
         self.bit = {c: 1 << i for i, c in enumerate(self.universe)}
 
     def layer(self, size: int):
         return self.masks[self.bounds[size] : self.bounds[size + 1]]
 
-    def mask(self, T) -> int:
-        return sum(self.bit[c] for c in T)
-
     def members(self, mask) -> frozenset:
         return members(self.universe, int(mask))
+
+    @functools.cached_property
+    def committees(self) -> list:
+        """The members of each committee of the space, built the first
+        time an oracle is evaluated mask by mask and shared by all such."""
+        return list(subsets(self.universe, range(len(self.bounds) - 1)))
+
+    @functools.cached_property
+    def _ranks(self) -> tuple:
+        # binomials C(a, b) for a < m and b up to the top size; row m, read
+        # as row -1 by a padding position m, stays zero
+        top = len(self.bounds) - 2
+        binom = np.zeros((self.m + 1, top + 1), np.int64)
+        for a in range(self.m):
+            binom[a] = [math.comb(a, b) for b in range(top + 1)]
+        return binom, np.array(self.bounds[1:], np.int64) - 1
+
+    def index(self, positions, sizes):
+        """The space index of each committee given by the sorted positions
+        of its members (a row of ``positions``, padded with m) and its size
+        (``sizes``, broadcast against the rows).  Within a size layer t the
+        order is lexicographic, so a committee c_0 < ... < c_{t-1} sits at
+        C(m, t) - 1 - sum_i C(m - 1 - c_i, t - i) (the combinatorial number
+        system)."""
+        binom, last = self._ranks
+        sizes = np.asarray(sizes)
+        cols = sizes[..., None] - np.arange(positions.shape[-1])
+        return last[sizes] - binom[self.m - 1 - positions, cols].sum(axis=-1)
+
+    def index_of(self, T) -> int:
+        """The space index of the committee T."""
+        top = len(self.bounds) - 2
+        row = sorted(self.position[c] for c in T)
+        positions = np.array([row + [self.m] * (top - len(row))], np.int64)
+        return int(self.index(positions, [len(row)])[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _combinations(n: int, r: int):
+    """The r-subsets of range(n) in lexicographic order, as a read-only
+    (C(n, r), r) array."""
+    count = math.comb(n, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    out = np.fromiter(flat, np.int64, count * r).reshape(count, r)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _extensions(n: int, top: int) -> tuple:
+    """(patterns, sizes): the subsets of range(n) of at most ``top``
+    members in canonical order, as rows padded with n to width ``top``,
+    and their sizes."""
+    sizes = range(min(top, n) + 1)
+    patterns = np.concatenate(
+        [np.pad(_combinations(n, r), ((0, 0), (0, top - r)), constant_values=n) for r in sizes]
+    )
+    counts = np.repeat(np.arange(len(sizes)), [math.comb(n, r) for r in sizes])
+    patterns.flags.writeable = counts.flags.writeable = False
+    return patterns, counts
 
 
 def _require_candidates(instance, W):
@@ -279,9 +344,12 @@ def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition
     for size in range(1, len(space.bounds) - 1):
         layer = space.layer(size)
         count = np.zeros(len(layer), dtype=np.int64)
-        sat, errors = [], {}
+        sat, errors, committees = [], {}, None
         for u, bar, strict in tests:
-            ok, failed = meets_threshold(u, space.universe, layer, bar, strict)
+            if committees is None and not vectorised(u, layer):
+                # the layer's members, built once for every oracle tested mask by mask
+                committees = list(subsets(space.universe, [size]))
+            ok, failed = meets_threshold(u, space.universe, layer, bar, strict, committees)
             sat.append(ok)
             count += ok
             for j, exc in failed.items():
@@ -360,11 +428,6 @@ def check_endowment_core(
 # ---------------------------------------------------------------------------
 
 
-def _bits(ok) -> int:
-    """A boolean vector over the space as an int, bit t for ok[t]."""
-    return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
-
-
 def _indices(bits: int):
     """The set bits of ``bits``, ascending."""
     while bits:
@@ -373,16 +436,39 @@ def _indices(bits: int):
         bits ^= low
 
 
+@dataclass
+class _Table:
+    """A k' table: ``hats``, the space indices of its k'-completable hatW
+    in enumeration order, and ``entries``, for each hatW in turn the space
+    indices of its feasible T = hatW + W' in the enumeration order of W';
+    the r-th hatW's are entries[starts[r]:starts[r + 1]]."""
+
+    hats: np.ndarray
+    entries: np.ndarray
+    starts: np.ndarray
+
+    @functools.cached_property
+    def row_of(self):
+        """The hatW of each entry."""
+        return np.repeat(np.arange(len(self.hats)), np.diff(self.starts))
+
+    @functools.cached_property
+    def domain(self):
+        """The distinct committees among the entries."""
+        return np.unique(self.entries)
+
+
 def _core_test(instance, W, voters, space, gamma):
     """(requirement, meets, audit) of the gamma-restrained core.
 
     Voters with identical oracles and thresholds form one class, so a
-    coalition requires the bitmask of its classes.  Each class has one
-    bit vector over the space, bit t set when the class reaches
-    gamma*(u_i(W)+1) at the t-th committee, built the first time a
-    requirement reaches the class; ``meets`` returns the AND of the
-    vectors of the classes required.  ``audit`` is None unless some class
-    is evaluated mask by mask (see ``_audit``).
+    coalition requires the bitmask of its classes, and ``meets(req,
+    table)`` tells for each entry of a table whether its T brings every
+    class of req to gamma*(u_i(W)+1).  A class is evaluated the first time
+    a requirement reaches it: over the whole space in one step when its
+    oracle has a vectorised evaluator, otherwise mask by mask over the
+    committees of the tables it is tested on.  ``audit`` is None unless
+    some class's evaluation may raise (see ``_audit``).
     """
     classes, class_of, tests = {}, {}, []
     for i in voters:
@@ -392,10 +478,17 @@ def _core_test(instance, W, voters, space, gamma):
         c = class_of[i] = classes.setdefault((u.key(), bar), len(classes))
         if c == len(tests):
             tests.append((u, bar))
-    passes = [None] * len(tests)  # class -> its vector, once built
-    failed = [0] * len(tests)  # class -> the committees whose evaluation failed
+    whole = [vectorised(u, space.masks) for u, _ in tests]
+    values = [None] * len(tests)  # class -> 1 passes, 0 fails, -1 unevaluated, per committee
     errors = {}  # (class, committee) -> the failed evaluation
-    everything = (1 << len(space.masks)) - 1
+
+    def evaluate(c, ts):
+        u, bar = tests[c]
+        committees = None if whole[c] else [space.committees[t] for t in ts.tolist()]
+        ok, errs = meets_threshold(u, space.universe, space.masks[ts], bar, False, committees)
+        values[c][ts] = ok
+        for j, exc in errs.items():
+            errors[c, int(ts[j])] = exc
 
     def requirement(S):
         mask = 0
@@ -403,25 +496,26 @@ def _core_test(instance, W, voters, space, gamma):
             mask |= 1 << class_of[i]
         return mask
 
-    def meets(req):
-        ok = everything
+    def meets(req, table):
+        hit = np.ones(len(table.entries), dtype=bool)
         for c in _indices(req):
-            if passes[c] is None:
-                u, bar = tests[c]
-                vector, errs = meets_threshold(u, space.universe, space.masks, bar)
-                passes[c] = _bits(vector)
-                for t, exc in errs.items():
-                    failed[c] |= 1 << t
-                    errors[c, t] = exc
-            ok &= passes[c]
-        return ok
+            if values[c] is None:
+                values[c] = np.full(len(space.masks), -1, dtype=np.int8)
+                if whole[c]:
+                    evaluate(c, np.arange(len(space.masks)))
+            if not whole[c]:
+                todo = table.domain[values[c][table.domain] < 0]
+                if len(todo):
+                    evaluate(c, todo)
+            hit &= values[c][table.entries] > 0
+        return hit
 
-    if all(vectorised(u, space.masks) for u, _ in tests):
+    if not any(may_raise(u) for u, _ in tests):
         return requirement, meets, None
-    return requirement, meets, _audit(passes, failed, errors)
+    return requirement, meets, _audit(values, errors)
 
 
-def _audit(passes, failed, errors):
+def _audit(values, errors):
     """audit(req, visited): raise the failed evaluation that testing each
     visited committee against req, in order and lazily, would reach.
 
@@ -438,8 +532,8 @@ def _audit(passes, failed, errors):
             if known.get(t, 0) & req:
                 continue
             for c in _indices(req):
-                if not passes[c] >> t & 1:
-                    if failed[c] >> t & 1:
+                if values[c][t] <= 0:
+                    if (c, t) in errors:
                         raise errors[c, t]
                     known[t] = known.get(t, 0) | 1 << c
                     break
@@ -473,66 +567,89 @@ def _ejr_test(instance, W, voters, space):
             return None
         return A_S, threshold
 
-    def meets(req):
+    def meets(req, table):
         A_S, threshold = req
-        return _bits(popcount(space.masks & (A_S & within)) >= threshold)
+        return popcount(space.masks[table.entries] & (A_S & within)) >= threshold
 
     return requirement, meets, None
 
 
-# a block of a table's (hatW x committee) matrix holds at most this many entries
+# a block of W' extensions holds at most this many member positions
 _BLOCK = 1 << 16
 
 
-def _completion_table(instance, W, kprime, mode, space, feasible, cert=None) -> tuple:
-    """The k' table (hats, rows): the space indices of every k'-completable
-    hatW of size <= k - k' (a subset of W, or any committee in
-    ``any_hatW`` mode), in enumeration order, and for each the bitmask over
-    the space of its entries: the feasible T = hatW + W' with |W'| <= k',
-    or with ``cert`` only hatW + cert[hatW], for a certified W' of at most
-    k' candidates."""
-    P, masks, sizes = instance.feasibility, space.masks, space.sizes
-    pool = space.mask(W) if mode == "subset_of_W" else space.mask(space.universe)
-    hats = np.flatnonzero(((masks & ~pool) == 0) & (sizes <= instance.k - kprime))
-    if P.is_downward_closed:
-        # any completion contains hatW, so hatW itself must be feasible
-        hats = hats[feasible[hats]].tolist()
-    else:
-        hats = [
-            h
-            for h in hats.tolist()
-            if is_q_completable(P, space.members(masks[h]), kprime, instance.candidates)[0]
-        ]
-    if cert is not None:
-        targets = np.array([_certified(space, masks[h], cert, kprime) for h in hats], masks.dtype)
-    rows = []
-    step = max(1, _BLOCK // len(masks))
-    for lo in range(0, len(hats), step):
-        block = hats[lo : lo + step]
-        if cert is None:
-            hat = masks[block][:, None]
-            entries = ((masks & hat) == hat) & (sizes <= sizes[block][:, None] + kprime)
+def _completion_table(instance, W, kprime, mode, space, feasible, cert=None) -> _Table:
+    """The k' table of every k'-completable hatW of size <= k - k' (a
+    subset of W, or any committee in ``any_hatW`` mode) with, as its
+    entries, the feasible T = hatW + W' for the W' of at most k' of the
+    candidates outside hatW or, with ``cert``, for the certified W' alone
+    when it has at most k' candidates.  The hatW of one size are extended
+    together, one block at a time, so a table costs its entries, not its
+    hatW times the space."""
+    P, m = instance.feasibility, space.m
+    if mode == "subset_of_W":
+        pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
+    hats, entries, counts = [], [], []
+    for size in range(min(instance.k - kprime, m) + 1):
+        if mode == "subset_of_W":
+            H = pool[_combinations(len(pool), size)]
+            index = space.index(H, size)
         else:
-            entries = masks == targets[lo : lo + step, None]
-        packed = np.packbits(entries & feasible, axis=1, bitorder="little")
-        width = packed.shape[1]
-        data = packed.tobytes()
-        rows += [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
-    return hats, rows
+            H = _combinations(m, size)
+            index = np.arange(space.bounds[size], space.bounds[size + 1])
+        keep = completable_masks(P, space.universe, space.masks[index], kprime, feasible[index])
+        H, index = H[keep], index[keep]
+        hats.append(index)
+        if cert is None:
+            _extend(space, H, kprime, feasible, entries, counts)
+    hats = np.concatenate(hats)
+    if cert is not None:
+        for h in hats.tolist():
+            t = _certified(space, h, cert, kprime)
+            entries.append(np.array([t] if t >= 0 and feasible[t] else [], dtype=np.int64))
+            counts.append([len(entries[-1])])
+    starts = np.concatenate(([0], np.cumsum(np.concatenate(counts or [[]])))).astype(np.int64)
+    return _Table(hats, np.concatenate(entries or [[]]).astype(np.int64), starts)
 
 
-def _certified(space, hat: int, cert: dict, kprime: int) -> int:
-    """hatW + cert[hatW], or -1 when there is no certified W' of at most
-    k' candidates."""
-    wprime = cert.get(space.members(hat))
+def _extend(space, H, kprime, feasible, entries, counts):
+    """Append to ``entries`` the space indices of the feasible T = hatW +
+    W' for each hatW given by its sorted member positions (the rows of H)
+    and every W' of at most k' of the candidates outside hatW, in W'
+    order, and to ``counts`` how many each hatW has.
+
+    W' is taken as positions among the m - h free slots of a hatW of size
+    h; the j-th free slot is j + #{i : H[i] - i <= j}, which maps the
+    padding n = m - h to m."""
+    size = H.shape[1]
+    patterns, sizes = _extensions(space.m - size, kprime)
+    shifts = H - np.arange(size)
+    step = max(1, _BLOCK // (len(patterns) * max(1, size + kprime)))
+    for lo in range(0, len(H), step):
+        hat, shift = H[lo : lo + step], shifts[lo : lo + step]
+        wprime = np.repeat(patterns[None], len(hat), axis=0)
+        for i in range(size):
+            wprime += shift[:, i, None, None] <= patterns
+        T = np.concatenate((np.repeat(hat[:, None], len(patterns), axis=1), wprime), axis=2)
+        T.sort(axis=2)
+        index = space.index(T, sizes + size)
+        ok = feasible[index]
+        entries.append(index[ok])
+        counts.append(ok.sum(axis=1))
+
+
+def _certified(space, h: int, cert: dict, kprime: int) -> int:
+    """The space index of hatW + cert[hatW] for the hatW at index h, or -1
+    when there is no certified W' of at most k' candidates."""
+    wprime = cert.get(space.members(space.masks[h]))
     if wprime is None or len(wprime) > kprime or not set(wprime) <= space.bit.keys():
         return -1
-    return int(hat) | space.mask(wprime)
+    return space.index_of(space.members(space.masks[h]) | frozenset(wprime))
 
 
-def _complete(rows, ok: int, req=None, audit=None):
-    """For ALL hatW of a table, its first entry whose T meets (bit T of
-    ``ok``).
+def _complete(table: _Table, hit, req=None, audit=None):
+    """For ALL hatW of a table, its first entry whose T meets (``hit``,
+    one flag per entry).
 
     Returns (firsts, visited): the space indices of those T, or None when
     some hatW has none or there is no hatW at all; and the entries
@@ -540,24 +657,30 @@ def _complete(rows, ok: int, req=None, audit=None):
     stopping after the first hatW with none.  ``audit`` checks the
     visited committees against req in that order.
     """
-    firsts, visited = [], 0
-    for row in rows:
-        hit = row & ok
-        first = hit & -hit
-        seen = row & (first << 1) - 1 if hit else row
-        visited += seen.bit_count()
-        if audit is not None:
-            audit(req, _indices(seen))
-        if not hit:
-            return None, visited
-        firsts.append(first.bit_length() - 1)
-    return firsts or None, visited
+    starts = table.starts
+    first = np.flatnonzero(hit)
+    rows = table.row_of[first]
+    lead = np.ones(len(rows), dtype=bool)
+    lead[1:] = rows[1:] != rows[:-1]
+    rows, first = rows[lead], first[lead]  # each hatW with a hit, at its first
+    gap = np.flatnonzero(rows != np.arange(len(rows)))
+    done = int(gap[0]) if len(gap) else len(rows)  # hatW 0..done-1 complete
+    ends = first[:done] + 1
+    if done < len(table.hats):
+        ends = np.append(ends, starts[done + 1])
+    visited = int((ends - starts[: len(ends)]).sum())
+    if audit is not None:
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            audit(req, table.entries[lo:hi].tolist())
+    if done < len(table.hats) or done == 0:
+        return None, visited
+    return table.entries[first].tolist(), visited
 
 
-def _completions(space, hats, firsts, cert=None) -> dict:
+def _completions(space, table: _Table, firsts, cert=None) -> dict:
     """hatW -> its completing W', in enumeration order."""
     completions = {}
-    for h, t in zip(hats, firsts):
+    for h, t in zip(table.hats.tolist(), firsts):
         hat = space.members(space.masks[h])
         if cert is not None:
             completions[hat] = cert[hat]
@@ -580,11 +703,11 @@ def _blocks_restrained(instance, W, S, mode, cert, test, what):
         return False, None
     _require_candidates(instance, W)
     feasible = feasible_masks(instance.feasibility, space.universe, space.masks)
-    hats, rows = _completion_table(instance, W, kprime, mode, space, feasible, cert)
-    firsts, _ = _complete(rows, meets(req), req, audit)
+    table = _completion_table(instance, W, kprime, mode, space, feasible, cert)
+    firsts, _ = _complete(table, meets(req, table), req, audit)
     if firsts is None:
         return False, None
-    return True, _completions(space, hats, firsts, cert)
+    return True, _completions(space, table, firsts, cert)
 
 
 def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
@@ -640,17 +763,17 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         key = (kprime, req)
         if key not in memo:
             if kprime not in tables:
-                hats, rows = tables[kprime] = _completion_table(
+                table = tables[kprime] = _completion_table(
                     instance, W, kprime, mode, space, feasible
                 )
-                assert hats, "a feasible W leaves every k' a completable hatW"
-                hatw_sets += len(hats)
-                entries += sum(row.bit_count() for row in rows)
-            memo[key], seen = _complete(tables[kprime][1], meets(req), req, audit)
+                assert len(table.hats), "a feasible W leaves every k' a completable hatW"
+                hatw_sets += len(table.hats)
+                entries += len(table.entries)
+            table = tables[kprime]
+            memo[key], seen = _complete(table, meets(req, table), req, audit)
             visited += seen
         if memo[key] is not None:
-            hats = tables[kprime][0]
-            witness = {"S": S, "completions": _completions(space, hats, memo[key])}
+            witness = {"S": S, "completions": _completions(space, tables[kprime], memo[key])}
             break
     wprime_sets = visited if count_visited else entries
     stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}

@@ -4,6 +4,7 @@ naive oracles."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,28 @@ def test_restrained_work_estimate_bounds_the_steps_taken(mode):
             assert estimate >= (1 << inst.n) + stats["hatw_sets"] + stats["wprime_sets"]
             checked += 1
     assert checked >= 60
+
+
+def test_an_any_hatW_check_with_more_voters_than_seats_keeps_to_its_estimate():
+    # n > k: every one-voter coalition has k' = 0, so its table takes every
+    # committee of at most 3 of the 60 candidates (37,882) as a hatW, each
+    # with one entry; a hatW x committee matrix would hold 37,882^2 flags
+    rng = rng_from_seed(7)
+    candidates = list(range(60))
+    utilities = [random_utility("approval", candidates, rng) for _ in range(4)]
+    inst = Instance(candidates, utilities, k=3, validate="trust")
+    estimate = _restrained_work(4, 60, 3, 60)
+    assert estimate <= WORK_LIMIT
+    tracemalloc.start()
+    try:
+        report = check_restrained_core(inst, {0, 1, 2}, 1, mode="any_hatW")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stats = report.stats
+    assert stats["hatw_sets"] >= subsets_up_to(60, 3)
+    assert (1 << 4) + stats["hatw_sets"] + stats["wprime_sets"] <= estimate
+    assert peak < 32 << 20
 
 
 def test_restrained_work_estimate_admits_four_voters_over_fourteen_candidates():
