@@ -241,33 +241,25 @@ def _count_rows(P: FeasibilityFamily, universe) -> Optional[list]:
     return None
 
 
-def feasible_masks(P: FeasibilityFamily, universe: Sequence[int], masks):
-    """``is_feasible(P, T)`` for the committee T of each bitmask (bit i
-    standing for ``universe[i]``), as one boolean array.  Cardinality,
-    partition, packing and covering families count members against row
-    masks; explicit and matroid-oracle families, and subclasses, are
-    decided mask by mask."""
+def feasibility_of_masks(P: FeasibilityFamily, universe: Sequence[int]):
+    """``is_feasible(P, T)`` as a function of an array of bitmasks (bit i
+    standing for ``universe[i]``), returning one boolean array.
+    Cardinality, partition, packing and covering families count members
+    against row masks, built here once; explicit and matroid-oracle
+    families, and subclasses, are decided mask by mask."""
     rows = _count_rows(P, universe)
-    if rows is None:
-        verdicts = (P.contains(members(universe, x)) for x in masks.tolist())
-        return np.fromiter(verdicts, bool, len(masks))
-    ok = popcount(masks) <= P.k
-    for row, least, most in rows:
-        held = popcount(masks & row)
-        ok &= held >= least if most is None else held <= most
-    return ok
 
+    def feasible(masks):
+        if rows is None:
+            verdicts = (P.contains(members(universe, x)) for x in masks.tolist())
+            return np.fromiter(verdicts, bool, len(masks))
+        ok = popcount(masks) <= P.k
+        for row, least, most in rows:
+            held = popcount(masks & row)
+            ok &= held >= least if most is None else held <= most
+        return ok
 
-def completable_masks(P: FeasibilityFamily, universe: Sequence[int], masks, q: int, feasible):
-    """``is_q_completable(P, T, q, universe)``'s verdict for the committee T
-    of each bitmask (bit i standing for ``universe[i]``), as one boolean
-    array, given ``feasible``, the ``feasible_masks`` of the same masks:
-    a downward-closed family's verdict is T's feasibility, any other
-    family's is searched committee by committee."""
-    if P.is_downward_closed:
-        return feasible
-    verdicts = (is_q_completable(P, members(universe, x), q, universe)[0] for x in masks.tolist())
-    return np.fromiter(verdicts, bool, len(masks))
+    return feasible
 
 
 def is_q_completable(

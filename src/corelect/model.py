@@ -598,6 +598,8 @@ def meets_threshold(
     given, so callers testing many oracles build them once), and
     ``errors`` maps the position of each mask whose evaluation raised
     ``MalformedUtilityError`` to its exception (ok is False there)."""
+    if not len(masks):
+        return np.zeros(0, dtype=bool), {}
     evaluator = _layer_evaluator(u, masks)
     if evaluator is not None:
         name, method = evaluator

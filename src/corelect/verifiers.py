@@ -28,30 +28,32 @@ The restrained core and restrained EJR share one engine: coalition S,
 with endowment k' = floor(|S| k / n), blocks W when for EVERY
 k'-completable planner reply hatW SOME W' (|W'| <= k', hatW + W'
 feasible) satisfies S.
-- The mask space is every committee of at most k candidates, in
-  canonical order; a committee is known by its index t there.
-  Feasibility is one boolean array over the space
-  (``constraints.feasible_masks``), computed once per check.
-- A k' table holds the k'-completable hatW (a subset of W, or any
-  committee in ``any_hatW`` mode) and, for each, the space indices of its
+- Feasibility is one test over arrays of committee masks
+  (``constraints.feasibility_of_masks``), built once per check.
+- The k' table holds the k'-completable hatW (a subset of W, or any
+  committee in ``any_hatW`` mode) and, for each, its entries: the
   feasible T = hatW + W', with W' running over the subsets of at most k'
-  of the candidates outside hatW in canonical order, which is also the
-  space order of those T.  Each T is ranked into the space by the
-  combinatorial number system, so a table costs its entries, the count
-  that ``_restrained_work`` bounds.
-- A notion supplies ``requirement(S)`` and ``meets(requirement,
-  table)``, one flag per entry of the table.  For the core, the
-  requirement is the bitmask of S's voter classes (voters with equal
-  oracle and threshold), and an entry meets it when every such class
-  passes at its T; a class is evaluated the first time a requirement
-  reaches it, over the whole space in one step when its oracle has a
-  vectorised evaluator, otherwise mask by mask over the committees of
-  the tables it is tested on.  For EJR the requirement is (A_S, max
-  u_i(W) + 1), met when |A_S & T| reaches the count.
+  of the candidates outside hatW in canonical order, so hatW is
+  k'-completable exactly when it has an entry.  A hatW is extended once
+  for every table that takes it, by the W' of the largest such k', and
+  each smaller k' reads a prefix of its extension; a table costs its
+  entries, the count that ``_restrained_work`` bounds, and no set of
+  committees beyond them is built.
+- A verdict on the entries is one int, each hatW's extension taking
+  consecutive bits followed by a guard bit.  A notion supplies
+  ``requirement(S)`` and ``meets(requirement, tables)``, the verdict of
+  the entries whose T meets it.  For the core, the requirement is the
+  bitmask of S's voter classes (voters with equal oracle and threshold)
+  and ``meets`` the AND of their verdicts; a class is evaluated on the
+  entries the first time a requirement reaches it, in one step when its
+  oracle has a vectorised evaluator, otherwise mask by mask.  For EJR
+  the requirement is (A_S, max u_i(W) + 1), met when |A_S & T| reaches
+  the count.
 - A hatW completes at its first entry that meets, and the table
-  completes when every hatW does.  Coalitions are scanned in canonical
-  order, memoized on (k', requirement), each table is built once, and
-  the checkers and the ``blocks_restrained_*`` replay predicates all run
+  completes when every hatW does; a few integer operations on the
+  verdict decide every hatW at once (``_complete``).  Coalitions are
+  scanned in canonical order, memoized on (k', requirement), and the
+  checkers and the ``blocks_restrained_*`` replay predicates all run
   through this engine.
 - An oracle whose evaluation may raise (a table, or a class overriding
   ``numerator`` or ``value``) has its failed evaluations kept.  The
@@ -73,7 +75,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .constraints import completable_masks, feasible_masks, is_feasible
+from .constraints import feasibility_of_masks, is_feasible
 from .errors import (
     RuleMismatchError,
     canonical,
@@ -148,61 +150,29 @@ def _at_least_one(value, name: str) -> Fraction:
 
 
 class _Space:
-    """The committees of at most ``top`` of an instance's candidates, as
-    bitmasks over the sorted candidates in canonical order (``masks``);
-    layer s is masks[bounds[s]:bounds[s + 1]].  A committee is also read
-    as the sorted positions of its members in the universe, and
-    ``index`` ranks such rows back to their place in the space."""
+    """An instance's sorted candidates, with committees as bitmasks over
+    them (bit i standing for the i-th): int64 masks up to 63 candidates,
+    Python ints (object arrays) beyond, as in ``model._layers``."""
 
-    def __init__(self, instance, top: int):
+    def __init__(self, instance):
         self.universe = tuple(sorted(instance.candidates))
         self.m = m = len(self.universe)
-        layers = _layers(m) if top >= m else _layers(m, top)
-        self.masks = np.concatenate(layers)
-        self.bounds = list(itertools.accumulate(map(len, layers), initial=0))
         self.position = {c: i for i, c in enumerate(self.universe)}
         self.bit = {c: 1 << i for i, c in enumerate(self.universe)}
+        # the bit of each position, and none for the padding position m
+        self.bits = np.array([1 << i for i in range(m)] + [0], np.int64 if m < 64 else object)
 
-    def layer(self, size: int):
-        return self.masks[self.bounds[size] : self.bounds[size + 1]]
+    def layers(self, top: int) -> tuple:
+        """The masks of each committee size 0..min(top, m), in canonical order."""
+        return _layers(self.m) if top >= self.m else _layers(self.m, top)
+
+    def masks(self, positions):
+        """The mask of each committee given by the positions of its
+        members (a row of ``positions``, padded with m)."""
+        return self.bits[positions].sum(axis=-1)
 
     def members(self, mask) -> frozenset:
         return members(self.universe, int(mask))
-
-    @functools.cached_property
-    def committees(self) -> list:
-        """The members of each committee of the space, built the first
-        time an oracle is evaluated mask by mask and shared by all such."""
-        return list(subsets(self.universe, range(len(self.bounds) - 1)))
-
-    @functools.cached_property
-    def _ranks(self) -> tuple:
-        # binomials C(a, b) for a < m and b up to the top size; row m, read
-        # as row -1 by a padding position m, stays zero
-        top = len(self.bounds) - 2
-        binom = np.zeros((self.m + 1, top + 1), np.int64)
-        for a in range(self.m):
-            binom[a] = [math.comb(a, b) for b in range(top + 1)]
-        return binom, np.array(self.bounds[1:], np.int64) - 1
-
-    def index(self, positions, sizes):
-        """The space index of each committee given by the sorted positions
-        of its members (a row of ``positions``, padded with m) and its size
-        (``sizes``, broadcast against the rows).  Within a size layer t the
-        order is lexicographic, so a committee c_0 < ... < c_{t-1} sits at
-        C(m, t) - 1 - sum_i C(m - 1 - c_i, t - i) (the combinatorial number
-        system)."""
-        binom, last = self._ranks
-        sizes = np.asarray(sizes)
-        cols = sizes[..., None] - np.arange(positions.shape[-1])
-        return last[sizes] - binom[self.m - 1 - positions, cols].sum(axis=-1)
-
-    def index_of(self, T) -> int:
-        """The space index of the committee T."""
-        top = len(self.bounds) - 2
-        row = sorted(self.position[c] for c in T)
-        positions = np.array([row + [self.m] * (top - len(row))], np.int64)
-        return int(self.index(positions, [len(row)])[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,17 +187,17 @@ def _combinations(n: int, r: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _extensions(n: int, top: int) -> tuple:
-    """(patterns, sizes): the subsets of range(n) of at most ``top``
-    members in canonical order, as rows padded with n to width ``top``,
-    and their sizes."""
-    sizes = range(min(top, n) + 1)
+def _extensions(n: int, top: int):
+    """The subsets of range(n) of at most ``top`` members in canonical
+    order, as read-only rows padded with n to width ``top``."""
     patterns = np.concatenate(
-        [np.pad(_combinations(n, r), ((0, 0), (0, top - r)), constant_values=n) for r in sizes]
+        [
+            np.pad(_combinations(n, r), ((0, 0), (0, top - r)), constant_values=n)
+            for r in range(min(top, n) + 1)
+        ]
     )
-    counts = np.repeat(np.arange(len(sizes)), [math.comb(n, r) for r in sizes])
-    patterns.flags.writeable = counts.flags.writeable = False
-    return patterns, counts
+    patterns.flags.writeable = False
+    return patterns
 
 
 def _require_candidates(instance, W):
@@ -338,11 +308,12 @@ def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition
     before the witness, where a scan deciding T by T would reach it."""
     require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
     tests, (weights, A, B) = notion(instance, frozenset(W), param)
-    space = _Space(instance, max_size)
+    space = _Space(instance)
     least = 1 if min_coalition is None else max(1, math.ceil(min_coalition))
     witness, enumerated = None, 0
-    for size in range(1, len(space.bounds) - 1):
-        layer = space.layer(size)
+    for size, layer in enumerate(space.layers(max_size)):
+        if not size:
+            continue
         count = np.zeros(len(layer), dtype=np.int64)
         sat, errors, committees = [], {}, None
         for u, bar, strict in tests:
@@ -436,26 +407,91 @@ def _indices(bits: int):
         bits ^= low
 
 
-@dataclass
-class _Table:
-    """A k' table: ``hats``, the space indices of its k'-completable hatW
-    in enumeration order, and ``entries``, for each hatW in turn the space
-    indices of its feasible T = hatW + W' in the enumeration order of W';
-    the r-th hatW's are entries[starts[r]:starts[r + 1]]."""
+def _bits(flags) -> int:
+    """A boolean vector as an int, bit j for flags[j]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
-    hats: np.ndarray
-    entries: np.ndarray
-    starts: np.ndarray
 
-    @functools.cached_property
-    def row_of(self):
-        """The hatW of each entry."""
-        return np.repeat(np.arange(len(self.hats)), np.diff(self.starts))
+def _positions(bits: int, width: int):
+    """The set bits of ``bits``, all below ``width``, ascending."""
+    data = np.frombuffer(bits.to_bytes((width + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little"))
 
-    @functools.cached_property
-    def domain(self):
-        """The distinct committees among the entries."""
-        return np.unique(self.entries)
+
+class _Tables:
+    """The k' tables of a check, one for each k' in ``kprimes``
+    (ascending).
+
+    The k' table holds every k'-completable hatW of size <= k - k' (a
+    subset of W, or any committee in ``any_hatW`` mode), in enumeration
+    order (``hats[k']``), and for each its entries: the feasible T =
+    hatW + W' for the W' of at most k' of the candidates outside hatW, in
+    W' order, so that hatW is k'-completable exactly when it has one.
+    With ``cert`` (and one k'), only the T of hatW's certified W' stays,
+    when that has at most k' candidates.
+
+    A hatW of size h is extended once, by the W' of the largest k' whose
+    table takes it; the first subsets_up_to(m - h, k') of those are the W'
+    of a smaller k', so each table's entries of hatW are a prefix of its
+    extension.  ``entries`` holds the extensions end to end, and a verdict
+    on them is one int: each extension takes consecutive bits, followed
+    by a guard bit that no verdict sets.  ``starts[k']`` and ``ends[k']``
+    set the first bit and the bit past the last entry of each hatW of the
+    k' table, so that ``_complete`` decides all of them with a few integer
+    operations."""
+
+    def __init__(self, instance, W, kprimes, mode, space, cert=None):
+        feasible = feasibility_of_masks(instance.feasibility, space.universe)
+        if mode == "subset_of_W":
+            pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
+        else:
+            pool = np.arange(space.m)
+        hats, entries, held = [], [], []
+        for size in range(min(instance.k - kprimes[0], len(pool)) + 1):
+            takers = [kp for kp in kprimes if size <= instance.k - kp]
+            prefixes = [subsets_up_to(space.m - size, kp) - 1 for kp in takers]
+            H = pool[_combinations(len(pool), size)]
+            for hat, T, ok in _extend(space, feasible, H, takers[-1]):
+                count = np.zeros((len(hat), len(kprimes)), dtype=np.int64)
+                count[:, : len(takers)] = ok.cumsum(axis=1)[:, prefixes]
+                hats.append(hat)
+                entries.append(T[ok])
+                held.append(count)
+        held = np.concatenate(held)  # each hatW's entries in each k' table
+        full = held.max(axis=1)  # its extension's
+        hats, held, full = np.concatenate(hats)[full > 0], held[full > 0], full[full > 0]
+        takes = held > 0  # which tables take each hatW
+        self.entries = np.concatenate(entries)
+        if cert is not None:
+            (kp,) = kprimes
+            targets = [_certified(space, h, cert, kp) for h in hats.tolist()]
+            found = np.array([t is not None for t in targets], dtype=bool)
+            T = np.array([t for t in targets if t is not None], dtype=hats.dtype)
+            ok = feasible(T)
+            self.entries = T[ok]
+            full = np.zeros(len(hats), dtype=np.int64)
+            full[found] = ok
+            held = full[:, None]
+        self.width = len(self.entries) + len(hats)
+        first = np.cumsum(full + 1) - full - 1  # each extension's first bit
+        self.slots = np.arange(len(self.entries)) + np.repeat(np.arange(len(hats)), full)
+        self.entry_at = np.zeros(self.width, dtype=np.int64)  # the entry at each slot
+        self.entry_at[self.slots] = np.arange(len(self.entries))
+        self.hats, self.sizes = {}, {}
+        marks = np.zeros((len(kprimes), 2, self.width), dtype=bool)
+        for j, kp in enumerate(kprimes):
+            rows = np.flatnonzero(takes[:, j])
+            self.hats[kp], self.sizes[kp] = hats[rows], int(held[rows, j].sum())
+            marks[j, 0, first[rows]] = marks[j, 1, first[rows] + held[rows, j]] = True
+        packed = np.packbits(marks, axis=2, bitorder="little")
+        bits = [[int.from_bytes(row.tobytes(), "little") for row in pair] for pair in packed]
+        self.starts, self.ends = (dict(zip(kprimes, side)) for side in zip(*bits))
+
+    def verdict(self, ok) -> int:
+        """The verdict of the entries with ok, one flag per entry."""
+        flags = np.zeros(self.width, dtype=bool)
+        flags[self.slots[ok]] = True
+        return _bits(flags)
 
 
 def _core_test(instance, W, voters, space, gamma):
@@ -463,12 +499,12 @@ def _core_test(instance, W, voters, space, gamma):
 
     Voters with identical oracles and thresholds form one class, so a
     coalition requires the bitmask of its classes, and ``meets(req,
-    table)`` tells for each entry of a table whether its T brings every
-    class of req to gamma*(u_i(W)+1).  A class is evaluated the first time
-    a requirement reaches it: over the whole space in one step when its
-    oracle has a vectorised evaluator, otherwise mask by mask over the
-    committees of the tables it is tested on.  ``audit`` is None unless
-    some class's evaluation may raise (see ``_audit``).
+    tables)`` is the verdict of the entries whose T brings every class of
+    req to gamma*(u_i(W)+1): the AND of the classes' verdicts.  A class is
+    evaluated on the entries the first time a requirement reaches it, in
+    one step when its oracle has a vectorised evaluator, otherwise mask
+    by mask.  ``audit`` is None unless some class's evaluation may raise
+    (see ``_audit``).
     """
     classes, class_of, tests = {}, {}, []
     for i in voters:
@@ -478,17 +514,10 @@ def _core_test(instance, W, voters, space, gamma):
         c = class_of[i] = classes.setdefault((u.key(), bar), len(classes))
         if c == len(tests):
             tests.append((u, bar))
-    whole = [vectorised(u, space.masks) for u, _ in tests]
-    values = [None] * len(tests)  # class -> 1 passes, 0 fails, -1 unevaluated, per committee
-    errors = {}  # (class, committee) -> the failed evaluation
-
-    def evaluate(c, ts):
-        u, bar = tests[c]
-        committees = None if whole[c] else [space.committees[t] for t in ts.tolist()]
-        ok, errs = meets_threshold(u, space.universe, space.masks[ts], bar, False, committees)
-        values[c][ts] = ok
-        for j, exc in errs.items():
-            errors[c, int(ts[j])] = exc
+    passes = [None] * len(tests)  # class -> whether it passes at each entry
+    verdicts = [None] * len(tests)  # class -> the same as a verdict
+    errors = {}  # (class, committee mask) -> the failed evaluation
+    committees = []  # the members of each entry, built once
 
     def requirement(S):
         mask = 0
@@ -496,28 +525,30 @@ def _core_test(instance, W, voters, space, gamma):
             mask |= 1 << class_of[i]
         return mask
 
-    def meets(req, table):
-        hit = np.ones(len(table.entries), dtype=bool)
+    def meets(req, tables):
+        hit = -1
         for c in _indices(req):
-            if values[c] is None:
-                values[c] = np.full(len(space.masks), -1, dtype=np.int8)
-                if whole[c]:
-                    evaluate(c, np.arange(len(space.masks)))
-            if not whole[c]:
-                todo = table.domain[values[c][table.domain] < 0]
-                if len(todo):
-                    evaluate(c, todo)
-            hit &= values[c][table.entries] > 0
+            if verdicts[c] is None:
+                u, bar = tests[c]
+                masks = tables.entries
+                if not vectorised(u, masks) and not committees:
+                    committees.extend(space.members(t) for t in masks.tolist())
+                ok, failed = meets_threshold(u, space.universe, masks, bar, False, committees)
+                for j, exc in failed.items():
+                    errors[c, int(masks[j])] = exc
+                passes[c], verdicts[c] = ok, tables.verdict(ok)
+            hit &= verdicts[c]
         return hit
 
     if not any(may_raise(u) for u, _ in tests):
         return requirement, meets, None
-    return requirement, meets, _audit(values, errors)
+    return requirement, meets, _audit(passes, errors)
 
 
-def _audit(values, errors):
-    """audit(req, visited): raise the failed evaluation that testing each
-    visited committee against req, in order and lazily, would reach.
+def _audit(passes, errors):
+    """audit(req, tables, seen): raise the failed evaluation that testing
+    the T of the entries in ``seen`` (bits of a verdict), in order and
+    lazily, against req would reach.
 
     A lazy test of T keeps the classes it has found failing at T.  Against
     req it stops at once when one of those is in req; otherwise it
@@ -525,14 +556,15 @@ def _audit(values, errors):
     first that does not pass, which then is known to fail at T, unless its
     evaluation failed: that is raised.
     """
-    known: dict = {}  # committee -> the classes known to fail there
+    known: dict = {}  # committee mask -> the classes known to fail there
 
-    def audit(req, visited):
-        for t in visited:
+    def audit(req, tables, seen):
+        visited = tables.entry_at[_positions(seen, tables.width)]
+        for j, t in zip(visited.tolist(), tables.entries[visited].tolist()):
             if known.get(t, 0) & req:
                 continue
             for c in _indices(req):
-                if values[c][t] <= 0:
+                if not passes[c][j]:
                     if (c, t) in errors:
                         raise errors[c, t]
                     known[t] = known.get(t, 0) | 1 << c
@@ -567,9 +599,9 @@ def _ejr_test(instance, W, voters, space):
             return None
         return A_S, threshold
 
-    def meets(req, table):
+    def meets(req, tables):
         A_S, threshold = req
-        return popcount(space.masks[table.entries] & (A_S & within)) >= threshold
+        return tables.verdict(popcount(tables.entries & (A_S & within)) >= threshold)
 
     return requirement, meets, None
 
@@ -578,114 +610,83 @@ def _ejr_test(instance, W, voters, space):
 _BLOCK = 1 << 16
 
 
-def _completion_table(instance, W, kprime, mode, space, feasible, cert=None) -> _Table:
-    """The k' table of every k'-completable hatW of size <= k - k' (a
-    subset of W, or any committee in ``any_hatW`` mode) with, as its
-    entries, the feasible T = hatW + W' for the W' of at most k' of the
-    candidates outside hatW or, with ``cert``, for the certified W' alone
-    when it has at most k' candidates.  The hatW of one size are extended
-    together, one block at a time, so a table costs its entries, not its
-    hatW times the space."""
-    P, m = instance.feasibility, space.m
-    if mode == "subset_of_W":
-        pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
-    hats, entries, counts = [], [], []
-    for size in range(min(instance.k - kprime, m) + 1):
-        if mode == "subset_of_W":
-            H = pool[_combinations(len(pool), size)]
-            index = space.index(H, size)
-        else:
-            H = _combinations(m, size)
-            index = np.arange(space.bounds[size], space.bounds[size + 1])
-        keep = completable_masks(P, space.universe, space.masks[index], kprime, feasible[index])
-        H, index = H[keep], index[keep]
-        hats.append(index)
-        if cert is None:
-            _extend(space, H, kprime, feasible, entries, counts)
-    hats = np.concatenate(hats)
-    if cert is not None:
-        for h in hats.tolist():
-            t = _certified(space, h, cert, kprime)
-            entries.append(np.array([t] if t >= 0 and feasible[t] else [], dtype=np.int64))
-            counts.append([len(entries[-1])])
-    starts = np.concatenate(([0], np.cumsum(np.concatenate(counts or [[]])))).astype(np.int64)
-    return _Table(hats, np.concatenate(entries or [[]]).astype(np.int64), starts)
-
-
-def _extend(space, H, kprime, feasible, entries, counts):
-    """Append to ``entries`` the space indices of the feasible T = hatW +
-    W' for each hatW given by its sorted member positions (the rows of H)
-    and every W' of at most k' of the candidates outside hatW, in W'
-    order, and to ``counts`` how many each hatW has.
+def _extend(space, feasible, H, top):
+    """Extend each hatW, given by its sorted member positions (a row of
+    H), by every W' of at most ``top`` of the candidates outside it, one
+    block of hatW at a time: yield, per block, the masks of its hatW and,
+    one row per hatW in W' order, the masks of T = hatW + W' and whether
+    each T is feasible.
 
     W' is taken as positions among the m - h free slots of a hatW of size
     h; the j-th free slot is j + #{i : H[i] - i <= j}, which maps the
-    padding n = m - h to m."""
+    padding m - h to m."""
     size = H.shape[1]
-    patterns, sizes = _extensions(space.m - size, kprime)
+    patterns = _extensions(space.m - size, top)
     shifts = H - np.arange(size)
-    step = max(1, _BLOCK // (len(patterns) * max(1, size + kprime)))
+    step = max(1, _BLOCK // (len(patterns) * max(1, top)))
     for lo in range(0, len(H), step):
-        hat, shift = H[lo : lo + step], shifts[lo : lo + step]
-        wprime = np.repeat(patterns[None], len(hat), axis=0)
+        shift = shifts[lo : lo + step]
+        wprime = np.repeat(patterns[None], len(shift), axis=0)
         for i in range(size):
             wprime += shift[:, i, None, None] <= patterns
-        T = np.concatenate((np.repeat(hat[:, None], len(patterns), axis=1), wprime), axis=2)
-        T.sort(axis=2)
-        index = space.index(T, sizes + size)
-        ok = feasible[index]
-        entries.append(index[ok])
-        counts.append(ok.sum(axis=1))
+        hat = space.masks(H[lo : lo + step])
+        T = hat[:, None] | space.masks(wprime)
+        yield hat, T, feasible(T.ravel()).reshape(T.shape)
 
 
-def _certified(space, h: int, cert: dict, kprime: int) -> int:
-    """The space index of hatW + cert[hatW] for the hatW at index h, or -1
-    when there is no certified W' of at most k' candidates."""
-    wprime = cert.get(space.members(space.masks[h]))
+def _certified(space, hat: int, cert: dict, kprime: int):
+    """hatW + cert[hatW] as a mask, or None when there is no certified W'
+    of at most k' candidates."""
+    wprime = cert.get(space.members(hat))
     if wprime is None or len(wprime) > kprime or not set(wprime) <= space.bit.keys():
-        return -1
-    return space.index_of(space.members(space.masks[h]) | frozenset(wprime))
+        return None
+    return hat | sum(space.bit[c] for c in wprime)
 
 
-def _complete(table: _Table, hit, req=None, audit=None):
-    """For ALL hatW of a table, its first entry whose T meets (``hit``,
-    one flag per entry).
+def _complete(tables: _Tables, kprime: int, hit: int, req=None, audit=None):
+    """For ALL hatW of the k' table, its first entry whose T meets (a bit
+    of ``hit``, a verdict).
 
-    Returns (firsts, visited): the space indices of those T, or None when
-    some hatW has none or there is no hatW at all; and the entries
-    visited, hatW by hatW in order, each up to the first that meets,
-    stopping after the first hatW with none.  ``audit`` checks the
-    visited committees against req in that order.
+    Returns (firsts, visited): the masks of those T, or None when some
+    hatW has none or there is no hatW at all; and the entries visited,
+    each hatW's up to its first hit or all of them, stopping after the
+    first hatW with none.  ``audit`` checks the visited entries against
+    req in that order.
+
+    Every hatW at once, with fill = ends - starts the bits of the table's
+    entries and hit within them: hit + fill carries into a hatW's end bit
+    exactly when it has a hit; hit & ~((hit | ends) - starts) keeps its
+    lowest hit; and from there ((lowest << 1) | ends) - starts spans its
+    entries up to that hit, or all of them when there is none.  No carry
+    or borrow crosses an end bit, which hit never holds.
     """
-    starts = table.starts
-    first = np.flatnonzero(hit)
-    rows = table.row_of[first]
-    lead = np.ones(len(rows), dtype=bool)
-    lead[1:] = rows[1:] != rows[:-1]
-    rows, first = rows[lead], first[lead]  # each hatW with a hit, at its first
-    gap = np.flatnonzero(rows != np.arange(len(rows)))
-    done = int(gap[0]) if len(gap) else len(rows)  # hatW 0..done-1 complete
-    ends = first[:done] + 1
-    if done < len(table.hats):
-        ends = np.append(ends, starts[done + 1])
-    visited = int((ends - starts[: len(ends)]).sum())
+    if not len(tables.hats[kprime]):
+        return None, 0
+    starts, ends = tables.starts[kprime], tables.ends[kprime]
+    fill = ends - starts
+    hit &= fill
+    missing = ends & ~(hit + fill)
+    lowest = hit & ~((hit | ends) - starts)
+    seen = ((lowest << 1 | ends) - starts) & fill
+    if missing:
+        seen &= (missing & -missing) - 1  # up to the first hatW without a hit
     if audit is not None:
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            audit(req, table.entries[lo:hi].tolist())
-    if done < len(table.hats) or done == 0:
-        return None, visited
-    return table.entries[first].tolist(), visited
+        audit(req, tables, seen)
+    if missing:
+        return None, seen.bit_count()
+    firsts = tables.entries[tables.entry_at[_positions(lowest, tables.width)]]
+    return firsts.tolist(), seen.bit_count()
 
 
-def _completions(space, table: _Table, firsts, cert=None) -> dict:
+def _completions(space, hats, firsts, cert=None) -> dict:
     """hatW -> its completing W', in enumeration order."""
     completions = {}
-    for h, t in zip(table.hats.tolist(), firsts):
-        hat = space.members(space.masks[h])
+    for h, t in zip(hats.tolist(), firsts):
+        hat = space.members(h)
         if cert is not None:
             completions[hat] = cert[hat]
         else:
-            completions[hat] = space.members(space.masks[t] ^ space.masks[h])
+            completions[hat] = space.members(t ^ h)
     return completions
 
 
@@ -696,18 +697,17 @@ def _blocks_restrained(instance, W, S, mode, cert, test, what):
     kprime = floored_endowment(len(S), instance.k, instance.n)
     pool = len(W) if mode == "subset_of_W" else instance.m
     require_work(_tables_work(1, {kprime}, instance.m, instance.k, pool), what)
-    space = _Space(instance, instance.k)
+    space = _Space(instance)
     requirement, meets, audit = test(instance, W, sorted(S), space)
     req = requirement(S)
     if req is None:
         return False, None
     _require_candidates(instance, W)
-    feasible = feasible_masks(instance.feasibility, space.universe, space.masks)
-    table = _completion_table(instance, W, kprime, mode, space, feasible, cert)
-    firsts, _ = _complete(table, meets(req, table), req, audit)
+    tables = _Tables(instance, W, [kprime], mode, space, cert)
+    firsts, _ = _complete(tables, kprime, meets(req, tables), req, audit)
     if firsts is None:
         return False, None
-    return True, _completions(space, table, firsts, cert)
+    return True, _completions(space, tables.hats[kprime], firsts, cert)
 
 
 def _restrained_work(n: int, m: int, k: int, pool: int) -> int:
@@ -744,14 +744,15 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     n, m, k = instance.n, instance.m, instance.k
     pool = len(W) if mode == "subset_of_W" else m
     require_work(_restrained_work(n, m, k, pool), f"the {notion} check")
-    space = _Space(instance, k)
+    space = _Space(instance)
     requirement, meets, audit = test(instance, W, range(n), space)
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")
     _require_candidates(instance, W)
-    feasible = feasible_masks(instance.feasibility, space.universe, space.masks)
+    kprimes = sorted({floored_endowment(size, k, n) for size in range(1, n + 1)})
+    tables = _Tables(instance, W, kprimes, mode, space)
     coalitions = hatw_sets = entries = visited = 0
-    tables: dict = {}
+    reached: set = set()
     memo: dict = {}
     witness = None
     for S in subsets(range(n), range(1, n + 1)):
@@ -762,18 +763,16 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         kprime = floored_endowment(len(S), k, n)
         key = (kprime, req)
         if key not in memo:
-            if kprime not in tables:
-                table = tables[kprime] = _completion_table(
-                    instance, W, kprime, mode, space, feasible
-                )
-                assert len(table.hats), "a feasible W leaves every k' a completable hatW"
-                hatw_sets += len(table.hats)
-                entries += len(table.entries)
-            table = tables[kprime]
-            memo[key], seen = _complete(table, meets(req, table), req, audit)
+            if kprime not in reached:
+                reached.add(kprime)
+                assert len(tables.hats[kprime]), "a feasible W leaves every k' a completable hatW"
+                hatw_sets += len(tables.hats[kprime])
+                entries += tables.sizes[kprime]
+            memo[key], seen = _complete(tables, kprime, meets(req, tables), req, audit)
             visited += seen
         if memo[key] is not None:
-            witness = {"S": S, "completions": _completions(space, tables[kprime], memo[key])}
+            completions = _completions(space, tables.hats[kprime], memo[key])
+            witness = {"S": S, "completions": completions}
             break
     wprime_sets = visited if count_visited else entries
     stats = {"coalitions": coalitions, "hatw_sets": hatw_sets, "wprime_sets": wprime_sets}

@@ -31,6 +31,7 @@ from corelect.serialize import save_instance
 from corelect.solvers import solve_global
 from corelect.verifiers import (
     _restrained_work,
+    _tables_work,
     blocks_restrained_core,
     blocks_restrained_ejr,
     check_core,
@@ -265,6 +266,25 @@ def test_an_any_hatW_check_with_more_voters_than_seats_keeps_to_its_estimate():
     assert stats["hatw_sets"] >= subsets_up_to(60, 3)
     assert (1 << 4) + stats["hatw_sets"] + stats["wprime_sets"] <= estimate
     assert peak < 32 << 20
+
+
+def test_a_restrained_replay_builds_its_one_table_and_nothing_wider():
+    # one voter of ten holds k' = 0, so the replay's table is the 64
+    # subsets of W, each its own only entry; the 768,212 committees of at
+    # most 6 of the 30 candidates are never built
+    rng = rng_from_seed(5)
+    candidates = list(range(30))
+    utilities = [random_utility("additive", candidates, rng) for _ in range(10)]
+    inst = Instance(candidates, utilities, k=6, validate="trust")
+    assert _tables_work(1, {0}, 30, 6, 6) == 129
+    tracemalloc.start()
+    try:
+        blocks, _ = blocks_restrained_core(inst, set(range(6)), 1, {0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not blocks
+    assert peak < 1 << 20
 
 
 def test_restrained_work_estimate_admits_four_voters_over_fourteen_candidates():
