@@ -523,25 +523,16 @@ def _layers(m: int, top: Optional[int] = None) -> tuple:
     Python ints (an object array) beyond.  Kept for the four most recent
     (m, top)."""
     sizes = m + 1 if top is None else top + 1
-    if m >= 64:
-        # size s, lowest member i: bit i joined to the size s - 1 masks
-        # whose members all exceed i, which end that layer
-        layers = [np.zeros(1, dtype=object)]
-        for s in range(1, min(sizes, m + 1)):
-            below = layers[-1]
-            layers.append(
-                np.concatenate(
-                    [below[len(below) - math.comb(m - 1 - i, s - 1) :] | 1 << i for i in range(m)]
-                )
+    layers = [np.zeros(1, dtype=np.int64 if m < 64 else object)]
+    for s in range(1, min(sizes, m + 1)):
+        # lowest member i: bit i joined to the size s - 1 masks whose
+        # members all exceed i, which end that layer
+        below = layers[-1]
+        layers.append(
+            np.concatenate(
+                [below[len(below) - math.comb(m - 1 - i, s - 1) :] | 1 << i for i in range(m)]
             )
-    else:
-        layers = [np.zeros(1, dtype=np.int64)]
-        for _ in range(m):
-            # a new first member: the subsets holding it come first in each size
-            up = [x << 1 for x in layers] + [np.zeros(0, dtype=np.int64)]
-            layers = [up[0]] + [
-                np.concatenate((up[s - 1] | 1, up[s])) for s in range(1, min(len(up), sizes))
-            ]
+        )
     for x in layers:
         x.flags.writeable = False
     return tuple(layers)
