@@ -248,15 +248,23 @@ def feasibility_of_masks(P: FeasibilityFamily, universe: Sequence[int]):
     against row masks, built here once; explicit and matroid-oracle
     families, and subclasses, are decided mask by mask."""
     rows = _count_rows(P, universe)
+    if rows is None:
 
-    def feasible(masks):
-        if rows is None:
+        def feasible(masks):
             verdicts = (P.contains(members(universe, x)) for x in masks.tolist())
             return np.fromiter(verdicts, bool, len(masks))
+
+        return feasible
+    wide = len(universe) >= 64
+    row_masks = np.array([row for row, _, _ in rows], dtype=object if wide else np.int64)
+    least = np.array([lo for _, lo, _ in rows], dtype=np.int64)
+    most = np.array([len(universe) if hi is None else hi for _, _, hi in rows], dtype=np.int64)
+
+    def feasible(masks):
         ok = popcount(masks) <= P.k
-        for row, least, most in rows:
-            held = popcount(masks & row)
-            ok &= held >= least if most is None else held <= most
+        if rows:
+            held = popcount((masks[:, None] & row_masks).ravel()).reshape(len(masks), len(rows))
+            ok &= ((held >= least) & (held <= most)).all(axis=1)
         return ok
 
     return feasible

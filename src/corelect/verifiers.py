@@ -187,17 +187,17 @@ def _combinations(n: int, r: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _extensions(n: int, top: int):
-    """The subsets of range(n) of at most ``top`` members in canonical
-    order, as read-only rows padded with n to width ``top``."""
+def _extensions(n: int, top: int) -> tuple:
+    """(patterns, ends): the subsets of range(n) of at most ``top``
+    members in canonical order, as read-only rows padded with n to width
+    ``top``, and for each r <= top how many have at most r members."""
+    sizes = range(min(top, n) + 1)
     patterns = np.concatenate(
-        [
-            np.pad(_combinations(n, r), ((0, 0), (0, top - r)), constant_values=n)
-            for r in range(min(top, n) + 1)
-        ]
+        [np.pad(_combinations(n, r), ((0, 0), (0, top - r)), constant_values=n) for r in sizes]
     )
-    patterns.flags.writeable = False
-    return patterns
+    ends = np.cumsum([math.comb(n, r) for r in range(top + 1)])
+    patterns.flags.writeable = ends.flags.writeable = False
+    return patterns, ends
 
 
 def _require_candidates(instance, W):
@@ -446,17 +446,22 @@ class _Tables:
             pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
         else:
             pool = np.arange(space.m)
-        hats, entries, held = [], [], []
+        blocks = []  # (the last W' of each table taking them, hatW masks, T masks)
         for size in range(min(instance.k - kprimes[0], len(pool)) + 1):
             takers = [kp for kp in kprimes if size <= instance.k - kp]
-            prefixes = [subsets_up_to(space.m - size, kp) - 1 for kp in takers]
+            ends = _extensions(space.m - size, takers[-1])[1]
             H = pool[_combinations(len(pool), size)]
-            for hat, T, ok in _extend(space, feasible, H, takers[-1]):
-                count = np.zeros((len(hat), len(kprimes)), dtype=np.int64)
-                count[:, : len(takers)] = ok.cumsum(axis=1)[:, prefixes]
-                hats.append(hat)
-                entries.append(T[ok])
-                held.append(count)
+            blocks += [(ends[takers] - 1, hat, T) for hat, T in _extend(space, H, takers[-1])]
+        ok = feasible(np.concatenate([T.ravel() for _, _, T in blocks]))
+        hats, entries, held, lo = [], [], [], 0
+        for last, hat, T in blocks:
+            fits = ok[lo : lo + T.size].reshape(T.shape)
+            lo += T.size
+            count = np.zeros((len(hat), len(kprimes)), dtype=np.int64)
+            count[:, : len(last)] = fits.cumsum(axis=1)[:, last]
+            hats.append(hat)
+            entries.append(T[fits])
+            held.append(count)
         held = np.concatenate(held)  # each hatW's entries in each k' table
         full = held.max(axis=1)  # its extension's
         hats, held, full = np.concatenate(hats)[full > 0], held[full > 0], full[full > 0]
@@ -477,15 +482,16 @@ class _Tables:
         self.slots = np.arange(len(self.entries)) + np.repeat(np.arange(len(hats)), full)
         self.entry_at = np.zeros(self.width, dtype=np.int64)  # the entry at each slot
         self.entry_at[self.slots] = np.arange(len(self.entries))
-        self.hats, self.sizes = {}, {}
-        marks = np.zeros((len(kprimes), 2, self.width), dtype=bool)
-        for j, kp in enumerate(kprimes):
-            rows = np.flatnonzero(takes[:, j])
-            self.hats[kp], self.sizes[kp] = hats[rows], int(held[rows, j].sum())
-            marks[j, 0, first[rows]] = marks[j, 1, first[rows] + held[rows, j]] = True
+        self.hats = {kp: hats[takes[:, j]] for j, kp in enumerate(kprimes)}
+        self.sizes = {kp: int(held[takes[:, j], j].sum()) for j, kp in enumerate(kprimes)}
+        rows, cols = np.nonzero(takes)  # hatW rows[i] is in the table of kprimes[cols[i]]
+        marks = np.zeros((2, len(kprimes), self.width), dtype=bool)
+        marks[0, cols, first[rows]] = marks[1, cols, first[rows] + held[rows, cols]] = True
         packed = np.packbits(marks, axis=2, bitorder="little")
-        bits = [[int.from_bytes(row.tobytes(), "little") for row in pair] for pair in packed]
-        self.starts, self.ends = (dict(zip(kprimes, side)) for side in zip(*bits))
+        self.starts, self.ends = (
+            {kp: int.from_bytes(row.tobytes(), "little") for kp, row in zip(kprimes, side)}
+            for side in packed
+        )
 
     def verdict(self, ok) -> int:
         """The verdict of the entries with ok, one flag per entry."""
@@ -610,18 +616,17 @@ def _ejr_test(instance, W, voters, space):
 _BLOCK = 1 << 16
 
 
-def _extend(space, feasible, H, top):
+def _extend(space, H, top):
     """Extend each hatW, given by its sorted member positions (a row of
     H), by every W' of at most ``top`` of the candidates outside it, one
     block of hatW at a time: yield, per block, the masks of its hatW and,
-    one row per hatW in W' order, the masks of T = hatW + W' and whether
-    each T is feasible.
+    one row per hatW in W' order, the masks of T = hatW + W'.
 
     W' is taken as positions among the m - h free slots of a hatW of size
     h; the j-th free slot is j + #{i : H[i] - i <= j}, which maps the
     padding m - h to m."""
     size = H.shape[1]
-    patterns = _extensions(space.m - size, top)
+    patterns = _extensions(space.m - size, top)[0]
     shifts = H - np.arange(size)
     step = max(1, _BLOCK // (len(patterns) * max(1, top)))
     for lo in range(0, len(H), step):
@@ -630,8 +635,7 @@ def _extend(space, feasible, H, top):
         for i in range(size):
             wprime += shift[:, i, None, None] <= patterns
         hat = space.masks(H[lo : lo + step])
-        T = hat[:, None] | space.masks(wprime)
-        yield hat, T, feasible(T.ravel()).reshape(T.shape)
+        yield hat, hat[:, None] | space.masks(wprime)
 
 
 def _certified(space, hat: int, cert: dict, kprime: int):
@@ -732,11 +736,13 @@ def _tables_work(coalitions: int, kprimes, m: int, k: int, pool: int) -> int:
 def _check_restrained(instance, W, notion, param, mode, flags, test, count_visited):
     """The one coalition scan: sizes ascending, then ids; the first
     coalition whose every hatW completes is the witness.  Coalitions with
-    equal (k', requirement) share a verdict, and each k' table is built
-    once.  ``_restrained_work`` bounds the steps, checked up front.
+    equal (k', requirement) share a verdict, and the tables are built
+    together when a first coalition has a requirement.
+    ``_restrained_work`` bounds the steps, checked up front.
 
     ``stats["wprime_sets"]`` counts every (hatW, W') entry of the tables
-    built or, with ``count_visited``, the entries visited completing them.
+    reached or, with ``count_visited``, the entries visited completing
+    them.
     """
     if mode not in ("subset_of_W", "any_hatW"):
         raise ValueError("mode must be subset_of_W or any_hatW")
@@ -750,7 +756,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         raise ValueError("W must itself be feasible")
     _require_candidates(instance, W)
     kprimes = sorted({floored_endowment(size, k, n) for size in range(1, n + 1)})
-    tables = _Tables(instance, W, kprimes, mode, space)
+    tables = None  # built when a first coalition has a requirement
     coalitions = hatw_sets = entries = visited = 0
     reached: set = set()
     memo: dict = {}
@@ -763,6 +769,8 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         kprime = floored_endowment(len(S), k, n)
         key = (kprime, req)
         if key not in memo:
+            if tables is None:
+                tables = _Tables(instance, W, kprimes, mode, space)
             if kprime not in reached:
                 reached.add(kprime)
                 assert len(tables.hats[kprime]), "a feasible W leaves every k' a completable hatW"
