@@ -736,8 +736,9 @@ def _tables_work(coalitions: int, kprimes, m: int, k: int, pool: int) -> int:
 def _check_restrained(instance, W, notion, param, mode, flags, test, count_visited):
     """The one coalition scan: sizes ascending, then ids; the first
     coalition whose every hatW completes is the witness.  Coalitions with
-    equal (k', requirement) share a verdict, and the tables are built
-    together when a first coalition has a requirement.
+    equal (k', requirement) share a verdict, and the tables of the k' it
+    can still reach are built together when a first coalition has a
+    requirement.
     ``_restrained_work`` bounds the steps, checked up front.
 
     ``stats["wprime_sets"]`` counts every (hatW, W') entry of the tables
@@ -756,7 +757,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         raise ValueError("W must itself be feasible")
     _require_candidates(instance, W)
     kprimes = sorted({floored_endowment(size, k, n) for size in range(1, n + 1)})
-    tables = None  # built when a first coalition has a requirement
+    tables = None
     coalitions = hatw_sets = entries = visited = 0
     reached: set = set()
     memo: dict = {}
@@ -770,7 +771,9 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
         key = (kprime, req)
         if key not in memo:
             if tables is None:
-                tables = _Tables(instance, W, kprimes, mode, space)
+                # k' never falls as coalitions grow: the first one reached is the least
+                reachable = [kp for kp in kprimes if kp >= kprime]
+                tables = _Tables(instance, W, reachable, mode, space)
             if kprime not in reached:
                 reached.add(kprime)
                 assert len(tables.hats[kprime]), "a feasible W leaves every k' a completable hatW"
