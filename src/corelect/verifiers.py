@@ -493,6 +493,12 @@ class _Tables:
             for side in packed
         )
 
+    @functools.cached_property
+    def distinct(self) -> tuple:
+        """(masks, where): the distinct committees among the entries, and
+        where each entry's is among them."""
+        return np.unique(self.entries, return_inverse=True)
+
     def verdict(self, ok) -> int:
         """The verdict of the entries with ok, one flag per entry."""
         flags = np.zeros(self.width, dtype=bool)
@@ -536,13 +542,14 @@ def _core_test(instance, W, voters, space, gamma):
         for c in _indices(req):
             if verdicts[c] is None:
                 u, bar = tests[c]
-                masks = tables.entries
+                masks, where = tables.distinct
                 if not vectorised(u, masks) and not committees:
                     committees.extend(space.members(t) for t in masks.tolist())
                 ok, failed = meets_threshold(u, space.universe, masks, bar, False, committees)
                 for j, exc in failed.items():
                     errors[c, int(masks[j])] = exc
-                passes[c], verdicts[c] = ok, tables.verdict(ok)
+                passes[c] = ok[where]
+                verdicts[c] = tables.verdict(passes[c])
             hit &= verdicts[c]
         return hit
 
