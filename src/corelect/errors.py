@@ -57,6 +57,11 @@ def members(universe, mask: int) -> frozenset:
     return frozenset(out)
 
 
+def indices(bits: int) -> list:
+    """The set bits of ``bits``, ascending."""
+    return sorted(members(range(bits.bit_length()), bits))
+
+
 def popcount(masks):
     """The set bits of each mask, as an int64 array: int64 masks at once,
     masks held as Python ints (an object array) one by one."""

@@ -4,14 +4,19 @@ All utility values are exact (Fraction, or Quad for the parametric
 lower-bound family with odd exponent).  Every rational oracle (approval,
 additive, coverage, xos, table) has one integer form: a fixed positive
 integer ``scale`` D, the lcm of its weight denominators computed once at
-construction (1 for approval), and ``numerator(T)``, the integer D*u(T).
-``numerator`` is the oracle's only evaluation code; ``value(T)`` is
-``Fraction(numerator(T), scale)``.  Each kind declares ``FIELDS``, its
-constructor's parameter names and the keys of its JSON object, and
-``fields()``, their values in exact canonical form; ``key``, ``to_json``
-and ``from_json`` derive from these alone.  ``LB00Utility`` has no
-integer form; code that compares utilities picks its exact Fraction/Quad
-path by the oracle's type.
+construction (1 for approval), and ``numerator(T)``, the integer D*u(T);
+``value(T)`` is ``Fraction(numerator(T), scale)``.  A kind may also have
+a kernel, which evaluates an array of committee bitmasks at once:
+``numerators`` (approval, additive, coverage, xos) or ``count_values``
+(lb00, one exact value per pair of party counts).  ``evaluate_masks`` is
+the one place that picks a kernel or the mask-by-mask ``numerator`` or
+``value`` calls that define it; the subset table and ``meets_threshold``
+(the verifiers' per-voter tests) read its result.  Each kind declares
+``FIELDS``, its constructor's parameter names and the keys of its JSON
+object, and ``fields()``, their values in exact canonical form; ``key``,
+``to_json`` and ``from_json`` derive from these alone.  ``LB00Utility``
+has no integer form; code that compares utilities picks its exact
+Fraction/Quad path by the oracle's type.
 
 ``gain_threshold`` decides the blocking test u(T) >= gamma*(u(W)+1) of
 the core notions on integers: t(T) >= ceil(gamma*(t(W)+D)) with
@@ -27,14 +32,13 @@ the exact sampling checks in ``corelect.sampling``) evaluate each subset
 once, into an integer table indexed by bitmask: numpy columns of values
 over one common denominator, with a second column for the sqrt part of
 Quad values, int64 while a checked bound rules out overflow and exact
-Python ints otherwise.  The table is filled one size layer at a time, in
-one vectorised step for the approval, additive, coverage, xos and lb00
-oracles, and the sweeps run on its arrays a layer or a block at a time.
-Every comparison is an integer sign test, and only the returned value is
-built as a Fraction or Quad.  There is one table per oracle and
-universe, shared across these calls: the most recent table is kept, so a
-sweep that follows another on the same oracle object and universe
-evaluates no subset twice and reuses beta* and the sampling
+Python ints otherwise.  The table is filled one size layer at a time,
+through ``evaluate_masks``, and the sweeps run on its arrays a layer or a
+block at a time.  Every comparison is an integer sign test, and only the
+returned value is built as a Fraction or Quad.  There is one table per
+oracle and universe, shared across these calls: the most recent table is
+kept, so a sweep that follows another on the same oracle object and
+universe evaluates no subset twice and reuses beta* and the sampling
 expectations.  Only that one table is kept, so the memory held between
 calls is at most one table (16 MB of int64 at m = 20) and the canonical
 mask order of the four most recent universe sizes.
@@ -56,7 +60,9 @@ from .errors import (
     InfeasibleInstanceError,
     MalformedUtilityError,
     canonical,
+    indices,
     members,
+    popcount,
     require_work,
     subsets,
 )
@@ -108,6 +114,13 @@ def _by_blocks(masks, m: int, width: int, f):
         octets = block.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
         parts.append(f(np.unpackbits(octets, axis=1, count=m, bitorder="little")))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def weighted_sums(weights: list, masks):
+    """The sum of ``weights[i]`` over the set bits i of each int64 mask,
+    exact: int64 while the total weight fits, Python ints otherwise."""
+    w = _weights(weights, sum(weights))
+    return _by_blocks(masks, len(weights), len(weights), lambda members: members @ w)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -199,7 +212,7 @@ class ApprovalUtility(RationalUtility):
 
     def numerators(self, universe, masks):
         approved = sum(1 << i for i, c in enumerate(universe) if c in self.approved)
-        return np.bitwise_count(masks & approved).astype(np.int64)
+        return popcount(masks & approved)
 
     value = RationalUtility.value
 
@@ -231,9 +244,7 @@ class AdditiveUtility(RationalUtility):
         return sum(weights[c] for c in _as_frozen(T) if c in weights)
 
     def numerators(self, universe, masks):
-        w = [self._int_weights.get(c, 0) for c in universe]
-        w = _weights(w, sum(w))
-        return _by_blocks(masks, len(universe), len(universe), lambda members: members @ w)
+        return weighted_sums([self._int_weights.get(c, 0) for c in universe], masks)
 
     value = RationalUtility.value
 
@@ -279,19 +290,16 @@ class CoverageUtility(RationalUtility):
         return sum(weights[e] for e in covered if e in weights)
 
     def numerators(self, universe, masks):
-        # (member, element) incidence; an element counts once it is covered
-        elements = sorted({e for c in universe for e in self.covers.get(c, ())})
-        incidence = np.array(
-            [[e in self.covers.get(c, ()) for e in elements] for c in universe], dtype=np.int64
-        ).reshape(len(universe), len(elements))
-        w = [self._int_weights.get(e, 0) for e in elements]
+        # an element counts once a mask holds one of the members covering it
+        holders = {}
+        for i, c in enumerate(universe):
+            for e in self.covers.get(c, ()):
+                holders[e] = holders.get(e, 0) | 1 << i
+        held = np.array(list(holders.values()), dtype=np.int64)
+        w = [self._int_weights.get(e, 0) for e in holders]
         w = _weights(w, sum(w))
-
-        def covered_weight(members):
-            return (members @ incidence > 0) @ w
-
-        width = max(len(universe), len(elements))
-        return _by_blocks(masks, len(universe), width, covered_weight)
+        parts = [((block[:, None] & held) != 0) @ w for _, block in _blocks(masks, len(held))]
+        return np.concatenate(parts)
 
     value = RationalUtility.value
 
@@ -448,8 +456,8 @@ class LB00Utility(UtilityFunction):
             elif party == q:
                 q_bits |= 1 << i
         width = q_bits.bit_count() + 1
-        codes = np.bitwise_count(masks & p_bits).astype(np.int64) * width
-        codes += np.bitwise_count(masks & q_bits)
+        codes = popcount(masks & p_bits) * width
+        codes += popcount(masks & q_bits)
         hits = np.bincount(codes).tolist()
         values = [self._value_at(*divmod(code, width)) if n else 0 for code, n in enumerate(hits)]
         return codes, values
@@ -521,10 +529,11 @@ def _layers(m: int, top: Optional[int] = None) -> tuple:
     read-only arrays in the order in which ``subsets`` yields their
     members (bit i standing for the i-th member): int64 for m <= 63,
     Python ints (an object array) beyond.  Kept for the four most recent
-    (m, top)."""
-    sizes = m + 1 if top is None else top + 1
+    (m, top); a top of m or more shares the layers of (m, None)."""
+    if top is not None and top >= m:
+        return _layers(m)
     layers = [np.zeros(1, dtype=np.int64 if m < 64 else object)]
-    for s in range(1, min(sizes, m + 1)):
+    for s in range(1, m + 1 if top is None else top + 1):
         # lowest member i: bit i joined to the size s - 1 masks whose
         # members all exceed i, which end that layer
         below = layers[-1]
@@ -539,8 +548,8 @@ def _layers(m: int, top: Optional[int] = None) -> tuple:
 
 
 def _layer_method(u: UtilityFunction, name: str):
-    """u's bound vectorised evaluator ``name``, or None when u's class
-    lacks it or overrides the ``numerator`` or ``value`` it stands for."""
+    """u's bound kernel ``name``, or None when u's class lacks it or
+    overrides the ``numerator`` or ``value`` it stands for."""
     cls = type(u)
     owner = next((base for base in cls.__mro__ if name in vars(base)), None)
     if owner is None or any(
@@ -551,67 +560,65 @@ def _layer_method(u: UtilityFunction, name: str):
     return getattr(u, name)
 
 
-def _layer_evaluator(u: UtilityFunction, masks):
-    """("numerators" or "count_values", u's bound method), or None when u
-    has neither or ``masks`` are Python ints (an object array)."""
-    if masks.dtype != object:
-        for name in ("numerators", "count_values"):
-            method = _layer_method(u, name)
-            if method is not None:
-                return name, method
-    return None
-
-
-def vectorised(u: UtilityFunction, masks) -> bool:
-    """Does ``meets_threshold`` decide u on ``masks`` in one step, so that
-    no evaluation can raise?"""
-    return _layer_evaluator(u, masks) is not None
-
-
 def may_raise(u: UtilityFunction) -> bool:
-    """Can an evaluation of u raise ``MalformedUtilityError``?  Not when
-    u's kind has a vectorised evaluator, even where it is evaluated mask
-    by mask (on Python-int masks)."""
+    """Can an evaluation of u raise ``MalformedUtilityError``?  Only when
+    u's kind has no kernel; a kind with one never raises, not even mask by
+    mask on Python-int masks."""
     return all(_layer_method(u, name) is None for name in ("numerators", "count_values"))
+
+
+def evaluate_masks(u: UtilityFunction, universe: Sequence[int], masks, committees=None):
+    """(codes, values, errors): u's ``exact_measure`` at the committee of
+    masks[j] (bit i standing for ``universe[i]``) is codes[j] when
+    ``values`` is None, else values[codes[j]].
+
+    On int64 masks, the kernel of u's kind when it has one: ``numerators``
+    (integers) or ``count_values`` (lb00, one value per pair of party
+    counts).  Otherwise u is evaluated mask by mask on ``committees()``,
+    the members of each mask (built from the masks when not given):
+    integers for a ``RationalUtility``, else one value per mask, and
+    ``errors`` maps the position of each mask whose evaluation raised
+    ``MalformedUtilityError`` to its exception; its measure reads 0."""
+    if masks.dtype != object:
+        numerators = _layer_method(u, "numerators")
+        if numerators is not None:
+            return numerators(universe, masks), None, {}
+        count_values = _layer_method(u, "count_values")
+        if count_values is not None:
+            return (*count_values(universe, masks), {})
+    measure = exact_measure(u)
+    if committees is None:
+        committees = [members(universe, mask) for mask in masks.tolist()]
+    else:
+        committees = committees()
+    results, errors = [], {}
+    for j, T in enumerate(committees):
+        try:
+            results.append(measure(T))
+        except MalformedUtilityError as exc:
+            errors[j] = exc
+            results.append(0)
+    if isinstance(u, RationalUtility):
+        return np.array(results, dtype=object), None, errors
+    return np.arange(len(results)), results, errors
 
 
 def meets_threshold(
     u: UtilityFunction, universe: Sequence[int], masks, bar, strict=False, committees=None
 ):
     """(ok, errors): ok[j] tells whether measure(T) >= bar, or > bar when
-    ``strict``, for the committee T of ``masks[j]`` (bit i standing for
-    ``universe[i]``) and measure = ``exact_measure(u)``, so that ``bar`` is
-    ``gain_threshold``'s.
-
-    One vectorised step with u's ``numerators``, or with ``count_values``
-    and one exact comparison per count pair (lb00); otherwise mask by mask,
-    on ``committees`` (the frozensets of ``masks``, built here when not
-    given, so callers testing many oracles build them once), and
-    ``errors`` maps the position of each mask whose evaluation raised
-    ``MalformedUtilityError`` to its exception (ok is False there)."""
+    ``strict``, for the committee T of ``masks[j]`` and measure =
+    ``exact_measure(u)``, so that ``bar`` is ``gain_threshold``'s.  The
+    measures come from ``evaluate_masks``, which also defines
+    ``committees`` and ``errors`` (ok is False at an error)."""
     if not len(masks):
         return np.zeros(0, dtype=bool), {}
-    evaluator = _layer_evaluator(u, masks)
-    if evaluator is not None:
-        name, method = evaluator
-        if name == "numerators":
-            t = method(universe, masks)
-            return (t > bar if strict else t >= bar), {}
-        codes, values = method(universe, masks)
-        ok = np.array([v > bar if strict else v >= bar for v in values], dtype=bool)
-        return ok[codes], {}
-    if committees is None:
-        committees = [members(universe, mask) for mask in masks.tolist()]
-    measure = exact_measure(u)
-    ok = np.zeros(len(masks), dtype=bool)
-    errors = {}
-    for j, T in enumerate(committees):
-        try:
-            v = measure(T)
-        except MalformedUtilityError as exc:
-            errors[j] = exc
-            continue
-        ok[j] = v > bar if strict else v >= bar
+    codes, values, errors = evaluate_masks(u, universe, masks, committees)
+    if values is None:
+        ok = codes > bar if strict else codes >= bar
+    else:
+        ok = np.array([v > bar if strict else v >= bar for v in values], dtype=bool)[codes]
+    ok[list(errors)] = False
     return ok, errors
 
 
@@ -640,16 +647,13 @@ class _SubsetTable:
     difference less den is at most 2R + den, and the sign of d + e*sqrt(n)
     compares d^2 with e^2 * n.
 
-    Filling: each size layer is evaluated in one vectorised step when u
-    has one: ``numerators`` (approval, additive, coverage, xos) over u's
-    fixed ``scale``, or ``count_values`` (lb00), one exact value per pair
-    of party counts, scattered by count code.  A subclass that overrides
-    ``numerator`` or ``value``, ``TableUtility`` and every other oracle
-    are evaluated subset by subset: a rational oracle's ``numerator``,
-    else ``value``; that path defines the table.  Evaluations that raised
-    ``MalformedUtilityError`` are kept in ``errors``, in the order that
-    filling every layer from size 0 up evaluates them, and raised again by
-    ``require`` when a sweep reaches them.
+    Filling: each size layer is evaluated by ``evaluate_masks``, in one
+    step with the kernel of u's kind, otherwise subset by subset, which
+    defines the table; integers are stored over u's ``scale``, exact
+    values by code.  Evaluations that raised ``MalformedUtilityError`` are
+    kept in ``errors``, in the order that filling every layer from size 0
+    up evaluates them, and raised again by ``require`` when a sweep
+    reaches them.
 
     There is one table per oracle and universe: ``of`` returns it to every
     exhaustive sweep, and each sweep fills only the layers it still lacks,
@@ -704,58 +708,35 @@ class _SubsetTable:
             return
         self.layers.update(sizes)
         layers = _layers(len(self.universe))
-        numerators = _layer_method(self.u, "numerators")
-        count_values = _layer_method(self.u, "count_values")
         for size in sizes:
             masks = layers[size]
-            if numerators is not None:
-                self._store_numerators(masks, numerators(self.universe, masks))
-            elif count_values is not None:
-                codes, values = count_values(self.universe, masks)
-                self._store_values(masks, values, codes)
-            else:
-                self._fill_each(size, masks)
+            layer = functools.partial(subsets, self.universe, (size,))
+            self._store(masks, *evaluate_masks(self.u, self.universe, masks, layer))
         errors = self.errors
         if errors:
             # layers may arrive in any order; keep the errors in canonical
             # order, so every call raises the same one first
-            bits = range(len(self.universe))
-            order = sorted(errors, key=lambda x: canonical(i for i in bits if x >> i & 1))
+            order = sorted(errors, key=lambda x: canonical(indices(x)))
             self.errors = {mask: errors[mask] for mask in order}
 
-    def _fill_each(self, size: int, masks):
-        """One evaluation per subset of the layer."""
-        errors, u = self.errors, self.u
-        rational = isinstance(u, RationalUtility)
-        evaluate = u.numerator if rational else u.value
-        values = []
-        for mask, T in zip(masks.tolist(), subsets(self.universe, (size,))):
-            try:
-                values.append(evaluate(T))
-            except MalformedUtilityError as exc:
-                errors[mask] = exc
-                values.append(0)
-        if rational:
-            self._store_numerators(masks, np.array(values, dtype=object))
-        else:
-            self._store_values(masks, values)
-
-    def _store_numerators(self, masks, numerators):
-        """Store integers over u's ``scale``, rescaled to den."""
-        scale = self.u.scale
-        f = self._factor.get(scale) or self._grow(scale)
-        self._admit(max(int(numerators.max()), -int(numerators.min())) * f)
-        column = numerators.astype(self.rat.dtype, copy=False)
-        column *= f
-        self.rat[masks] = column
-
-    def _store_values(self, masks, values: list, codes=None):
-        """Store exact values at ``masks``, or values[codes[i]] at masks[i]."""
+    def _store(self, masks, codes, values, errors):
+        """Store ``evaluate_masks``' result at ``masks``: integers over u's
+        ``scale``, rescaled to den, or the exact ``values[codes]``; keep its
+        errors by mask."""
+        for j, exc in errors.items():
+            self.errors[int(masks[j])] = exc
+        if values is None:
+            scale = self.u.scale
+            f = self._factor.get(scale) or self._grow(scale)
+            self._admit(max(int(codes.max()), -int(codes.min())) * f)
+            column = codes.astype(self.rat.dtype, copy=False)
+            column *= f
+            self.rat[masks] = column
+            return
         rat, irr = self._integers(values)
         self._admit(max(map(abs, rat)), max(map(abs, irr)))
         for column, ints in ((self.rat, rat), (self.irr, irr)):
-            ints = np.array(ints, dtype=column.dtype)
-            column[masks] = ints if codes is None else ints[codes]
+            column[masks] = np.array(ints, dtype=column.dtype)[codes]
 
     def _integers(self, values: list) -> tuple:
         """Exact values as two lists of integers (rat, irr) over den, which
@@ -878,10 +859,6 @@ def _axiom_scan(u: UtilityFunction, universe: Sequence[int]):
     m = len(universe)
     table = _SubsetTable.of(u, universe, (0,))
     bits = np.array([1 << i for i in range(m)], dtype=np.int64)
-
-    def subset(mask):
-        return frozenset(c for i, c in enumerate(universe) if mask >> i & 1)
-
     found = {}  # "mono" / "lip" -> AxiomWitness
     checked = 0
     for size, layer in enumerate(_layers(m)):
@@ -904,7 +881,7 @@ def _axiom_scan(u: UtilityFunction, universe: Sequence[int]):
                     row, j = divmod(int(hits.argmax()), m)
                     x = int(T[row])
                     last = max(last, start + row)
-                    witness = subset(x) if kind == "lip" else subset(x | 1 << j)
+                    witness = members(universe, x if kind == "lip" else x | 1 << j)
                     found[kind] = AxiomWitness(witness, universe[j])
             if len(found) == 2:
                 break
@@ -982,7 +959,7 @@ def _beta_star(table: _SubsetTable) -> ExactValue:
     quad = table.field is not None
     k = min(m, _CHUNK_BITS)
     size = 1 << k
-    members = np.bitwise_count(np.arange(size, dtype=np.int64)).astype(np.int64)
+    members = popcount(np.arange(size, dtype=np.int64))
     peak = max(table._peak)
     wide = quad or table.rat.dtype == object or 2 * m * peak * peak >= _INT64_BOUND
     dtype = object if wide else np.int64

@@ -45,8 +45,8 @@ feasible) satisfies S.
   the entries whose T meets it.  For the core, the requirement is the
   bitmask of S's voter classes (voters with equal oracle and threshold)
   and ``meets`` the AND of their verdicts; a class is evaluated on the
-  entries the first time a requirement reaches it, in one step when its
-  oracle has a vectorised evaluator, otherwise mask by mask.  For EJR
+  entries the first time a requirement reaches it, through
+  ``model.meets_threshold`` like the scan's voters.  For EJR
   the requirement is (A_S, max u_i(W) + 1), met when |A_S & T| reaches
   the count.
 - A hatW completes at its first entry that meets, and the table
@@ -79,6 +79,7 @@ from .constraints import feasibility_of_masks, is_feasible
 from .errors import (
     RuleMismatchError,
     canonical,
+    indices,
     members,
     popcount,
     require_work,
@@ -95,7 +96,7 @@ from .model import (
     gain_threshold,
     may_raise,
     meets_threshold,
-    vectorised,
+    weighted_sums,
 )
 
 
@@ -161,10 +162,6 @@ class _Space:
         self.bit = {c: 1 << i for i, c in enumerate(self.universe)}
         # the bit of each position, and none for the padding position m
         self.bits = np.array([1 << i for i in range(m)] + [0], np.int64 if m < 64 else object)
-
-    def layers(self, top: int) -> tuple:
-        """The masks of each committee size 0..min(top, m), in canonical order."""
-        return _layers(self.m) if top >= self.m else _layers(self.m, top)
 
     def masks(self, positions):
         """The mask of each committee given by the positions of its
@@ -290,16 +287,6 @@ def blocks_endowment(instance, W, theta, S, T) -> bool:
     return _blocks(_endowment_notion, instance, W, theta, S, T)
 
 
-def _costs(weights: dict, universe, masks):
-    """The summed member weights of each mask, as exact integers."""
-    wide = masks.dtype == object or sum(weights[c] for c in universe) >= 1 << 63
-    costs = np.zeros(len(masks), dtype=object if wide else np.int64)
-    for i, c in enumerate(universe):
-        held = masks >> i & 1
-        costs += (held.astype(object) if wide else held) * weights[c]
-    return costs
-
-
 def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition=None):
     """The scan over nonempty deviations T of size <= ``max_size``, whose
     steps are checked against the work limit before any oracle call: the
@@ -311,21 +298,26 @@ def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition
     space = _Space(instance)
     least = 1 if min_coalition is None else max(1, math.ceil(min_coalition))
     witness, enumerated = None, 0
-    for size, layer in enumerate(space.layers(max_size)):
+    if weights is not None:
+        weights = [weights[c] for c in space.universe]
+    for size, layer in enumerate(_layers(space.m, max_size)):
         if not size:
             continue
         count = np.zeros(len(layer), dtype=np.int64)
-        sat, errors, committees = [], {}, None
+        sat, errors = [], {}
+
+        @functools.cache
+        def committees():
+            # the layer's members, built once for every oracle tested mask by mask
+            return list(subsets(space.universe, [size]))
+
         for u, bar, strict in tests:
-            if committees is None and not vectorised(u, layer):
-                # the layer's members, built once for every oracle tested mask by mask
-                committees = list(subsets(space.universe, [size]))
             ok, failed = meets_threshold(u, space.universe, layer, bar, strict, committees)
             sat.append(ok)
             count += ok
             for j, exc in failed.items():
                 errors.setdefault(j, exc)  # the lowest voter's, as T by T
-        cost = size * A if weights is None else _times(_costs(weights, space.universe, layer), A)
+        cost = size * A if weights is None else _times(weighted_sums(weights, layer), A)
         hits = np.flatnonzero((count >= least) & (cost <= _times(count, B)))
         first = int(hits[0]) if len(hits) else len(layer)
         if errors and min(errors) <= first:
@@ -399,14 +391,6 @@ def check_endowment_core(
 # ---------------------------------------------------------------------------
 
 
-def _indices(bits: int):
-    """The set bits of ``bits``, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _bits(flags) -> int:
     """A boolean vector as an int, bit j for flags[j]."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -441,6 +425,7 @@ class _Tables:
     operations."""
 
     def __init__(self, instance, W, kprimes, mode, space, cert=None):
+        self.universe = space.universe
         feasible = feasibility_of_masks(instance.feasibility, space.universe)
         if mode == "subset_of_W":
             pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
@@ -499,6 +484,11 @@ class _Tables:
         where each entry's is among them."""
         return np.unique(self.entries, return_inverse=True)
 
+    @functools.cached_property
+    def committees(self) -> list:
+        """The members of each of the distinct committees."""
+        return [members(self.universe, t) for t in self.distinct[0].tolist()]
+
     def verdict(self, ok) -> int:
         """The verdict of the entries with ok, one flag per entry."""
         flags = np.zeros(self.width, dtype=bool)
@@ -513,10 +503,9 @@ def _core_test(instance, W, voters, space, gamma):
     coalition requires the bitmask of its classes, and ``meets(req,
     tables)`` is the verdict of the entries whose T brings every class of
     req to gamma*(u_i(W)+1): the AND of the classes' verdicts.  A class is
-    evaluated on the entries the first time a requirement reaches it, in
-    one step when its oracle has a vectorised evaluator, otherwise mask
-    by mask.  ``audit`` is None unless some class's evaluation may raise
-    (see ``_audit``).
+    evaluated on the distinct committees of the entries the first time a
+    requirement reaches it (``model.meets_threshold``).  ``audit`` is None
+    unless some class's evaluation may raise (see ``_audit``).
     """
     classes, class_of, tests = {}, {}, []
     for i in voters:
@@ -529,7 +518,6 @@ def _core_test(instance, W, voters, space, gamma):
     passes = [None] * len(tests)  # class -> whether it passes at each entry
     verdicts = [None] * len(tests)  # class -> the same as a verdict
     errors = {}  # (class, committee mask) -> the failed evaluation
-    committees = []  # the members of each entry, built once
 
     def requirement(S):
         mask = 0
@@ -539,13 +527,13 @@ def _core_test(instance, W, voters, space, gamma):
 
     def meets(req, tables):
         hit = -1
-        for c in _indices(req):
+        for c in indices(req):
             if verdicts[c] is None:
                 u, bar = tests[c]
                 masks, where = tables.distinct
-                if not vectorised(u, masks) and not committees:
-                    committees.extend(space.members(t) for t in masks.tolist())
-                ok, failed = meets_threshold(u, space.universe, masks, bar, False, committees)
+                ok, failed = meets_threshold(
+                    u, space.universe, masks, bar, False, lambda: tables.committees
+                )
                 for j, exc in failed.items():
                     errors[c, int(masks[j])] = exc
                 passes[c] = ok[where]
@@ -576,7 +564,7 @@ def _audit(passes, errors):
         for j, t in zip(visited.tolist(), tables.entries[visited].tolist()):
             if known.get(t, 0) & req:
                 continue
-            for c in _indices(req):
+            for c in indices(req):
                 if not passes[c][j]:
                     if (c, t) in errors:
                         raise errors[c, t]

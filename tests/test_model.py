@@ -22,8 +22,12 @@ from corelect.model import (
     check_axioms,
     check_submodular,
     evaluate,
+    evaluate_masks,
+    exact_measure,
     gain_threshold,
+    meets_threshold,
     self_bounding_constant,
+    _layers,
     _SubsetTable,
 )
 from corelect.sampling import exact_sample_expectation, mc_lower_tail, verify_sampling_bound
@@ -324,8 +328,8 @@ def _universes(max_size=6):
 
 
 @st.composite
-def _random_kind(draw):
-    universe = draw(_universes())
+def _random_kind(draw, max_size=6):
+    universe = draw(_universes(max_size))
     rng = rng_from_seed(draw(st.integers(0, 2**31)))
     return random_utility(draw(st.sampled_from(SWEEP_KINDS)), universe, rng), universe
 
@@ -767,6 +771,50 @@ def test_vectorised_tables_equal_the_per_subset_path(case, random, seed):
     twin = _per_subset_twin(u)
     assert _table_fields(u, universe, order) == _table_fields(twin, universe, order)
     assert _sweep_outcomes(u, universe, seed) == _sweep_outcomes(twin, universe, seed)
+
+
+@st.composite
+def _partial_table(draw):
+    """A table over at most 8 candidates that lacks a few entries."""
+    universe = draw(_universes(max_size=8))
+    subsets = [S for S in _power_set(universe) if S]
+    missing = draw(st.sets(st.sampled_from(subsets), max_size=3)) if subsets else set()
+    values = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)])
+    return TableUtility({S: draw(values) for S in subsets if S not in missing}), universe
+
+
+def _measures(codes, values, errors):
+    return codes.tolist() if values is None else [values[c] for c in codes.tolist()], errors
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_random_kind(max_size=8), _lb00_any_beta(), _wide_weights(), _partial_table()))
+def test_kernels_evaluate_masks_as_the_mask_by_mask_path(case):
+    # the twin has no kernel; Python-int masks take the mask-by-mask path too
+    u, universe = case
+    twin = _per_subset_twin(u)
+    measure = exact_measure(u)
+    gains = {gain_threshold(u, (), gamma)[1] for gamma in (Fraction(1), Fraction(16, 15))}
+    committees = _power_set(universe)
+    for masks in _layers(len(universe)):
+        got, errors = _measures(*evaluate_masks(u, universe, masks))
+        want, twin_errors = _measures(*evaluate_masks(twin, universe, masks))
+        assert got == want == _measures(*evaluate_masks(u, universe, masks.astype(object)))[0]
+        assert errors.keys() == twin_errors.keys()
+        assert [str(exc) for exc in errors.values()] == [str(e) for e in twin_errors.values()]
+        for j, T in enumerate(committees[x] for x in masks.tolist()):
+            if j not in errors:
+                assert got[j] == measure(T)
+        # a measure as the bar is a tie; at odd beta lb00's bars are Quads
+        for bar in gains | {got[j] for j in range(len(got)) if j not in errors}:
+            for strict in (False, True):
+                ok, failed = meets_threshold(u, universe, masks, bar, strict)
+                twin_ok, _ = meets_threshold(twin, universe, masks, bar, strict)
+                expected = [
+                    j not in errors and (v > bar if strict else v >= bar) for j, v in enumerate(got)
+                ]
+                assert ok.tolist() == twin_ok.tolist() == expected
+                assert failed.keys() == errors.keys()
 
 
 def test_the_subset_table_switches_to_exact_ints_past_the_int64_bound():

@@ -541,6 +541,83 @@ def test_lb00_reports_match_the_oracles(beta, gamma):
     assert (False in verdicts) == (beta == 1 and gamma == 1)
 
 
+# past 63 candidates committees are Python-int masks, and every oracle is
+# evaluated mask by mask
+
+
+def _wide_lb00(beta):
+    """The first two of gen_lb00's voters over its 66 candidates (r = 11)
+    with exponent beta: at beta = 1 one candidate of a voter's party p
+    brings its utility to 1."""
+    return [LB00Utility(beta, 11, u.role, u.party_of) for u in gen_lb00(5, 11).utilities[:2]]
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+WIDE_CASES = {
+    "approval": [ApprovalUtility(A) for A in ({0, 1, 2, 3}, {0, 1, 62, 63}, {10, 11})],
+    "additive": [
+        AdditiveUtility({0: 1, 1: _HALF, 2: _THIRD}),
+        AdditiveUtility({0: 1, 63: _HALF}),
+        AdditiveUtility({10: 1, 11: Fraction(3, 4)}),
+    ],
+    "xos": [
+        XOSUtility([{0: 1, 1: _HALF}, {2: 1, 3: 1}]),
+        XOSUtility([{0: 1}, {62: _HALF, 63: 1}]),
+        XOSUtility([{10: 1, 11: _THIRD}]),
+    ],
+    "coverage": [
+        CoverageUtility(
+            {c: {c % 6, (c + s) % 6} for c in range(64)}, dict.fromkeys(range(6), _HALF)
+        )
+        for s in (1, 2, 3)
+    ],
+    "lb00 beta=1": _wide_lb00(1),
+    "lb00 beta=3": _wide_lb00(3),
+}
+
+
+@pytest.mark.parametrize(
+    "case, verdicts",
+    [
+        # per W in ({}, {0, 1}, {20, 21}): core, restrained core in
+        # subset_of_W and any_hatW mode, then for approval restrained EJR
+        # in both modes; f = fail
+        ("approval", ("fffff", "ppppp", "fffff")),
+        ("additive", ("ffp", "ppp", "fpp")),
+        ("xos", ("ffp", "ppp", "fpp")),
+        ("coverage", ("fff", "ppp", "ppp")),
+        ("lb00 beta=1", ("fff", "fff", "ppp")),
+        ("lb00 beta=3", ("ppp", "ppp", "ppp")),
+    ],
+)
+def test_reports_past_63_candidates_match_the_oracles(case, verdicts):
+    # k = 2, at most one seat among the even and one among the odd candidates
+    utilities = WIDE_CASES[case]
+    m = 66 if case.startswith("lb00") else 64
+    family = PartitionMatroidFamily([range(0, m, 2), range(1, m, 2)], [1, 1], 2)
+    inst = Instance(range(m), utilities, k=2, feasibility=family, validate="trust")
+    gamma = Fraction(1)
+    seen = []
+    for W in (frozenset(), frozenset({0, 1}), frozenset({20, 21})):
+        reports = [check_core(inst, W, gamma)]
+        assert reports[0].to_json() == oracle_core(inst, W, gamma, report=True)
+        for mode in ("subset_of_W", "any_hatW"):
+            report = check_restrained_core(inst, W, gamma, mode=mode)
+            assert report.to_json() == oracle_restrained_core(inst, W, gamma, mode, report=True)
+            if not report.verdict:
+                S, cert = report.witness["S"], report.witness["completions"]
+                assert blocks_restrained_core(inst, W, gamma, S, mode=mode, cert=cert)[0]
+            reports.append(report)
+        for mode in ("subset_of_W", "any_hatW") if case == "approval" else ():
+            report = check_restrained_ejr(inst, W, mode=mode)
+            assert report.to_json() == oracle_restrained_ejr(inst, W, mode, report=True)
+            reports.append(report)
+        if not reports[0].verdict:
+            assert blocks_core(inst, W, gamma, reports[0].witness["S"], reports[0].witness["T"])
+        seen.append("".join("p" if r.verdict else "f" for r in reports))
+    assert tuple(seen) == verdicts
+
+
 def _partial_table(weights, missing):
     """An additive table over candidates 0..3 that lacks the listed
     subsets: evaluating one of them raises MalformedUtilityError."""
