@@ -19,6 +19,7 @@ from .errors import (
     MatroidAxiomViolation,
     NotABasisError,
     canonical,
+    mask_array,
     members,
     popcount,
     require_work,
@@ -245,8 +246,8 @@ def feasibility_of_masks(P: FeasibilityFamily, universe: Sequence[int]):
     """``is_feasible(P, T)`` as a function of an array of bitmasks (bit i
     standing for ``universe[i]``), returning one boolean array.
     Cardinality, partition, packing and covering families count members
-    against row masks, built here once; explicit and matroid-oracle
-    families, and subclasses, are decided mask by mask."""
+    against row masks, built here once (``mask_array``); explicit and
+    matroid-oracle families, and subclasses, are decided mask by mask."""
     rows = _count_rows(P, universe)
     if rows is None:
 
@@ -255,8 +256,7 @@ def feasibility_of_masks(P: FeasibilityFamily, universe: Sequence[int]):
             return np.fromiter(verdicts, bool, len(masks))
 
         return feasible
-    wide = len(universe) >= 64
-    row_masks = np.array([row for row, _, _ in rows], dtype=object if wide else np.int64)
+    row_masks = mask_array([row for row, _, _ in rows], len(universe))
     least = np.array([lo for _, lo, _ in rows], dtype=np.int64)
     most = np.array([len(universe) if hi is None else hi for _, _, hi in rows], dtype=np.int64)
 

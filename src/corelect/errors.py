@@ -1,7 +1,7 @@
 """Exception types shared across the library, the one work limit every
 exhaustive search is held to, and the canonical subset order every
 enumeration follows, as frozensets or as bitmasks over a sorted universe
-(bit i standing for its i-th member)."""
+(bit i standing for its i-th member), in the one format of mask arrays."""
 
 import itertools
 import math
@@ -68,6 +68,36 @@ def popcount(masks):
     if masks.dtype == object:
         return np.fromiter((int(x).bit_count() for x in masks), np.int64, len(masks))
     return np.bitwise_count(masks).astype(np.int64)
+
+
+# every integer an int64 array holds stays below this in magnitude
+INT64_BOUND = 1 << 63
+
+
+def exact_ints(values, bound: int):
+    """Integers as int64 when every magnitude formed from them is below
+    ``bound``, else as exact Python ints; an array of that dtype as it is."""
+    return np.asarray(values, dtype=np.int64 if bound < INT64_BOUND else object)
+
+
+def mask_array(values, m: int):
+    """Bitmasks over m bits as an array: int64 up to 63 bits, else Python ints."""
+    return np.array(values, dtype=np.int64 if m < 64 else object)
+
+
+def words(masks, m: int):
+    """Each mask of a ``mask_array`` as a row of ceil(m / 64), at least one,
+    little-endian uint64 words, bit i in word i // 64 (int64 masks viewed)."""
+    if masks.dtype != object:
+        return masks.astype("<i8", copy=False).reshape(-1, 1).view("<u8")
+    size = 8 * max(1, -(-m // 64))
+    data = b"".join([x.to_bytes(size, "little") for x in masks.tolist()])
+    return np.frombuffer(data, "<u8").reshape(len(masks), size // 8)
+
+
+def member_matrix(rows, m: int):
+    """The 0/1 member matrix of ``words`` rows, bit i of each mask in column i."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=m, bitorder="little")
 
 
 def require_work(steps: int, what: str) -> None:

@@ -26,9 +26,12 @@ def parse_rational(text) -> Fraction:
         return text
     if isinstance(text, str):
         num, slash, den = text.partition("/")
-        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
-        return Fraction(text)  # handles "p/q" with signs or spaces, "3", and "2.71"
+        try:
+            if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+                return Fraction(int(num), int(den))
+            return Fraction(text)  # handles "p/q" with signs or spaces, "3", and "2.71"
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")
 
 

@@ -6,7 +6,7 @@ additive, coverage, xos, table) has one integer form: a fixed positive
 integer ``scale`` D, the lcm of its weight denominators computed once at
 construction (1 for approval), and ``numerator(T)``, the integer D*u(T);
 ``value(T)`` is ``Fraction(numerator(T), scale)``.  A kind may also have
-a kernel, which evaluates an array of committee bitmasks at once:
+a kernel, which evaluates an array of bitmasks of any width at once:
 ``numerators`` (approval, additive, coverage, xos) or ``count_values``
 (lb00, one exact value per pair of party counts).  ``evaluate_masks`` is
 the one place that picks a kernel or the mask-by-mask ``numerator`` or
@@ -56,15 +56,20 @@ import numpy as np
 
 from .constraints import CardinalityFamily
 from .errors import (
+    INT64_BOUND,
     WORK_LIMIT,
     InfeasibleInstanceError,
     MalformedUtilityError,
     canonical,
+    exact_ints,
     indices,
+    mask_array,
+    member_matrix,
     members,
     popcount,
     require_work,
     subsets,
+    words,
 )
 from .exactnum import ExactValue, Quad, parse_rational, rational_to_json
 
@@ -88,8 +93,6 @@ def _scaled(weights: dict, D: int) -> dict:
 # masks per block of a layer: a block's (masks x members) matrices hold
 # at most this many entries, 16 KB of int64
 _BLOCK = 2048
-# every integer an int64 array holds stays below this in magnitude
-_INT64_BOUND = 1 << 63
 
 
 def _blocks(masks, width: int):
@@ -99,27 +102,18 @@ def _blocks(masks, width: int):
     return ((start, masks[start : start + rows]) for start in range(0, len(masks), rows))
 
 
-def _weights(values, bound: int):
-    """Integer weights as int64 when every sum the evaluators form is at
-    most ``bound`` < 2^63, else as exact Python ints."""
-    return np.array(values, dtype=np.int64 if bound < _INT64_BOUND else object)
-
-
 def _by_blocks(masks, m: int, width: int, f):
     """f of the (masks x m) 0/1 member matrix, bit i of each mask in
     column i, in row blocks whose matrices of ``width`` columns stay
     within ``_BLOCK`` entries."""
-    parts = []
-    for _, block in _blocks(masks, width):
-        octets = block.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-        parts.append(f(np.unpackbits(octets, axis=1, count=m, bitorder="little")))
+    parts = [f(member_matrix(rows, m)) for _, rows in _blocks(words(masks, m), width)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def weighted_sums(weights: list, masks):
-    """The sum of ``weights[i]`` over the set bits i of each int64 mask,
-    exact: int64 while the total weight fits, Python ints otherwise."""
-    w = _weights(weights, sum(weights))
+    """The sum of ``weights[i]`` over the set bits i of each mask, exact:
+    int64 while the total weight fits, Python ints otherwise."""
+    w = exact_ints(weights, sum(weights))
     return _by_blocks(masks, len(weights), len(weights), lambda members: members @ w)
 
 
@@ -295,10 +289,16 @@ class CoverageUtility(RationalUtility):
         for i, c in enumerate(universe):
             for e in self.covers.get(c, ()):
                 holders[e] = holders.get(e, 0) | 1 << i
-        held = np.array(list(holders.values()), dtype=np.int64)
+        m = len(universe)
+        held = words(mask_array(list(holders.values()), m), m).T  # word j of each in row j
         w = [self._int_weights.get(e, 0) for e in holders]
-        w = _weights(w, sum(w))
-        parts = [((block[:, None] & held) != 0) @ w for _, block in _blocks(masks, len(held))]
+        w = exact_ints(w, sum(w))
+        parts = []
+        for _, block in _blocks(words(masks, m)[:, None], len(w)):
+            hit = (block[..., 0] & held[0]) != 0
+            for j in range(1, len(held)):  # word by word
+                hit |= (block[..., j] & held[j]) != 0
+            parts.append(hit @ w)
         return np.concatenate(parts)
 
     value = RationalUtility.value
@@ -342,7 +342,7 @@ class XOSUtility(RationalUtility):
     def numerators(self, universe, masks):
         w = [[clause.get(c, 0) for clause in self._int_clauses] for c in universe]
         bound = max(map(sum, zip(*w)), default=0)  # the largest clause total
-        w = _weights(w, bound).reshape(len(universe), len(self._int_clauses))
+        w = exact_ints(w, bound).reshape(len(universe), len(self._int_clauses))
         width = max(len(universe), len(self._int_clauses))
         return _by_blocks(masks, len(universe), width, lambda members: (members @ w).max(axis=1))
 
@@ -526,13 +526,13 @@ def _sampled_subsets(universe: Sequence[int], budget: int, seed: int):
 @functools.lru_cache(maxsize=4)
 def _layers(m: int, top: Optional[int] = None) -> tuple:
     """The bitmasks over m bits of each size 0..top (default m), as
-    read-only arrays in the order in which ``subsets`` yields their
-    members (bit i standing for the i-th member): int64 for m <= 63,
-    Python ints (an object array) beyond.  Kept for the four most recent
-    (m, top); a top of m or more shares the layers of (m, None)."""
+    read-only arrays of ``mask_array`` in the order in which ``subsets``
+    yields their members (bit i standing for the i-th member).  Kept for
+    the four most recent (m, top); a top of m or more shares the layers
+    of (m, None)."""
     if top is not None and top >= m:
         return _layers(m)
-    layers = [np.zeros(1, dtype=np.int64 if m < 64 else object)]
+    layers = [mask_array([0], m)]
     for s in range(1, m + 1 if top is None else top + 1):
         # lowest member i: bit i joined to the size s - 1 masks whose
         # members all exceed i, which end that layer
@@ -562,8 +562,8 @@ def _layer_method(u: UtilityFunction, name: str):
 
 def may_raise(u: UtilityFunction) -> bool:
     """Can an evaluation of u raise ``MalformedUtilityError``?  Only when
-    u's kind has no kernel; a kind with one never raises, not even mask by
-    mask on Python-int masks."""
+    u's kind has no kernel; a kind with one never raises, and its kernel
+    reads masks of every width."""
     return all(_layer_method(u, name) is None for name in ("numerators", "count_values"))
 
 
@@ -572,20 +572,19 @@ def evaluate_masks(u: UtilityFunction, universe: Sequence[int], masks, committee
     masks[j] (bit i standing for ``universe[i]``) is codes[j] when
     ``values`` is None, else values[codes[j]].
 
-    On int64 masks, the kernel of u's kind when it has one: ``numerators``
+    At every mask width, the kernel of u's kind when it has one: ``numerators``
     (integers) or ``count_values`` (lb00, one value per pair of party
     counts).  Otherwise u is evaluated mask by mask on ``committees()``,
     the members of each mask (built from the masks when not given):
     integers for a ``RationalUtility``, else one value per mask, and
     ``errors`` maps the position of each mask whose evaluation raised
     ``MalformedUtilityError`` to its exception; its measure reads 0."""
-    if masks.dtype != object:
-        numerators = _layer_method(u, "numerators")
-        if numerators is not None:
-            return numerators(universe, masks), None, {}
-        count_values = _layer_method(u, "count_values")
-        if count_values is not None:
-            return (*count_values(universe, masks), {})
+    numerators = _layer_method(u, "numerators")
+    if numerators is not None:
+        return numerators(universe, masks), None, {}
+    count_values = _layer_method(u, "count_values")
+    if count_values is not None:
+        return (*count_values(universe, masks), {})
     measure = exact_measure(u)
     if committees is None:
         committees = [members(universe, mask) for mask in masks.tolist()]
@@ -769,12 +768,9 @@ class _SubsetTable:
         columns into exact Python ints once int64 could overflow."""
         peak = self._peak
         peak[0], peak[1] = max(peak[0], rat_peak), max(peak[1], irr_peak)
-        if self.rat.dtype != object and not (
-            (2 * peak[0] + self.den) ** 2 < _INT64_BOUND
-            and (2 * peak[1]) ** 2 * self.radicand < _INT64_BOUND
-        ):
-            self.rat = self.rat.astype(object)
-            self.irr = self.irr.astype(object)
+        # the bound only grows, so columns once turned stay Python ints
+        bound = max((2 * peak[0] + self.den) ** 2, (2 * peak[1]) ** 2 * self.radicand)
+        self.rat, self.irr = exact_ints(self.rat, bound), exact_ints(self.irr, bound)
 
     def _grow(self, q: int) -> int:
         """Extend den to a multiple of q, rescaling every stored integer."""
@@ -858,7 +854,7 @@ def _axiom_scan(u: UtilityFunction, universe: Sequence[int]):
     the first true entry of its test matrix in row-major order."""
     m = len(universe)
     table = _SubsetTable.of(u, universe, (0,))
-    bits = np.array([1 << i for i in range(m)], dtype=np.int64)
+    bits = mask_array([1 << i for i in range(m)], m)
     found = {}  # "mono" / "lip" -> AxiomWitness
     checked = 0
     for size, layer in enumerate(_layers(m)):
@@ -961,7 +957,7 @@ def _beta_star(table: _SubsetTable) -> ExactValue:
     size = 1 << k
     members = popcount(np.arange(size, dtype=np.int64))
     peak = max(table._peak)
-    wide = quad or table.rat.dtype == object or 2 * m * peak * peak >= _INT64_BOUND
+    wide = quad or table.rat.dtype == object or 2 * m * peak * peak >= INT64_BOUND
     dtype = object if wide else np.int64
     # (a, c) or (a, b, c, e): the ratio (a + b r) / (c + e r), r = sqrt(n), c + e r > 0
     best = [np.array([x], dtype=dtype) for x in ((0, 0, 1, 0) if quad else (0, 1))]

@@ -79,7 +79,9 @@ from .constraints import feasibility_of_masks, is_feasible
 from .errors import (
     RuleMismatchError,
     canonical,
+    exact_ints,
     indices,
+    mask_array,
     members,
     popcount,
     require_work,
@@ -152,8 +154,7 @@ def _at_least_one(value, name: str) -> Fraction:
 
 class _Space:
     """An instance's sorted candidates, with committees as bitmasks over
-    them (bit i standing for the i-th): int64 masks up to 63 candidates,
-    Python ints (object arrays) beyond, as in ``model._layers``."""
+    them (bit i standing for the i-th), in arrays of ``errors.mask_array``."""
 
     def __init__(self, instance):
         self.universe = tuple(sorted(instance.candidates))
@@ -161,7 +162,7 @@ class _Space:
         self.position = {c: i for i, c in enumerate(self.universe)}
         self.bit = {c: 1 << i for i, c in enumerate(self.universe)}
         # the bit of each position, and none for the padding position m
-        self.bits = np.array([1 << i for i in range(m)] + [0], np.int64 if m < 64 else object)
+        self.bits = mask_array([1 << i for i in range(m)] + [0], m)
 
     def masks(self, positions):
         """The mask of each committee given by the positions of its
@@ -203,13 +204,17 @@ def _require_candidates(instance, W):
         raise ValueError(f"unknown candidates {sorted(unknown)}")
 
 
+def _require_voters(instance, S):
+    unknown = S - set(range(instance.n))
+    if unknown:
+        raise ValueError(f"unknown voters {sorted(unknown)}")
+
+
 def _times(x, c: int):
     """x * c exactly, for an integer array x: int64 while no product can
     overflow, Python ints otherwise."""
     peak = int(abs(x).max()) if len(x) else 0
-    if x.dtype != object and max(peak, 1) * abs(c) >= 1 << 63:
-        x = x.astype(object)
-    return x * c
+    return exact_ints(x, max(peak, 1) * abs(c)) * c
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +265,12 @@ def _passes(test, T) -> bool:
 
 
 def _blocks(notion, instance, W, param, S, T) -> bool:
-    param, S, T = parse_rational(param), frozenset(S), frozenset(T)
+    param, W, S, T = parse_rational(param), frozenset(W), frozenset(S), frozenset(T)
+    _require_voters(instance, S)
+    _require_candidates(instance, W | T)
     if not S or not T:
         return False
-    tests, (weights, A, B) = notion(instance, frozenset(W), param)
+    tests, (weights, A, B) = notion(instance, W, param)
     cost = len(T) if weights is None else sum(weights[c] for c in T)
     if cost * A > len(S) * B:
         return False
@@ -294,6 +301,7 @@ def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition
     voters) affords it.  A failed evaluation is raised when it falls at or
     before the witness, where a scan deciding T by T would reach it."""
     require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
+    _require_candidates(instance, frozenset(W))
     tests, (weights, A, B) = notion(instance, frozenset(W), param)
     space = _Space(instance)
     least = 1 if min_coalition is None else max(1, math.ceil(min_coalition))
@@ -456,7 +464,7 @@ class _Tables:
             (kp,) = kprimes
             targets = [_certified(space, h, cert, kp) for h in hats.tolist()]
             found = np.array([t is not None for t in targets], dtype=bool)
-            T = np.array([t for t in targets if t is not None], dtype=hats.dtype)
+            T = mask_array([t for t in targets if t is not None], space.m)
             ok = feasible(T)
             self.entries = T[ok]
             full = np.zeros(len(hats), dtype=np.int64)
@@ -689,12 +697,22 @@ def _completions(space, hats, firsts, cert=None) -> dict:
     return completions
 
 
+def _hat_pool(mode: str, W, m: int) -> int:
+    """The number of candidates a hatW is drawn from in ``mode``."""
+    if mode == "subset_of_W":
+        return len(W)
+    if mode == "any_hatW":
+        return m
+    raise ValueError("mode must be subset_of_W or any_hatW")
+
+
 def _blocks_restrained(instance, W, S, mode, cert, test, what):
     W, S = frozenset(W), frozenset(S)
+    pool = _hat_pool(mode, W, instance.m)
+    _require_voters(instance, S)
     if not S:
         return False, None
     kprime = floored_endowment(len(S), instance.k, instance.n)
-    pool = len(W) if mode == "subset_of_W" else instance.m
     require_work(_tables_work(1, {kprime}, instance.m, instance.k, pool), what)
     space = _Space(instance)
     requirement, meets, audit = test(instance, W, sorted(S), space)
@@ -740,11 +758,9 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     reached or, with ``count_visited``, the entries visited completing
     them.
     """
-    if mode not in ("subset_of_W", "any_hatW"):
-        raise ValueError("mode must be subset_of_W or any_hatW")
     W = frozenset(W)
     n, m, k = instance.n, instance.m, instance.k
-    pool = len(W) if mode == "subset_of_W" else m
+    pool = _hat_pool(mode, W, m)
     require_work(_restrained_work(n, m, k, pool), f"the {notion} check")
     space = _Space(instance)
     requirement, meets, audit = test(instance, W, range(n), space)

@@ -819,3 +819,29 @@ def test_top_level_fields_of_the_wrong_type_are_usage_errors(tmp_path, capsys, f
     assert run(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_ZERO_WEIGHT = {"kind": "additive", "weights": [[0, "1/0"], [1, "1/2"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, utility, message",
+    [
+        (["verify", "--notion", "core", "--committee", "0", "--gamma", "1/0"], None, ""),
+        (["solve", "--method", "local", "--rule", "snw", "--epsilon", "1/0"], None, ""),
+        (["solve", "--method", "global", "--rule", "snw"], _ZERO_WEIGHT, "bad utility object"),
+    ],
+)
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys, argv, utility, message):
+    # exit 2 with a message, never a ZeroDivisionError traceback and exit 1
+    path = tmp_path / "inst.json"
+    fields = {**_SNW_ONE_VOTER, "k": 1}
+    if utility is not None:
+        fields["utilities"] = [utility]
+    path.write_text(json.dumps(fields))
+    out = tmp_path / "out.json"
+    argv = [*argv, "--in", str(path), "--out" if argv[0] == "solve" else "--report", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "zero denominator in '1/0'" in err
+    assert not out.exists()

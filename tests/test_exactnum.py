@@ -23,6 +23,9 @@ def test_parse_rational_forms():
     assert parse_rational("2.71") == Fraction(271, 100)
     with pytest.raises(ValueError):
         parse_rational(True)
+    for text in ("1/0", "-1/0", " 3/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
 
 
 def test_rational_json_round_trip():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corelect.errors import EnumerationLimitError, MalformedUtilityError
+from corelect.errors import (
+    EnumerationLimitError,
+    MalformedUtilityError,
+    mask_array,
+    member_matrix,
+    words,
+)
 from corelect.exactnum import Quad, exact_ceil
 from corelect.instances import gen_lb00, gen_xos_example, random_utility, rng_from_seed
 from corelect.model import (
@@ -790,7 +796,7 @@ def _measures(codes, values, errors):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.one_of(_random_kind(max_size=8), _lb00_any_beta(), _wide_weights(), _partial_table()))
 def test_kernels_evaluate_masks_as_the_mask_by_mask_path(case):
-    # the twin has no kernel; Python-int masks take the mask-by-mask path too
+    # the twin has no kernel; Python-int masks go through the same kernels
     u, universe = case
     twin = _per_subset_twin(u)
     measure = exact_measure(u)
@@ -815,6 +821,49 @@ def test_kernels_evaluate_masks_as_the_mask_by_mask_path(case):
                 ]
                 assert ok.tolist() == twin_ok.tolist() == expected
                 assert failed.keys() == errors.keys()
+
+
+def test_masks_of_two_words_read_as_words_and_members():
+    m = 70
+    values = [0, 1, (1 << 63) | 2, 1 << 64, (1 << 70) - 1, (1 << 69) | (1 << 5)]
+    masks = mask_array(values, m)
+    low = (1 << 64) - 1
+    assert words(masks, m).tolist() == [[x & low, x >> 64] for x in values]
+    rows = [[x >> i & 1 for i in range(m)] for x in values]
+    assert member_matrix(words(masks, m), m).tolist() == rows
+    # int64 masks read as one word, in place
+    narrow = mask_array([0, 5, (1 << 62) | 1], 63)
+    assert words(narrow, 63).tolist() == [[0], [5], [(1 << 62) | 1]]
+    assert np.shares_memory(words(narrow, 63), narrow)
+    assert member_matrix(words(narrow, 3), 3).tolist() == [[0, 0, 0], [1, 0, 1], [1, 0, 0]]
+
+
+def _two_word_oracles():
+    """Oracles of every kind with a kernel, on candidates in both words of
+    a 70-bit mask."""
+    third = Fraction(1, 3)
+    covers = {c: {c % 5, 5 + c % 2} for c in range(0, 70, 3)}
+    oracles = {
+        "approval": ApprovalUtility({0, 63, 64, 69}),
+        "additive": AdditiveUtility({0: 1, 63: Fraction(1, 2), 64: third, 69: Fraction(3, 4)}),
+        "xos": XOSUtility([{0: 1, 64: Fraction(1, 2)}, {63: third, 65: 1, 69: 1}]),
+        "coverage": CoverageUtility(covers, dict.fromkeys(range(7), Fraction(1, 7))),
+    }
+    for beta in (1, 3):
+        for i, u in enumerate(gen_lb00(5, 11).utilities[:2]):
+            oracles[f"lb00 beta={beta} voter {i}"] = LB00Utility(beta, 11, u.role, u.party_of)
+    return oracles
+
+
+@pytest.mark.parametrize("name", list(_two_word_oracles()))
+def test_kernels_read_masks_of_two_words_as_the_mask_by_mask_path(name):
+    u = _two_word_oracles()[name]
+    universe = list(range(70))
+    twin = _per_subset_twin(u)
+    for masks in _layers(70, 2):
+        got = _measures(*evaluate_masks(u, universe, masks))
+        assert got == _measures(*evaluate_masks(twin, universe, masks))
+        assert len(set(got[0])) > 1 or len(masks) == 1
 
 
 def test_the_subset_table_switches_to_exact_ints_past_the_int64_bound():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -553,6 +554,7 @@ def _wide_lb00(beta):
 
 
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+MODES = ("subset_of_W", "any_hatW")
 WIDE_CASES = {
     "approval": [ApprovalUtility(A) for A in ({0, 1, 2, 3}, {0, 1, 62, 63}, {10, 11})],
     "additive": [
@@ -616,6 +618,82 @@ def test_reports_past_63_candidates_match_the_oracles(case, verdicts):
             assert blocks_core(inst, W, gamma, reports[0].witness["S"], reports[0].witness["T"])
         seen.append("".join("p" if r.verdict else "f" for r in reports))
     assert tuple(seen) == verdicts
+
+
+_WIDTHS = [(case, m) for case in WIDE_CASES for m in (64, 66) if m == 66 or "lb00" not in case]
+
+
+@pytest.mark.parametrize("case, m", _WIDTHS)
+def test_kinds_with_a_kernel_evaluate_no_mask_one_by_one_past_63_candidates(case, m, monkeypatch):
+    # each voter's oracle is called once, on W, for its threshold; every
+    # committee mask, one word or two, goes through the kernel of its kind
+    utilities = WIDE_CASES[case]
+    family = PartitionMatroidFamily([range(0, m, 2), range(1, m, 2)], [1, 1], 2)
+    inst = Instance(range(m), utilities, k=2, feasibility=family, validate="trust")
+    cls = type(utilities[0])
+    name = "value" if case.startswith("lb00") else "numerator"
+    method, calls = getattr(cls, name), []
+
+    def counted(self, T):
+        calls.append(T)
+        return method(self, T)
+
+    monkeypatch.setattr(cls, name, counted)
+    W = frozenset({20, 21})
+    checks = [lambda: check_core(inst, W, 1)]
+    checks += [lambda mode=mode: check_restrained_core(inst, W, 1, mode) for mode in MODES]
+    for check in checks:
+        calls.clear()
+        check()
+        assert calls == [W] * len(utilities)
+
+
+def test_restrained_replays_refuse_an_unknown_mode_or_voter():
+    inst = Instance(range(4), [ApprovalUtility({0, 1}), ApprovalUtility({2, 3})], k=2)
+    W = frozenset({0, 2})
+    replays = [
+        lambda S, mode: blocks_restrained_core(inst, W, 1, S, mode=mode),
+        lambda S, mode: blocks_restrained_ejr(inst, W, S, mode=mode),
+    ]
+    for replay in replays:
+        for mode in ("subsetW", "bogus"):
+            for S in ({0}, ()):
+                with pytest.raises(ValueError, match="mode must be subset_of_W or any_hatW"):
+                    replay(S, mode)
+        for S, unknown in (({0, 2}, [2]), ({-1, 0, 5}, [-1, 5])):
+            with pytest.raises(ValueError, match=re.escape(f"unknown voters {unknown}")):
+                replay(S, "subset_of_W")
+        for mode in MODES:
+            assert replay({0, 1}, mode)[0] in (True, False)
+    with pytest.raises(ValueError, match="mode must be subset_of_W or any_hatW"):
+        check_restrained_core(inst, W, 1, mode="subsetW")
+
+
+def test_the_core_family_refuses_unknown_ids():
+    inst = Instance(range(4), [ApprovalUtility({0, 1}), ApprovalUtility({2, 3})], k=2)
+    unknown = re.escape("unknown candidates [9]")
+    checks = [
+        lambda W: check_core(inst, W, 1),
+        lambda W: check_pb_core(inst, W, 1, auto_lift=True),
+        lambda W: check_endowment_core(inst, W, 1, auto_lift=True),
+        lambda W: check_restrained_core(inst, W, 1),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=unknown):
+            check({0, 9})
+        assert check({0, 2}).verdict in (True, False)
+    replays = [
+        lambda W, S, T: blocks_core(inst, W, 1, S, T),
+        lambda W, S, T: blocks_pb_core(inst, W, 1, S, T),
+        lambda W, S, T: blocks_endowment(inst, W, 1, S, T),
+    ]
+    for replay in replays:
+        for W, T in (({0, 9}, {1}), ({0}, {1, 9}), ({0}, {9})):
+            with pytest.raises(ValueError, match=unknown):
+                replay(W, {0}, T)
+        with pytest.raises(ValueError, match=re.escape("unknown voters [2]")):
+            replay({0}, {0, 2}, {1})
+        assert replay({2, 3}, {0}, {0}) is True
 
 
 def _partial_table(weights, missing):
