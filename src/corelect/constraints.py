@@ -5,6 +5,14 @@ A family decides membership of candidate subsets; matroid-kind families
 structure needed by swap-based local search: basis tests, greedy basis
 extension, and the basis-exchange bijection.  All searches are
 deterministic with lexicographic tie-breaking by candidate id.
+
+Cardinality, partition, packing and covering families are counted kinds:
+each declares its rows once, as ``bounds`` (candidate set, least, most),
+and T is in the family exactly when |T| <= k and every row holds between
+least and most members of T.  The one ``FeasibilityFamily.contains``
+reads them, and so does ``feasibility_of_masks``, which counts members
+against row masks.  Explicit and matroid-oracle families, and subclasses
+that override ``contains``, are decided committee by committee.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from .errors import (
     EnumerationLimitError,
     MatroidAxiomViolation,
     NotABasisError,
+    as_frozen,
     canonical,
     mask_array,
+    mask_of,
     members,
     popcount,
     require_work,
@@ -27,16 +37,15 @@ from .errors import (
 )
 
 
-def _frozen(T: Iterable[int]) -> frozenset:
-    return T if isinstance(T, frozenset) else frozenset(T)
-
-
 class FeasibilityFamily:
-    """Base class.  Subclasses decide membership of subsets of candidates."""
+    """Base class.  Subclasses decide membership of subsets of candidates:
+    a counted kind by its ``bounds``, any other by its own ``contains``."""
 
     kind: str = "abstract"
     is_matroid: bool = False
     is_downward_closed: bool = False
+    # [(candidate set, least, most)], or None for a kind not counted by rows
+    bounds: Optional[Sequence[tuple]] = None
 
     def __init__(self, k: int):
         self.k = int(k)
@@ -47,7 +56,10 @@ class FeasibilityFamily:
         return self
 
     def contains(self, T: Iterable[int]) -> bool:
-        raise NotImplementedError
+        if self.bounds is None:
+            raise NotImplementedError
+        T = as_frozen(T)
+        return len(T) <= self.k and all(lo <= len(T & s) <= hi for s, lo, hi in self.bounds)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -60,12 +72,10 @@ class CardinalityFamily(FeasibilityFamily):
     kind = "cardinality"
     is_matroid = True
     is_downward_closed = True
-
-    def contains(self, T):
-        return len(_frozen(T)) <= self.k
+    bounds = ()
 
     def independent(self, T):
-        return len(_frozen(T)) <= self.k
+        return self.contains(T)
 
     def to_json(self):
         return {"kind": "cardinality"}
@@ -76,10 +86,10 @@ class ExplicitFamily(FeasibilityFamily):
 
     def __init__(self, sets: Iterable[Iterable[int]], k: int):
         super().__init__(k)
-        self.sets = frozenset(_frozen(s) for s in sets)
+        self.sets = frozenset(as_frozen(s) for s in sets)
 
     def contains(self, T):
-        T = _frozen(T)
+        T = as_frozen(T)
         return len(T) <= self.k and T in self.sets
 
     def to_json(self):
@@ -95,32 +105,27 @@ class PartitionMatroidFamily(FeasibilityFamily):
 
     def __init__(self, groups: Sequence[Iterable[int]], caps: Sequence[int], k: int):
         super().__init__(k)
-        self.groups = [frozenset(g) for g in groups]
-        self.caps = [int(c) for c in caps]
-        if len(self.groups) != len(self.caps):
+        groups = [frozenset(g) for g in groups]
+        caps = [int(c) for c in caps]
+        if len(groups) != len(caps):
             raise ValueError("one cap per group required")
-        if any(c < 0 for c in self.caps):
+        if any(c < 0 for c in caps):
             raise ValueError("caps must be nonnegative")
         seen = set()
-        for g in self.groups:
+        for g in groups:
             if g & seen:
                 raise ValueError("groups must be disjoint")
             seen |= g
-
-    def contains(self, T):
-        return self.independent(T)
+        self.bounds = [(g, 0, cap) for g, cap in zip(groups, caps)]
 
     def independent(self, T):
-        T = _frozen(T)
-        if len(T) > self.k:
-            return False
-        return all(len(T & g) <= cap for g, cap in zip(self.groups, self.caps))
+        return self.contains(T)
 
     def to_json(self):
         return {
             "kind": "partition",
-            "groups": [sorted(g) for g in self.groups],
-            "caps": list(self.caps),
+            "groups": [sorted(g) for g, _, _ in self.bounds],
+            "caps": [cap for _, _, cap in self.bounds],
         }
 
 
@@ -140,7 +145,7 @@ class MatroidOracleFamily(FeasibilityFamily):
         return self.independent(T)
 
     def independent(self, T):
-        T = _frozen(T)
+        T = as_frozen(T)
         return len(T) <= self.k and bool(self.predicate(T))
 
     def ensure_verified(self):
@@ -165,18 +170,12 @@ class PackingFamily(FeasibilityFamily):
 
     def __init__(self, rows: Sequence[tuple], k: int):
         super().__init__(k)
-        self.rows = [(frozenset(s), int(cap)) for s, cap in rows]
-
-    def contains(self, T):
-        T = _frozen(T)
-        if len(T) > self.k:
-            return False
-        return all(len(T & s) <= cap for s, cap in self.rows)
+        self.bounds = [(frozenset(s), 0, int(cap)) for s, cap in rows]
 
     def to_json(self):
         return {
             "kind": "packing",
-            "rows": [{"set": sorted(s), "cap": cap} for s, cap in self.rows],
+            "rows": [{"set": sorted(s), "cap": cap} for s, _, cap in self.bounds],
         }
 
 
@@ -187,18 +186,13 @@ class CoveringFamily(FeasibilityFamily):
 
     def __init__(self, rows: Sequence[tuple], k: int):
         super().__init__(k)
-        self.rows = [(frozenset(s), int(lo)) for s, lo in rows]
-
-    def contains(self, T):
-        T = _frozen(T)
-        if len(T) > self.k:
-            return False
-        return all(len(T & s) >= lo for s, lo in self.rows)
+        # k caps each row: no feasible T has more than k members
+        self.bounds = [(frozenset(s), int(lo), self.k) for s, lo in rows]
 
     def to_json(self):
         return {
             "kind": "covering",
-            "rows": [{"set": sorted(s), "min": lo} for s, lo in self.rows],
+            "rows": [{"set": sorted(s), "min": lo} for s, lo, _ in self.bounds],
         }
 
 
@@ -222,43 +216,25 @@ def is_feasible(P: FeasibilityFamily, T: Iterable[int]) -> bool:
     return P.contains(T)
 
 
-def _count_rows(P: FeasibilityFamily, universe) -> Optional[list]:
-    """[(row bitmask, least, most)]: T is in P exactly when |T| <= k and
-    every row holds between least and most members of T (most None for
-    no cap); None for a family decided one committee at a time."""
-
-    def bits(row):
-        return sum(1 << i for i, c in enumerate(universe) if c in row)
-
-    kind = type(P)
-    if kind is CardinalityFamily:
-        return []
-    if kind is PartitionMatroidFamily:
-        return [(bits(g), 0, cap) for g, cap in zip(P.groups, P.caps)]
-    if kind is PackingFamily:
-        return [(bits(s), 0, cap) for s, cap in P.rows]
-    if kind is CoveringFamily:
-        return [(bits(s), lo, None) for s, lo in P.rows]
-    return None
-
-
 def feasibility_of_masks(P: FeasibilityFamily, universe: Sequence[int]):
     """``is_feasible(P, T)`` as a function of an array of bitmasks (bit i
-    standing for ``universe[i]``), returning one boolean array.
-    Cardinality, partition, packing and covering families count members
-    against row masks, built here once (``mask_array``); explicit and
-    matroid-oracle families, and subclasses, are decided mask by mask."""
-    rows = _count_rows(P, universe)
-    if rows is None:
+    standing for ``universe[i]``), returning one boolean array.  A counted
+    family's members are counted against the row masks of its ``bounds``,
+    built here once; any other family, and a subclass that overrides
+    ``contains``, is decided mask by mask."""
+    rows = P.bounds
+    if rows is None or type(P).contains is not FeasibilityFamily.contains:
 
         def feasible(masks):
             verdicts = (P.contains(members(universe, x)) for x in masks.tolist())
             return np.fromiter(verdicts, bool, len(masks))
 
         return feasible
-    row_masks = mask_array([row for row, _, _ in rows], len(universe))
+    row_masks = mask_array([mask_of(universe, s) for s, _, _ in rows], len(universe))
     least = np.array([lo for _, lo, _ in rows], dtype=np.int64)
-    most = np.array([len(universe) if hi is None else hi for _, _, hi in rows], dtype=np.int64)
+    # a row holds at most m members, so a cap past m (a covering row's k may
+    # be any size) reads as m, within int64
+    most = np.array([min(hi, len(universe)) for _, _, hi in rows], dtype=np.int64)
 
     def feasible(masks):
         ok = popcount(masks) <= P.k
@@ -284,7 +260,7 @@ def is_q_completable(
     since the search stops at its first witness, its subsets are counted
     as they go against the work limit.
     """
-    hatW = _frozen(hatW)
+    hatW = as_frozen(hatW)
     if q < 0:
         raise ValueError("q must be nonnegative")
     if P.is_downward_closed:
@@ -339,7 +315,7 @@ def _require_matroid(M: FeasibilityFamily):
 def is_basis(M: FeasibilityFamily, T: Iterable[int], universe: Sequence[int]) -> bool:
     """Maximal independent set over the universe (truncated at k)."""
     _require_matroid(M)
-    T = _frozen(T)
+    T = as_frozen(T)
     if not M.independent(T):
         return False
     return not any(M.independent(T | {c}) for c in universe if c not in T)
@@ -353,7 +329,7 @@ def extend_to_basis(
     (default: the pool plus T).
     """
     _require_matroid(M)
-    T = _frozen(T)
+    T = as_frozen(T)
     if not M.independent(T):
         raise NotABasisError(f"start {sorted(T)} is not independent")
     current = set(T)
@@ -378,7 +354,7 @@ def basis_exchange_bijection(
     swaps; a missing matching means the independence oracle lied.
     """
     _require_matroid(M)
-    W1, W2 = _frozen(W1), _frozen(W2)
+    W1, W2 = as_frozen(W1), as_frozen(W2)
     for name, W in (("W1", W1), ("W2", W2)):
         if not is_basis(M, W, universe):
             raise NotABasisError(f"{name} = {sorted(W)} is not a basis")

@@ -26,6 +26,11 @@ class EnumerationLimitError(CorelectError):
     message states the estimated steps."""
 
 
+def as_frozen(T) -> frozenset:
+    """T as a frozenset, itself when it is one."""
+    return T if isinstance(T, frozenset) else frozenset(T)
+
+
 def canonical(T) -> tuple:
     """The sort key of the canonical subset order: size, then sorted ids."""
     T = sorted(T)
@@ -83,6 +88,11 @@ def exact_ints(values, bound: int):
 def mask_array(values, m: int):
     """Bitmasks over m bits as an array: int64 up to 63 bits, else Python ints."""
     return np.array(values, dtype=np.int64 if m < 64 else object)
+
+
+def mask_of(universe, ids) -> int:
+    """The bitmask of ``ids`` over ``universe``: bit i for ``universe[i]`` in ids."""
+    return sum(1 << i for i, c in enumerate(universe) if c in ids)
 
 
 def words(masks, m: int):

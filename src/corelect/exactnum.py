@@ -181,9 +181,8 @@ class Quad:
         o = self._coerce(other)
         if o is NotImplemented:
             raise TypeError(f"cannot compare Quad with {type(other)}")
-        return (self - o).sign() if isinstance(self - o, Quad) else (
-            ((self - o) > 0) - ((self - o) < 0)
-        )
+        diff = self - o
+        return diff.sign() if isinstance(diff, Quad) else (diff > 0) - (diff < 0)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

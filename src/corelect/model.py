@@ -60,10 +60,12 @@ from .errors import (
     WORK_LIMIT,
     InfeasibleInstanceError,
     MalformedUtilityError,
+    as_frozen,
     canonical,
     exact_ints,
     indices,
     mask_array,
+    mask_of,
     member_matrix,
     members,
     popcount,
@@ -72,10 +74,6 @@ from .errors import (
     words,
 )
 from .exactnum import ExactValue, Quad, parse_rational, rational_to_json
-
-
-def _as_frozen(T: Iterable[int]) -> frozenset:
-    return T if isinstance(T, frozenset) else frozenset(T)
 
 
 def _common_denominator(weights: Iterable[Fraction]) -> int:
@@ -97,9 +95,10 @@ _BLOCK = 2048
 
 def _blocks(masks, width: int):
     """(start, slice) of ``masks`` in consecutive slices of at most
-    ``_BLOCK // width`` rows."""
+    ``_BLOCK // width`` rows; an empty array is one empty slice, so a
+    kernel always has a part to concatenate."""
     rows = max(1, _BLOCK // max(width, 1))
-    return ((start, masks[start : start + rows]) for start in range(0, len(masks), rows))
+    return ((start, masks[start : start + rows]) for start in range(0, max(len(masks), 1), rows))
 
 
 def _by_blocks(masks, m: int, width: int, f):
@@ -205,8 +204,7 @@ class ApprovalUtility(RationalUtility):
         return len(self.approved.intersection(T))
 
     def numerators(self, universe, masks):
-        approved = sum(1 << i for i, c in enumerate(universe) if c in self.approved)
-        return popcount(masks & approved)
+        return popcount(masks & mask_of(universe, self.approved))
 
     value = RationalUtility.value
 
@@ -235,7 +233,7 @@ class AdditiveUtility(RationalUtility):
 
     def numerator(self, T):
         weights = self._int_weights
-        return sum(weights[c] for c in _as_frozen(T) if c in weights)
+        return sum(weights[c] for c in as_frozen(T) if c in weights)
 
     def numerators(self, universe, masks):
         return weighted_sums([self._int_weights.get(c, 0) for c in universe], masks)
@@ -278,7 +276,7 @@ class CoverageUtility(RationalUtility):
 
     def numerator(self, T):
         covered = set()
-        for c in _as_frozen(T):
+        for c in as_frozen(T):
             covered |= self.covers.get(c, frozenset())
         weights = self._int_weights
         return sum(weights[e] for e in covered if e in weights)
@@ -331,7 +329,7 @@ class XOSUtility(RationalUtility):
         self._int_clauses = [_scaled(cl, self.scale) for cl in self.clauses]
 
     def numerator(self, T):
-        T = _as_frozen(T)
+        T = as_frozen(T)
         best = 0
         for clause in self._int_clauses:
             s = sum(clause[c] for c in T if c in clause)
@@ -374,7 +372,7 @@ class TableUtility(RationalUtility):
         self._int_entries = _scaled(self.entries, self.scale)
 
     def numerator(self, T):
-        T = _as_frozen(T)
+        T = as_frozen(T)
         if not T:
             return 0
         if T not in self._int_entries:
@@ -423,7 +421,7 @@ class LB00Utility(UtilityFunction):
         return cp, cq
 
     def value(self, T):
-        return self._value_at(*self._counts(_as_frozen(T)))
+        return self._value_at(*self._counts(as_frozen(T)))
 
     def _value_at(self, cp: int, cq: int) -> ExactValue:
         """u at cp members of party p and cq of party q."""
@@ -448,13 +446,9 @@ class LB00Utility(UtilityFunction):
         pair present, at most (r + 1)^2 exact values; a code no mask has
         holds 0."""
         p, q = self.role
-        p_bits = q_bits = 0
-        for i, c in enumerate(universe):
-            party = self.party_of.get(c)
-            if party == p:
-                p_bits |= 1 << i
-            elif party == q:
-                q_bits |= 1 << i
+        # as in ``_counts``, a role (p, p) counts each member for p only
+        p_bits = mask_of(universe, {c for c, party in self.party_of.items() if party == p})
+        q_bits = mask_of(universe, {c for c, party in self.party_of.items() if party == q != p})
         width = q_bits.bit_count() + 1
         codes = popcount(masks & p_bits) * width
         codes += popcount(masks & q_bits)
@@ -468,7 +462,7 @@ class LB00Utility(UtilityFunction):
 
 def evaluate(u: UtilityFunction, T: Iterable[int]) -> ExactValue:
     """Exact utility of committee T.  Pure; u(empty) = 0."""
-    return u.value(_as_frozen(T))
+    return u.value(as_frozen(T))
 
 
 def exact_measure(u: UtilityFunction):
@@ -485,7 +479,7 @@ def gain_threshold(u: UtilityFunction, W: Iterable[int], gamma) -> tuple:
     and t(T) is an integer, so bar = ceil(gamma.num*(t(W) + D)/gamma.den).
     Otherwise measure is ``u.value`` and bar the exact gamma*(u(W) + 1).
     """
-    W = _as_frozen(W)
+    W = as_frozen(W)
     if isinstance(u, RationalUtility):
         need = gamma.numerator * (u.numerator(W) + u.scale)
         return u.numerator, -(-need // gamma.denominator)
@@ -1053,14 +1047,13 @@ def check_submodular(u: UtilityFunction, universe: Sequence[int]):
 
 
 class Committee:
-    """A candidate subset with cached size and cost."""
+    """A candidate subset with cached size."""
 
-    __slots__ = ("members", "size", "cost")
+    __slots__ = ("members", "size")
 
-    def __init__(self, members: Iterable[int], cost=None):
-        self.members = _as_frozen(members)
+    def __init__(self, members: Iterable[int]):
+        self.members = as_frozen(members)
         self.size = len(self.members)
-        self.cost = cost if cost is not None else Fraction(self.size)
 
     def __iter__(self):
         return iter(self.members)
@@ -1160,21 +1153,21 @@ class Instance:
         return self.k is not None
 
     def cost(self, T: Iterable[int]) -> Fraction:
-        T = _as_frozen(T)
+        T = as_frozen(T)
         if self.is_k_mode:
             return Fraction(len(T))
         return sum((self.sizes[c] for c in T), Fraction(0))
 
     def committee(self, members: Iterable[int]) -> Committee:
-        members = _as_frozen(members)
+        members = as_frozen(members)
         unknown = members - set(self.candidates)
         if unknown:
             raise ValueError(f"unknown candidates {sorted(unknown)}")
-        return Committee(members, cost=self.cost(members))
+        return Committee(members)
 
     def utility(self, i: int, T: Iterable[int]) -> ExactValue:
         """Exact utility of voter i for committee T."""
-        return self.utilities[i].value(_as_frozen(T))
+        return self.utilities[i].value(as_frozen(T))
 
     def require_k_mode(self, op: str):
         if not self.is_k_mode:

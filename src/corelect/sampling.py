@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, mask_array
 from .exactnum import ExactValue, int_sign, parse_rational, rational_to_json
 from .instances import rng_from_seed
 from .model import (
@@ -223,7 +223,7 @@ def mc_lower_tail(
 def _exact_tail(table, alpha, delta, trials, seed, beta, rng) -> TailReport:
     """The lower tail with mu0 exact: each trial's sample is looked up in
     the table by its mask, and hits are counted in integers."""
-    bits = np.array([1 << i for i in range(len(table.universe))], dtype=np.int64)
+    bits = mask_array([1 << i for i in range(len(table.universe))], len(table.universe))
     counts = Counter()
     for block in _bernoulli_blocks(rng, alpha, trials, len(bits)):
         counts.update((block @ bits).tolist())

@@ -66,7 +66,7 @@ def instance_to_json(instance: Instance) -> dict:
     return out
 
 
-def instance_from_json(obj: dict, validate: str = "trust") -> Instance:
+def instance_from_json(obj: dict) -> Instance:
     if not isinstance(obj, dict):
         raise FormatError("instance JSON must be an object")
     try:
@@ -104,7 +104,7 @@ def instance_from_json(obj: dict, validate: str = "trust") -> Instance:
     try:
         if has_k:
             family.bind(candidates)
-        return Instance(candidates=candidates, utilities=utilities, validate=validate, **fields)
+        return Instance(candidates=candidates, utilities=utilities, validate="trust", **fields)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad instance fields: {exc}") from exc
 
@@ -113,13 +113,13 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_instance(path, validate: str = "trust") -> Instance:
+def load_instance(path) -> Instance:
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return instance_from_json(obj, validate=validate)
+    return instance_from_json(obj)
 
 
 def save_instance(instance: Instance, path):

@@ -11,13 +11,15 @@ from corelect.constraints import (
     PartitionMatroidFamily,
     basis_exchange_bijection,
     extend_to_basis,
+    feasibility_of_masks,
     is_basis,
     is_feasible,
     is_q_completable,
     verify_matroid_axioms,
 )
-from corelect.errors import CannotCompleteError, MatroidAxiomViolation, NotABasisError
+from corelect.errors import CannotCompleteError, MatroidAxiomViolation, NotABasisError, members
 from corelect.instances import gen_rest1, rng_from_seed
+from corelect.model import _layers
 
 from oracles import oracle_q_completable
 
@@ -231,3 +233,41 @@ def test_explicit_family_dedup_and_query():
     assert len(P.sets) == 2
     assert is_feasible(P, {0, 1})
     assert not is_feasible(P, {0, 2})
+
+
+class _NoFirst(PackingFamily):
+    """A packing family that also refuses candidate 0, by overriding ``contains``."""
+
+    def contains(self, T):
+        return 0 not in T and super().contains(T)
+
+
+def _families(m, k):
+    """A family of each kind over range(m), with rows that reach past bit 63
+    when m does."""
+    last = m - 1
+    return {
+        "cardinality": CardinalityFamily(k),
+        "partition": PartitionMatroidFamily([{0, 1, last}, {2, 3}], [1, 0], k),
+        "packing": PackingFamily([({0, 1, 2, last}, 2), ({1, last - 1}, 1)], k),
+        "covering floor 0": CoveringFamily([({0, 1}, 0)], k),
+        "covering": CoveringFamily([({0, last}, 1)], k),
+        "covering floor above k": CoveringFamily([(range(m), k + 1)], k),
+        "covering, k past int64": CoveringFamily([({0, last}, 1)], 1 << 70),
+        "explicit": ExplicitFamily([(), {0}, {1, last}, {0, 2, 3}, range(k + 1)], k),
+        "matroid oracle": MatroidOracleFamily(lambda T: len(T & {0, 1, last}) <= 1, k),
+        "overrides contains": _NoFirst([({1, last}, 1)], k),
+    }
+
+
+# int64 masks with every layer; Python-int masks up to one size past k
+@pytest.mark.parametrize("m, k, top", [(8, 3, None), (66, 2, 3)])
+@pytest.mark.parametrize("name", list(_families(8, 3)))
+def test_the_mask_test_agrees_with_contains(name, m, k, top):
+    P = _families(m, k)[name]
+    universe = tuple(range(m))
+    feasible = feasibility_of_masks(P, universe)
+    for layer in _layers(m, top):
+        got = feasible(layer)
+        assert got.dtype == bool
+        assert got.tolist() == [P.contains(members(universe, x)) for x in layer.tolist()]

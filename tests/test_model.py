@@ -866,6 +866,15 @@ def test_kernels_read_masks_of_two_words_as_the_mask_by_mask_path(name):
         assert len(set(got[0])) > 1 or len(masks) == 1
 
 
+@pytest.mark.parametrize("m", [3, 70])
+@pytest.mark.parametrize("name", list(_two_word_oracles()))
+def test_kernels_evaluate_an_empty_mask_array(name, m):
+    u = _two_word_oracles()[name]
+    empty = mask_array([], m)
+    assert _measures(*evaluate_masks(u, range(m), empty)) == ([], {})
+    assert _measures(*evaluate_masks(_per_subset_twin(u), range(m), empty)) == ([], {})
+
+
 def test_the_subset_table_switches_to_exact_ints_past_the_int64_bound():
     # weights over three coprime denominators near 2^20: den is near 2^60
     universe = [0, 1, 2]
