@@ -17,6 +17,7 @@ from mpmath import iv
 
 from .constraints import (
     CardinalityFamily,
+    CoveringFamily,
     ExplicitFamily,
     PackingFamily,
     PartitionMatroidFamily,
@@ -109,6 +110,14 @@ LB1_GAMMA = Fraction(16, 15)
 # a committee below either is beaten by an explicit deviation
 LB1_SINGLE_FLOOR = Fraction(9, 8)
 LB1_PAIR_FLOOR = Fraction(21, 8)
+# times r: the cap on non-dummy candidates; the rest of lb1_deviation's
+# region: u_c's and the total utility's ceilings, the spoiler total up to
+# which t leaves the deviation as it is, and the spoiler total's ceiling
+LB1_CAP = 6
+LB1_THIRD_CEIL = Fraction(33, 8)
+LB1_TOTAL_CEIL = 12
+LB1_SPOILER_BUDGET = Fraction(6, 5)
+LB1_SPOILER_CEIL = Fraction(8, 5)
 
 
 def lb1_geometry(r: int, pool_size: Optional[int] = None) -> tuple:
@@ -118,7 +127,7 @@ def lb1_geometry(r: int, pool_size: Optional[int] = None) -> tuple:
     integer."""
     if r < 5 or r % 5 != 0:
         raise ParameterError("r must be a positive multiple of 5")
-    cap = 6 * r
+    cap = LB1_CAP * r
     pool = cap if pool_size is None else int(pool_size)
     if pool < 1:
         raise ParameterError("pool_size must be positive")
@@ -197,14 +206,14 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
         raise OutOfRegionError("utilities must be sorted ascending")
     if ua < LB1_SINGLE_FLOOR * r or ub < LB1_PAIR_FLOOR * r:
         raise OutOfRegionError("u_a >= 9r/8 and u_b >= 21r/8 required")
-    if ua + ub + uc + ud > 12 * r:
+    if ua + ub + uc + ud > LB1_TOTAL_CEIL * r:
         raise OutOfRegionError("total utility exceeds 12r")
-    if uc > Fraction(33, 8) * r:
+    if uc > LB1_THIRD_CEIL * r:
         raise OutOfRegionError("u_c <= 33r/8 required")
-    if min(ta, tb, tc) < 0 or ta + tb + tc > Fraction(8, 5) * r:
+    if min(ta, tb, tc) < 0 or ta + tb + tc > LB1_SPOILER_CEIL * r:
         raise OutOfRegionError("t must be nonnegative with sum <= 1.6r")
 
-    budget = Fraction(6, 5) * r  # 1.2r
+    budget = LB1_SPOILER_BUDGET * r
     if ta + tb + tc <= budget:
         if ua + ub >= uc:
             case = "1"
@@ -237,13 +246,24 @@ def lb1_deviation(u: Sequence, t: Sequence, r: int) -> LB1Deviation:
             x_ab = Fraction(0)
             x_ca = ha
             x_bc = hc - ha
-    # the five deviation constraints, verified with the *actual* t
-    assert x_ab + x_bc + x_ca + ta + tb + tc <= 6 * r
-    assert x_ab + x_ca + ta >= LB1_GAMMA * ua
-    assert x_ab + x_bc + tb >= LB1_GAMMA * ub
-    assert x_ca + x_bc + tc >= LB1_GAMMA * uc
-    assert min(x_ab, x_ca, x_bc) >= 0
-    return LB1Deviation(x_ab, x_ca, x_bc, case)
+    dev = LB1Deviation(x_ab, x_ca, x_bc, case)
+    # verified with the *actual* t
+    assert lb1_deviation_holds(dev, (ua, ub, uc), (ta, tb, tc), r)
+    return dev
+
+
+def lb1_deviation_holds(dev: LB1Deviation, u: Sequence, t: Sequence, r) -> bool:
+    """The five deviation constraints on the counts for u = (u_a, u_b, u_c)
+    and spoilers t: the cap of 6r, the three voters' 16/15 gains, and
+    non-negativity."""
+    ta, tb, tc = t
+    return (
+        dev.x_ab + dev.x_bc + dev.x_ca + ta + tb + tc <= LB1_CAP * r
+        and dev.x_ab + dev.x_ca + ta >= LB1_GAMMA * u[0]
+        and dev.x_ab + dev.x_bc + tb >= LB1_GAMMA * u[1]
+        and dev.x_ca + dev.x_bc + tc >= LB1_GAMMA * u[2]
+        and min(dev.x) >= 0
+    )
 
 
 def _lb1_weakest_first(instance: Instance, W) -> tuple:
@@ -539,11 +559,13 @@ def _random_constraint(kind, candidates, k, rng):
             j = int(rng.integers(0, len(groups)))
             caps[j] = min(len(groups[j]), caps[j] + 1)
         return PartitionMatroidFamily(groups, caps, k)
-    if kind == "packing":
+    if kind in ("packing", "covering"):
+        # one row: a cap in 1..|row|, or a floor in 0..min(|row|, k)
         size = int(rng.integers(1, m + 1))
         row = [candidates[i] for i in rng.permutation(m)[:size]]
-        cap = int(rng.integers(1, size + 1))
-        return PackingFamily([(row, cap)], k)
+        if kind == "packing":
+            return PackingFamily([(row, int(rng.integers(1, size + 1)))], k)
+        return CoveringFamily([(row, int(rng.integers(0, min(size, k) + 1)))], k)
     if kind == "explicit":
         count = int(rng.integers(1, 13))
         sets = []

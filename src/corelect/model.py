@@ -660,7 +660,7 @@ class _SubsetTable:
 
     __slots__ = (
         "u", "universe", "rat", "irr", "den", "radicand", "field", "errors", "layers",
-        "beta_star", "expectations", "_factor", "_peak",
+        "beta_star", "expectations", "_peak",
     )
 
     _recent = None  # the one table kept between calls
@@ -677,7 +677,6 @@ class _SubsetTable:
         self.layers = set()  # the sizes filled so far
         self.beta_star = None
         self.expectations = {}  # alpha -> (a, b, den), see sampling._expectation
-        self._factor = {1: 1}  # denominator q -> den // q
         self._peak = [0, 0]  # the largest |rat| and |irr| stored
 
     @classmethod
@@ -720,7 +719,7 @@ class _SubsetTable:
             self.errors[int(masks[j])] = exc
         if values is None:
             scale = self.u.scale
-            f = self._factor.get(scale) or self._grow(scale)
+            f = self._grow(scale)
             self._admit(max(int(codes.max()), -int(codes.min())) * f)
             column = codes.astype(self.rat.dtype, copy=False)
             column *= f
@@ -740,13 +739,12 @@ class _SubsetTable:
                 parts.append((v.a, v.b.numerator, v.b.denominator * self._radical(v.d)))
             else:
                 parts.append((v, 0, 1))
-        factor = self._factor
         for a, _, q in parts:
-            for d in (a.denominator, q):
-                if d not in factor:
-                    self._grow(d)
-        rat = [a.numerator * factor[a.denominator] for a, _, _ in parts]
-        return rat, [b * factor[q] for _, b, q in parts]
+            self._grow(a.denominator)
+            self._grow(q)
+        den = self.den
+        rat = [a.numerator * (den // a.denominator) for a, _, _ in parts]
+        return rat, [b * (den // q) for _, b, q in parts]
 
     def _radical(self, d: Fraction) -> int:
         """d.den, so that b*sqrt(d) = (b / d.den) * sqrt(radicand)."""
@@ -767,8 +765,8 @@ class _SubsetTable:
         self.rat, self.irr = exact_ints(self.rat, bound), exact_ints(self.irr, bound)
 
     def _grow(self, q: int) -> int:
-        """Extend den to a multiple of q, rescaling every stored integer."""
-        factor = self._factor
+        """Extend den to a multiple of q, rescaling every stored integer;
+        return den // q."""
         grow = q // math.gcd(self.den, q)
         if grow > 1:
             self.den *= grow
@@ -776,11 +774,8 @@ class _SubsetTable:
             self._admit()
             self.rat *= grow
             self.irr *= grow
-            for key in factor:
-                factor[key] *= grow
             self.expectations.clear()  # each holds the old den
-        factor[q] = self.den // q
-        return factor[q]
+        return self.den // q
 
     def require(self, masks=None):
         """Raise the first failed evaluation among ``masks`` (default: all)."""
@@ -1046,39 +1041,15 @@ def check_submodular(u: UtilityFunction, universe: Sequence[int]):
     return True, None
 
 
-class Committee:
-    """A candidate subset with cached size."""
+class Committee(frozenset):
+    """A solver's committee: the frozenset of its candidate ids, which is
+    also its ``members``."""
 
-    __slots__ = ("members", "size")
-
-    def __init__(self, members: Iterable[int]):
-        self.members = as_frozen(members)
-        self.size = len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, c):
-        return c in self.members
-
-    def __len__(self):
-        return self.size
-
-    def __eq__(self, other):
-        if isinstance(other, Committee):
-            return self.members == other.members
-        if isinstance(other, (set, frozenset)):
-            return self.members == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.members)
+    members = property(lambda self: self)
+    size = property(len)
 
     def sorted(self):
-        return sorted(self.members)
-
-    def __repr__(self):
-        return f"Committee({self.sorted()})"
+        return sorted(self)
 
 
 class Instance:
@@ -1160,9 +1131,7 @@ class Instance:
 
     def committee(self, members: Iterable[int]) -> Committee:
         members = as_frozen(members)
-        unknown = members - set(self.candidates)
-        if unknown:
-            raise ValueError(f"unknown candidates {sorted(unknown)}")
+        self.require_candidates(members)
         return Committee(members)
 
     def utility(self, i: int, T: Iterable[int]) -> ExactValue:
@@ -1172,6 +1141,16 @@ class Instance:
     def require_k_mode(self, op: str):
         if not self.is_k_mode:
             raise InfeasibleInstanceError(f"{op} requires a committee-size instance")
+
+    def require_candidates(self, ids: frozenset):
+        unknown = ids - set(self.candidates)
+        if unknown:
+            raise ValueError(f"unknown candidates {sorted(unknown)}")
+
+    def require_voters(self, ids: frozenset):
+        unknown = ids - set(range(self.n))
+        if unknown:
+            raise ValueError(f"unknown voters {sorted(unknown)}")
 
     def require_budget_mode(self, op: str):
         if self.is_k_mode:

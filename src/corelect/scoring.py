@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable
 
 from .errors import RuleMismatchError
@@ -33,14 +33,16 @@ from .model import AdditiveUtility, RationalUtility
 RULES = ("pav", "snw", "gpav")
 
 
-@lru_cache(maxsize=None)
+_HARMONIC = [Fraction(0)]  # H(0), H(1), ..., filled on demand
+
+
 def harmonic(x: int) -> Fraction:
     """H(x) = 1 + 1/2 + ... + 1/x, with H(0) = 0."""
     if x < 0:
         raise ValueError("harmonic sums need a nonnegative integer")
-    if x == 0:
-        return Fraction(0)
-    return harmonic(x - 1) + Fraction(1, x)
+    while len(_HARMONIC) <= x:
+        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
+    return _HARMONIC[x]
 
 
 def phi(x: ExactValue) -> ExactValue:

@@ -26,10 +26,15 @@ from .instances import (
     LB1_PAIR_FLOOR,
     LB1_PARTIES,
     LB1_SINGLE_FLOOR,
+    LB1_SPOILER_BUDGET,
+    LB1_SPOILER_CEIL,
+    LB1_THIRD_CEIL,
+    LB1_TOTAL_CEIL,
     gen_lb00,
     gen_lb_16_15,
     gen_tight_2alpha,
     lb1_deviation,
+    lb1_deviation_holds,
     lb1_pair_deviation,
     lb1_undersupplied_voter_deviation,
     endow2_bound,
@@ -221,29 +226,35 @@ def run_tight_lower() -> SuiteResult:
 def _lb1_case_samplers(r: Fraction):
     """Targeted rational samplers for the four deviation cases.
 
-    All quantities are sampled in units of r/16; the precondition region
-    is 18 <= u_a <= u_b <= u_c <= u_d, u_b >= 42, u_c <= 66,
-    sum(u) <= 192, t >= 0, sum(t) <= 25.6 (units again).
+    All quantities are sampled as integers in units of r/16, inside
+    ``lb1_deviation``'s region: the utility floors and ceilings, and a
+    spoiler total within 1.2r for cases 1 and 2 and in (1.2r, 1.6r] for
+    cases 3a and 3b.
     """
     unit = r / 16
+    lo_a, lo_b = (math.ceil(16 * f) for f in (LB1_SINGLE_FLOOR, LB1_PAIR_FLOOR))
+    hi_c, hi_sum, hi_t1, hi_t3 = (
+        math.floor(16 * f)
+        for f in (LB1_THIRD_CEIL, LB1_TOTAL_CEIL, LB1_SPOILER_BUDGET, LB1_SPOILER_CEIL)
+    )
 
     def sample_u(rng, case):
         for _ in range(1000):
             if case in ("1", "3a"):
-                a = int(rng.integers(18, 45))
-                b = int(rng.integers(max(42, a), 61))
-                hi_c = min(66, a + b)
-                if hi_c < b:
+                a = int(rng.integers(lo_a, 45))
+                b = int(rng.integers(max(lo_b, a), 61))
+                top_c = min(hi_c, a + b)
+                if top_c < b:
                     continue
-                c = int(rng.integers(b, hi_c + 1))
+                c = int(rng.integers(b, top_c + 1))
             else:
-                a = int(rng.integers(18, 24))
-                b = int(rng.integers(42, 48))
+                a = int(rng.integers(lo_a, 24))
+                b = int(rng.integers(lo_b, 48))
                 lo_c = a + b + 1
-                if lo_c > 66:
+                if lo_c > hi_c:
                     continue
-                c = int(rng.integers(lo_c, 67))
-            rem = 192 - a - b - c
+                c = int(rng.integers(lo_c, hi_c + 1))
+            rem = hi_sum - a - b - c
             if rem < c:
                 continue
             d = int(rng.integers(c, rem + 1))
@@ -254,9 +265,9 @@ def _lb1_case_samplers(r: Fraction):
         while True:
             t = tuple(int(rng.integers(0, 10)) for _ in range(3))
             total = sum(t)
-            if case in ("1", "2") and total <= 19:  # 19/16 r < 1.2 r
+            if case in ("1", "2") and total <= hi_t1:
                 return tuple(unit * v for v in t)
-            if case in ("3a", "3b") and 20 <= total <= 25:  # (1.2r, 1.6r]
+            if case in ("3a", "3b") and hi_t1 < total <= hi_t3:
                 return tuple(unit * v for v in t)
 
     return sample_u, sample_t
@@ -284,15 +295,7 @@ def run_lb1_points(per_case: int = 250, r: int = 40, seed0: int = 5000) -> Suite
             if dev.case != case:
                 continue
             produced += 1
-            ua, ub, uc, _ = u
-            ta, tb, tc = t
-            ok = (
-                dev.x_ab + dev.x_bc + dev.x_ca + ta + tb + tc <= 6 * rF
-                and dev.x_ab + dev.x_ca + ta >= LB1_GAMMA * ua
-                and dev.x_ab + dev.x_bc + tb >= LB1_GAMMA * ub
-                and dev.x_ca + dev.x_bc + tc >= LB1_GAMMA * uc
-                and min(dev.x) >= 0
-            )
+            ok = lb1_deviation_holds(dev, u, t, rF)
             result.record(ok, f"case {case} point {u} {t}: constraints violated")
     return result
 
@@ -309,6 +312,8 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
     rng = rng_from_seed(seed0)
     cap = meta["cap"]
     kp_single, kp_pair = (floored_endowment(size, inst.k, inst.n) for size in (1, 2))
+    # the cap's room left for W' once hatW burns its k - k' seats
+    room_single, room_pair = (cap - (inst.k - kp) for kp in (kp_single, kp_pair))
     produced_single = produced_pair = 0
     while produced_single < trials or produced_pair < trials:
         counts = {p: int(rng.integers(0, cap + 1)) for p in LB1_PARTIES}
@@ -331,21 +336,20 @@ def run_lb1_lemma_deviations(r: int = 40, trials: int = 50, seed0: int = 5500) -
                 is_feasible(inst.feasibility, dev["T"])
                 and len(dev["hatW"]) <= inst.k - kp_single
                 and len(dev["Wprime"]) <= kp_single
-                and dev["new_utility"] >= Fraction(6, 5) * r
-                and Fraction(6, 5) * r >= LB1_GAMMA * LB1_SINGLE_FLOOR * r
+                and dev["new_utility"] >= room_single
+                and room_single >= LB1_GAMMA * LB1_SINGLE_FLOOR * r
                 and dev["new_utility"] >= LB1_GAMMA * dev["old_utility"]
             )
             result.record(ok, f"single-voter deviation fails for counts {counts}")
         elif values[1] < LB1_PAIR_FLOOR * r and produced_pair < trials:
             produced_pair += 1
             dev = lb1_pair_deviation(inst, W)
-            room = Fraction(14, 5) * r  # 2.8r
             ok = (
                 is_feasible(inst.feasibility, dev["T"])
                 and len(dev["hatW"]) <= inst.k - kp_pair
                 and len(dev["Wprime"]) <= kp_pair
-                and min(dev["new"]) >= room
-                and room >= LB1_GAMMA * LB1_PAIR_FLOOR * r
+                and min(dev["new"]) >= room_pair
+                and room_pair >= LB1_GAMMA * LB1_PAIR_FLOOR * r
                 and all(nv >= LB1_GAMMA * ov for nv, ov in zip(dev["new"], dev["old"]))
             )
             result.record(ok, f"pair deviation fails for counts {counts}")

@@ -198,18 +198,6 @@ def _extensions(n: int, top: int) -> tuple:
     return patterns, ends
 
 
-def _require_candidates(instance, W):
-    unknown = W - set(instance.candidates)
-    if unknown:
-        raise ValueError(f"unknown candidates {sorted(unknown)}")
-
-
-def _require_voters(instance, S):
-    unknown = S - set(range(instance.n))
-    if unknown:
-        raise ValueError(f"unknown voters {sorted(unknown)}")
-
-
 def _times(x, c: int):
     """x * c exactly, for an integer array x: int64 while no product can
     overflow, Python ints otherwise."""
@@ -266,8 +254,8 @@ def _passes(test, T) -> bool:
 
 def _blocks(notion, instance, W, param, S, T) -> bool:
     param, W, S, T = parse_rational(param), frozenset(W), frozenset(S), frozenset(T)
-    _require_voters(instance, S)
-    _require_candidates(instance, W | T)
+    instance.require_voters(S)
+    instance.require_candidates(W | T)
     if not S or not T:
         return False
     tests, (weights, A, B) = notion(instance, W, param)
@@ -301,7 +289,7 @@ def _enumerating_check(instance, W, name, param, notion, max_size, min_coalition
     voters) affords it.  A failed evaluation is raised when it falls at or
     before the witness, where a scan deciding T by T would reach it."""
     require_work(subsets_up_to(instance.m, max_size), f"the {name} check's deviations")
-    _require_candidates(instance, frozenset(W))
+    instance.require_candidates(frozenset(W))
     tests, (weights, A, B) = notion(instance, frozenset(W), param)
     space = _Space(instance)
     least = 1 if min_coalition is None else max(1, math.ceil(min_coalition))
@@ -433,7 +421,6 @@ class _Tables:
     operations."""
 
     def __init__(self, instance, W, kprimes, mode, space, cert=None):
-        self.universe = space.universe
         feasible = feasibility_of_masks(instance.feasibility, space.universe)
         if mode == "subset_of_W":
             pool = np.array(sorted(space.position[c] for c in W), dtype=np.int64)
@@ -492,11 +479,6 @@ class _Tables:
         where each entry's is among them."""
         return np.unique(self.entries, return_inverse=True)
 
-    @functools.cached_property
-    def committees(self) -> list:
-        """The members of each of the distinct committees."""
-        return [members(self.universe, t) for t in self.distinct[0].tolist()]
-
     def verdict(self, ok) -> int:
         """The verdict of the entries with ok, one flag per entry."""
         flags = np.zeros(self.width, dtype=bool)
@@ -539,9 +521,7 @@ def _core_test(instance, W, voters, space, gamma):
             if verdicts[c] is None:
                 u, bar = tests[c]
                 masks, where = tables.distinct
-                ok, failed = meets_threshold(
-                    u, space.universe, masks, bar, False, lambda: tables.committees
-                )
+                ok, failed = meets_threshold(u, space.universe, masks, bar)
                 for j, exc in failed.items():
                     errors[c, int(masks[j])] = exc
                 passes[c] = ok[where]
@@ -709,7 +689,7 @@ def _hat_pool(mode: str, W, m: int) -> int:
 def _blocks_restrained(instance, W, S, mode, cert, test, what):
     W, S = frozenset(W), frozenset(S)
     pool = _hat_pool(mode, W, instance.m)
-    _require_voters(instance, S)
+    instance.require_voters(S)
     if not S:
         return False, None
     kprime = floored_endowment(len(S), instance.k, instance.n)
@@ -719,7 +699,7 @@ def _blocks_restrained(instance, W, S, mode, cert, test, what):
     req = requirement(S)
     if req is None:
         return False, None
-    _require_candidates(instance, W)
+    instance.require_candidates(W)
     tables = _Tables(instance, W, [kprime], mode, space, cert)
     firsts, _ = _complete(tables, kprime, meets(req, tables), req, audit)
     if firsts is None:
@@ -766,7 +746,7 @@ def _check_restrained(instance, W, notion, param, mode, flags, test, count_visit
     requirement, meets, audit = test(instance, W, range(n), space)
     if not is_feasible(instance.feasibility, W):
         raise ValueError("W must itself be feasible")
-    _require_candidates(instance, W)
+    instance.require_candidates(W)
     kprimes = sorted({floored_endowment(size, k, n) for size in range(1, n + 1)})
     tables = None
     coalitions = hatw_sets = entries = visited = 0

@@ -17,7 +17,7 @@ from corelect.scoring import (
     score,
 )
 
-from oracles import _all_subsets, oracle_score
+from oracles import _all_subsets, _naive_harmonic, oracle_score
 
 
 def _single(u, m=4, k=None):
@@ -28,6 +28,10 @@ def _single(u, m=4, k=None):
 def test_harmonic_values():
     assert harmonic(0) == 0
     assert harmonic(3) == Fraction(11, 6)
+
+
+def test_harmonic_of_a_large_utility_needs_no_deep_recursion():
+    assert harmonic(5000) == _naive_harmonic(5000)
 
 
 def test_phi_interpolation():

@@ -24,6 +24,13 @@ def test_global_single_voter_takes_top_weights():
     assert result.committee.members == {1, 2}  # id 2 beats the tied id 3
 
 
+def test_local_pav_reaches_utilities_in_the_hundreds():
+    inst = Instance(list(range(502)), [ApprovalUtility(range(502))], k=500, validate="trust")
+    result = solve_local(inst, "pav")
+    assert result.committee.size == 500
+    assert result.score.value == score("pav", inst, range(500)).value
+
+
 def test_global_rest1_spreads_across_blocks():
     inst = gen_rest1(2)
     result = solve_global(inst, "snw")

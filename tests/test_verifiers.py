@@ -45,6 +45,7 @@ from oracles import (
     oracle_classic_ejr,
     oracle_core,
     oracle_endowment_core,
+    oracle_global,
     oracle_pb_core,
     oracle_restrained_core,
     oracle_restrained_ejr,
@@ -510,6 +511,29 @@ def test_restrained_engine_matches_oracles_and_replays(case):
         if not report.verdict:
             S, cert = report.witness["S"], report.witness["completions"]
             assert blocks_restrained_ejr(inst, W, S, mode=mode, cert=cert)[0]
+
+
+def test_random_covering_rows_match_the_oracles():
+    # per draw: Global's committee, and the row's `floor` smallest ids
+    floors, verdicts = set(), set()
+    for seed in range(40):
+        inst = random_instance(seed + 900, constraint_kinds=("covering",))
+        (row, floor, _), = inst.feasibility.bounds
+        floors.add(floor)
+        result = solve_global(inst, "snw")
+        assert (result.committee, result.score.value) == oracle_global("snw", inst), seed
+        for W in (result.committee, frozenset(sorted(row)[:floor])):
+            for gamma in (Fraction(1), Fraction(16, 15)):
+                report = check_core(inst, W, gamma)
+                assert report.to_json() == oracle_core(inst, W, gamma, report=True), seed
+                verdicts.add(report.verdict)
+                for mode in ("subset_of_W", "any_hatW"):
+                    report = check_restrained_core(inst, W, gamma, mode=mode)
+                    assert report.to_json() == oracle_restrained_core(
+                        inst, W, gamma, mode=mode, report=True
+                    ), (seed, gamma, mode)
+                    verdicts.add(report.verdict)
+    assert len(floors) > 2 and verdicts == {True, False}
 
 
 def _lb00_instance(beta):
