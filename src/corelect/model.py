@@ -1071,7 +1071,8 @@ class Instance:
         validate: str = "auto",
     ):
         self.candidates = tuple(int(c) for c in candidates)
-        if len(set(self.candidates)) != len(self.candidates):
+        self._candidate_set = frozenset(self.candidates)
+        if len(self._candidate_set) != len(self.candidates):
             raise ValueError("candidate ids must be unique")
         if not self.candidates:
             raise ValueError("need at least one candidate")
@@ -1143,9 +1144,8 @@ class Instance:
             raise InfeasibleInstanceError(f"{op} requires a committee-size instance")
 
     def require_candidates(self, ids: frozenset):
-        unknown = ids - set(self.candidates)
-        if unknown:
-            raise ValueError(f"unknown candidates {sorted(unknown)}")
+        if not ids <= self._candidate_set:
+            raise ValueError(f"unknown candidates {sorted(ids - self._candidate_set)}")
 
     def require_voters(self, ids: frozenset):
         unknown = ids - set(range(self.n))

@@ -15,6 +15,13 @@ every oracle has one: snw is prod(D_i + t_i) / prod(D_i), built as one
 Fraction, and pav/gpav split each t_i by D_i into floor and remainder.
 Instances with an ``LB00Utility`` voter take the exact Fraction/Quad path
 over the terms, which ``marginal_add`` and ``marginal_remove`` share.
+``score_masks`` scores an array of committee bitmasks the same two ways,
+as keys over one denominator: integers when every oracle has an integer
+form, the exact values otherwise.  ``score`` and the marginals refuse a
+committee holding an id the instance does not have
+(``Instance.require_candidates``).
+``harmonic`` keeps H(x) for x below 256 and at the multiples of 256, so
+the memory it holds grows linearly in the largest x asked for.
 """
 
 from __future__ import annotations
@@ -26,23 +33,49 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable
 
-from .errors import RuleMismatchError
+import numpy as np
+
+from .errors import RuleMismatchError, as_frozen, exact_ints
 from .exactnum import ExactValue, exact_floor, is_integral
-from .model import AdditiveUtility, RationalUtility
+from .model import AdditiveUtility, RationalUtility, evaluate_masks
 
 RULES = ("pav", "snw", "gpav")
 
 
-_HARMONIC = [Fraction(0)]  # H(0), H(1), ..., filled on demand
+# H(0), ..., H(_STEP - 1) are kept in full, so the H of a small utility
+# is one index; above them only H at the multiples of _STEP.  H(j) has
+# about 1.44 j bits in each of its numerator and denominator, so keeping
+# every prefix up to x would hold about 1.44 x^2 bits.
+_STEP = 256
+_HARMONIC = [Fraction(0)]  # H(0), H(1), ..., H(_STEP - 1), filled on demand
+_CHECKPOINTS = [Fraction(0)]  # H(0), H(_STEP), H(2 * _STEP), ..., filled on demand
+
+
+def _inverse_sum(a: int, b: int) -> tuple:
+    """(p, q), unreduced, with p / q = 1/a + ... + 1/(b-1) for 0 < a < b,
+    by binary splitting."""
+    if b - a == 1:
+        return 1, a
+    (p, q), (r, s) = _inverse_sum(a, (a + b) // 2), _inverse_sum((a + b) // 2, b)
+    return p * s + r * q, q * s
 
 
 def harmonic(x: int) -> Fraction:
     """H(x) = 1 + 1/2 + ... + 1/x, with H(0) = 0."""
     if x < 0:
         raise ValueError("harmonic sums need a nonnegative integer")
-    while len(_HARMONIC) <= x:
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
-    return _HARMONIC[x]
+    if x < _STEP:
+        while len(_HARMONIC) <= x:
+            _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
+        return _HARMONIC[x]
+    j, rest = divmod(x, _STEP)
+    while len(_CHECKPOINTS) <= j:
+        base = (len(_CHECKPOINTS) - 1) * _STEP
+        step = Fraction(*_inverse_sum(base + 1, base + _STEP + 1))
+        _CHECKPOINTS.append(_CHECKPOINTS[-1] + step)
+    if not rest:
+        return _CHECKPOINTS[j]
+    return _CHECKPOINTS[j] + Fraction(*_inverse_sum(x - rest + 1, x + 1))
 
 
 def phi(x: ExactValue) -> ExactValue:
@@ -58,9 +91,13 @@ def phi(x: ExactValue) -> ExactValue:
     return harmonic(fl) + frac / (fl + 1)
 
 
+def _pav_mismatch() -> RuleMismatchError:
+    return RuleMismatchError("pav requires integer utilities")
+
+
 def _pav_term(x: ExactValue) -> Fraction:
     if not is_integral(x):
-        raise RuleMismatchError("pav requires integer utilities")
+        raise _pav_mismatch()
     return harmonic(int(x))
 
 
@@ -126,9 +163,11 @@ def _voter_values(instance, W):
 def score(rule: str, instance, W: Iterable[int]) -> Score:
     """Exact score of committee W under the given rule."""
     term = _term(rule)
+    W = as_frozen(W)
+    instance.require_candidates(W)
     voters = instance.utilities
     if all(isinstance(u, RationalUtility) for u in voters):
-        return _integer_score(rule, voters, frozenset(W))
+        return _integer_score(rule, voters, W)
     return Score(rule, _combine(rule, map(term, _voter_values(instance, W))))
 
 
@@ -148,9 +187,74 @@ def _integer_score(rule, voters, W) -> Score:
         floors[q] = floors.get(q, 0) + 1
         if r:
             if rule == "pav":
-                raise RuleMismatchError("pav requires integer utilities")
+                raise _pav_mismatch()
             rest += Fraction(r, u.scale * (q + 1))
     return Score(rule, sum((count * harmonic(q) for q, count in floors.items()), rest))
+
+
+def score_masks(rule: str, instance, universe, masks) -> tuple:
+    """(keys, den): the exact score of the committee of masks[j] (bit i
+    standing for ``universe[i]``) is keys[j] / den, for a nonempty mask
+    array; each voter is evaluated once, by ``model.evaluate_masks``.
+    With every voter rational the keys are integers (int64 while a bound
+    rules out overflow): snw's prod(D_i + t_i) over prod D_i, or pav's and
+    gpav's H(q_i) + r_i / (D_i (q_i + 1)), q_i, r_i = divmod(t_i, D_i),
+    summed over one common denominator.  Otherwise they are ``score``'s
+    Fraction/Quad values over 1, one per distinct tuple of voter values.
+    Raises what ``score`` raises on the first committee that fails."""
+    term = _term(rule)
+    integer = all(isinstance(u, RationalUtility) for u in instance.utilities)
+    measured, fails = [], []  # fails: (committee, rank, voter, exception)
+    for i, u in enumerate(instance.utilities):
+        codes, values, errors = evaluate_masks(u, universe, masks)
+        fails += [(j, 0, i, exc) for j, exc in errors.items()]
+        if values is None and not integer:
+            t, codes = np.unique(codes, return_inverse=True)
+            values = [Fraction(x, u.scale) for x in t.tolist()]
+        if rule == "pav":
+            if values is None:
+                odd = codes % u.scale != 0
+            else:
+                odd = np.isin(codes, [c for c, v in enumerate(values) if not is_integral(v)])
+            hit = np.flatnonzero(odd)
+            # integer score tests each voter as it reaches it; the exact
+            # path evaluates every voter before it tests one for pav
+            if len(hit):
+                fails.append((int(hit[0]), int(not integer), i, _pav_mismatch()))
+        measured.append((u, codes, values))
+    if fails:
+        raise min(fails, key=lambda fail: fail[:3])[3]
+    if not integer:
+        terms = [[term(v) for v in values] for _, _, values in measured]
+        columns, at = np.unique(
+            np.stack([codes for _, codes, _ in measured]), axis=1, return_inverse=True
+        )
+        keys = [_combine(rule, map(list.__getitem__, terms, col)) for col in columns.T.tolist()]
+        return np.array(keys, dtype=object)[at.reshape(-1)], 1
+    if rule == "snw":
+        keys = den = bound = 1
+        for u, t, _ in measured:
+            bound *= u.scale + int(t.max())
+            keys = keys * (exact_ints(t, bound) + u.scale)
+            den *= u.scale
+        return keys, den
+    parts, den = [], 1
+    for u, t, _ in measured:
+        q = t // u.scale
+        floors, at = np.unique(q, return_inverse=True)
+        floors = floors.tolist()
+        hs = [harmonic(f) for f in floors]
+        for f, h in zip(floors, hs):
+            den = math.lcm(den, h.denominator, u.scale * (f + 1))
+        parts.append((u.scale, t - q * u.scale, at, floors, hs))
+    keys = bound = 0
+    for D, r, at, floors, hs in parts:
+        # H(q) * den is largest at the largest q, and r * den / (D (q + 1)) < den
+        bound += hs[-1].numerator * (den // hs[-1].denominator) + den
+        h = exact_ints([h.numerator * (den // h.denominator) for h in hs], bound)
+        share = exact_ints([den // (D * (f + 1)) for f in floors], bound)
+        keys = keys + h[at] + exact_ints(r, bound) * share[at]
+    return keys, den
 
 
 @dataclass(frozen=True)
@@ -180,6 +284,7 @@ def marginal_add(rule: str, instance, W: Iterable[int], c: int) -> Marginals:
     W = frozenset(W)
     if c in W:
         raise ValueError(f"candidate {c} already in committee")
+    instance.require_candidates(W | {c})
     return _marginals(rule, instance, W, W | {c})
 
 
@@ -188,6 +293,7 @@ def marginal_remove(rule: str, instance, W: Iterable[int], c: int) -> Marginals:
     W = frozenset(W)
     if c not in W:
         raise ValueError(f"candidate {c} not in committee")
+    instance.require_candidates(W)
     return _marginals(rule, instance, W - {c}, W)
 
 

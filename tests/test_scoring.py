@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from corelect import scoring
 from corelect.errors import RuleMismatchError
 from corelect.exactnum import Quad
 from corelect.instances import gen_lb00, random_instance
@@ -32,6 +34,43 @@ def test_harmonic_values():
 
 def test_harmonic_of_a_large_utility_needs_no_deep_recursion():
     assert harmonic(5000) == _naive_harmonic(5000)
+
+
+def _cleared_harmonic_cache():
+    del scoring._HARMONIC[1:]
+    del scoring._CHECKPOINTS[1:]
+
+
+def test_harmonic_of_twenty_thousand_holds_little_memory():
+    _cleared_harmonic_cache()
+    tracemalloc.start()
+    try:
+        harmonic(20000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20
+
+
+def test_harmonic_matches_the_naive_sum_on_each_side_of_every_checkpoint():
+    step = scoring._STEP
+    points = sorted({x for j in range(1, 5) for x in (j * step - 1, j * step, j * step + 1)})
+    # from a cleared cache, highest first, then lowest first
+    for order in (points[::-1], points):
+        _cleared_harmonic_cache()
+        for x in order:
+            assert harmonic(x) == _naive_harmonic(x), x
+
+
+def test_scoring_refuses_unknown_candidates():
+    inst = _single(ApprovalUtility([0, 1]))
+    refused = r"^unknown candidates \[99\]$"
+    with pytest.raises(ValueError, match=refused):
+        score("snw", inst, [0, 99])
+    with pytest.raises(ValueError, match=refused):
+        marginal_add("snw", inst, [0], 99)
+    with pytest.raises(ValueError, match=refused):
+        marginal_remove("snw", inst, [0, 99], 0)
 
 
 def test_phi_interpolation():
